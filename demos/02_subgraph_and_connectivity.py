@@ -6,6 +6,7 @@ Run:  python demos/02_subgraph_and_connectivity.py
 
 import numpy as np
 
+from gib.batch import GraphBatch
 from gib.graphs import Graph
 from gib.subgraph import (
     SubgraphGenerator,
@@ -39,7 +40,7 @@ print("(0 = ideal partition, 1 = collapse, 2 = worst possible)")
 print("\n== a fresh generator produces soft, row-stochastic assignments ==")
 rng = np.random.default_rng(0)
 generator = SubgraphGenerator(feature_dim=1, hidden=8, rng=rng)
-s, node_embeddings = generator.assignment(graph)
+s, node_embeddings = generator.assignment(GraphBatch([graph]))
 print("assignment rows (p_in, p_out):\n", np.round(s.data, 3))
 print("rows sum to:", s.data.sum(axis=1))
 

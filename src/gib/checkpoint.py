@@ -32,20 +32,30 @@ def save_params(path: str, named: list[tuple[str, np.ndarray]]) -> None:
             fh.write(a.tobytes())
 
 
+def _read(fh, size: int, path: str, what: str) -> bytes:
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise IOError(f"{path}: truncated checkpoint, {what} needs {size} bytes, found {len(raw)}")
+    return raw
+
+
 def load_params(path: str) -> list[tuple[str, np.ndarray]]:
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise IOError(f"{path}: not a checkpoint file (bad header {magic!r})")
-        (count,) = struct.unpack("<I", fh.read(4))
+        (count,) = struct.unpack("<I", _read(fh, 4, path, "the array count"))
         out: list[tuple[str, np.ndarray]] = []
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+        for k in range(count):
+            where = f"the name of array {k}"
+            (name_len,) = struct.unpack("<I", _read(fh, 4, path, where))
+            name = _read(fh, name_len, path, where).decode("utf-8")
+            where = f"parameter {name!r}"
+            (ndim,) = struct.unpack("<I", _read(fh, 4, path, where))
+            shape = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim, path, where))
             n_items = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(fh.read(8 * n_items), dtype="<f8").reshape(shape)
+            raw = _read(fh, 8 * n_items, path, where)
+            data = np.frombuffer(raw, dtype="<f8").reshape(shape)
             out.append((name, data.astype(np.float64)))
     return out
 

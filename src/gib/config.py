@@ -47,7 +47,7 @@ SCHEMA: dict[str, dict[str, tuple[type, Any]]] = {
         "inner_steps": (int, 150),
         "samples_per_epoch": (int, 20000),
         "sigma2_init": (float, 0.25),
-        "lr_inner": (float, 1e-3),
+        "lr_inner": (float, 3e-3),
         "lr_outer": (float, 0.05),
         "hidden": (int, 64),
     },

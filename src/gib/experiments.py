@@ -12,6 +12,7 @@ from typing import Optional
 
 import numpy as np
 
+from .batch import GraphBatch
 from .graphs import ConfigError, Dataset, to_line_graph
 from .metrics import (
     accuracy,
@@ -73,30 +74,20 @@ def train_baseline(dataset: Dataset, config: TrainConfig, kind: str) -> Baseline
     for epoch in range(1, config.outer_steps + 1):
         order = shuffle_rng.permutation(len(train_graphs))
         for start in range(0, len(order), config.batch_size):
-            batch = [train_graphs[i] for i in order[start : start + config.batch_size]]
+            batch = GraphBatch([train_graphs[i] for i in order[start : start + config.batch_size]])
             zero_grads(model.params())
-            terms = []
-            for graph in batch:
-                if kind == "attention":
-                    out, _ = model.forward_graph(graph)
-                else:
-                    out = model.forward_graph(graph)
-                terms.append(
-                    output_loss(out, model.standardize_label(graph.label), dataset.num_classes)
-                )
-            loss = terms[0]
-            for t in terms[1:]:
-                loss = loss + t
-            loss = (1.0 / len(terms)) * loss
+            labels = [model.standardize_label(graph.label) for graph in batch.graphs]
+            loss = output_loss(model.outputs(batch), labels, dataset.num_classes)
             loss.backward()
             if not np.isfinite(float(loss.data)):
                 raise FloatingPointError(f"baseline {kind} diverged at epoch {epoch}")
             optimizer.step()
 
+        preds = model.predict_all(val_graphs, config.batch_size)
         if dataset.continuous:
-            val = float(np.mean([(model.predict(g) - float(g.label)) ** 2 for g in val_graphs]))
+            val = float(np.mean([(p - float(g.label)) ** 2 for p, g in zip(preds, val_graphs)]))
         else:
-            val = accuracy([model.predict(g) for g in val_graphs], [int(g.label) for g in val_graphs])
+            val = accuracy(preds, [int(g.label) for g in val_graphs])
         improved = (
             best_val is None
             or (higher_is_better and val > best_val)
@@ -174,7 +165,7 @@ def run_denoising(
     for method in methods:
         if method == "gcn":
             base = train_baseline(line_ds, config, kind="meanpool")
-            acc = accuracy([base.model.predict(g) for g in test_graphs], labels)
+            acc = accuracy(base.model.predict_all(test_graphs, config.batch_size), labels)
             runs.append(DenoisingRun("GCN", float("nan"), float("nan"), acc, structure_capable=False))
         elif method in ("att05", "att07"):
             if att_result is None:
@@ -185,7 +176,7 @@ def run_denoising(
                 for g in test_graphs
             ]
             recall, precision, empty = _edge_metrics_for_masks(line_ds, "test", masks)
-            acc = accuracy([att_result.model.predict(g) for g in test_graphs], labels)
+            acc = accuracy(att_result.model.predict_all(test_graphs, config.batch_size), labels)
             runs.append(DenoisingRun(f"GCN+Att{int(keep*10):02d}", recall, precision, acc,
                                      empty_rate=empty))
         elif method == "gib":
@@ -195,7 +186,7 @@ def run_denoising(
                 sel = discretize(result.model.assignment_matrix(g), g, config.threshold)
                 masks.append(sel.node_mask)
             recall, precision, empty = _edge_metrics_for_masks(line_ds, "test", masks)
-            acc = accuracy([result.model.predict(g) for g in test_graphs], labels)
+            acc = accuracy(result.model.predict_all(test_graphs, config.batch_size), labels)
             runs.append(DenoisingRun("GCN+GIB", recall, precision, acc, empty_rate=empty))
         else:
             raise ConfigError(f"unknown denoising method {method!r}")
@@ -317,7 +308,7 @@ def run_motif_recovery(
             for g, gi in zip(test_graphs, test_ids):
                 mask = topk_subgraph_from_scores(g, base.model.node_scores(g), 0.5)
                 recalls.append(node_recall(dataset.masks[gi], np.nonzero(mask)[0].tolist()))
-            acc = accuracy([base.model.predict(g) for g in test_graphs], labels)
+            acc = accuracy(base.model.predict_all(test_graphs, config.batch_size), labels)
             runs.append(MotifRecoveryRun("GCN+Att05", acc, float(np.mean(recalls))))
         elif method == "gib":
             result = train(dataset, config)
@@ -325,7 +316,7 @@ def run_motif_recovery(
             for g, gi in zip(test_graphs, test_ids):
                 sel = discretize(result.model.assignment_matrix(g), g, config.threshold)
                 recalls.append(node_recall(dataset.masks[gi], sel.node_indices()))
-            acc = accuracy([result.model.predict(g) for g in test_graphs], labels)
+            acc = accuracy(result.model.predict_all(test_graphs, config.batch_size), labels)
             runs.append(MotifRecoveryRun("GCN+GIB", acc, float(np.mean(recalls))))
         else:
             raise ConfigError(f"unknown motif-recovery method {method!r}")

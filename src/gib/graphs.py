@@ -11,6 +11,7 @@ with i < j. Ground-truth edge masks index into that order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -65,6 +66,11 @@ class Graph:
     @property
     def n(self) -> int:
         return self.adjacency.shape[0]
+
+    @functools.cached_property
+    def d_inv_sqrt(self) -> np.ndarray:
+        """Diagonal of D^{-1/2}, D the degree matrix of A + I; kept after first use."""
+        return 1.0 / np.sqrt(self.adjacency.sum(axis=1) + 1.0)
 
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edges in canonical sorted (i < j) order."""

@@ -7,7 +7,6 @@ subgraph scores the full property value as its bias.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,14 +22,6 @@ def accuracy(predictions: Sequence[int], labels: Sequence[int]) -> float:
         raise ValueError(f"length mismatch: {len(predictions)} vs {len(labels)}")
     hits = sum(int(p == y) for p, y in zip(predictions, labels))
     return hits / len(predictions)
-
-
-@dataclass
-class DenoisingScore:
-    recall: float
-    precision: float
-    accuracy: float
-    empty_selection: bool = False
 
 
 def edge_scores(kept_edge_mask: np.ndarray, real_edge_mask: np.ndarray) -> dict:

@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
+from .batch import GraphBatch
 from .graphs import Graph
 from .nn import GcnEncoder, Mlp
 from .optim import make_optimizer
@@ -47,10 +48,13 @@ class StatisticsNetwork:
         self.embed_dim = embed_dim
 
     def graph_embedding(self, graph: Graph) -> Tensor:
-        """Mean of the shared encoder's node embeddings, as a 1 x d row."""
-        x = self.encoder.forward_graph(graph)
-        pool = Tensor(np.full((1, graph.n), 1.0 / graph.n))
-        return pool @ x
+        """Mean of the shared encoder's node embeddings, as a 1 x d row.
+
+        Batched callers take ``batch.mean`` of the node embeddings they
+        already have, since the encoder is shared with the generator.
+        """
+        batch = GraphBatch([graph])
+        return batch.mean(self.encoder.forward(batch))
 
     def statistic(self, graph_emb: Tensor, sub_emb: Tensor) -> Tensor:
         """The scalar score of one pair of embeddings."""
@@ -80,44 +84,57 @@ class MiBatchEstimate:
         return float(self.value.data)
 
 
-def mi_batch_loss(
-    statnet: StatisticsNetwork,
-    graph_embs: Sequence[Tensor],
-    sub_embs: Sequence[Tensor],
-    full_pairing: bool = False,
-) -> MiBatchEstimate:
-    """The batched estimator over matched and mismatched embedding pairs.
+def _marginal_pairs(n: int, full_pairing: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(graph index, subgraph index) of every mismatched pair, row-major.
 
-    ``graph_embs[i]`` and ``sub_embs[i]`` must describe the same graph. With
-    ``full_pairing`` the marginal term averages over all N(N-1) mismatched
-    pairs instead of the cyclic shift.
+    The cyclic shift pairs graph i with subgraph i+1 mod n; full pairing
+    lists every (i, j) with j != i.
     """
-    n = len(graph_embs)
-    if n != len(sub_embs):
-        raise ValueError(f"batch sides disagree: {n} graphs vs {len(sub_embs)} subgraphs")
-    if n < 2:
-        raise ValueError("mutual-information batch needs at least 2 graphs")
-
-    joint_in = T.concat_rows(
-        [T.concat_cols([graph_embs[i], sub_embs[i]]) for i in range(n)]
-    )
-    joint_term = T.tmean(statnet.head.forward(joint_in))
-
     if full_pairing:
-        pairs = [(i, j) for i in range(n) for j in range(n) if j != i]
-    else:
-        pairs = [(i, (i + 1) % n) for i in range(n)]
-    marginal_in = T.concat_rows(
-        [T.concat_cols([graph_embs[i], sub_embs[j]]) for i, j in pairs]
-    )
-    scores = statnet.head.forward(marginal_in)
-    marginal_term = T.logsumexp(scores) - math.log(len(pairs))
+        return np.nonzero(~np.eye(n, dtype=bool))
+    i = np.arange(n)
+    return i, (i + 1) % n
 
+
+def _dv_estimate(
+    statnet: StatisticsNetwork, joint_in: Tensor, marginal_in: Tensor
+) -> MiBatchEstimate:
+    """mean f(joint rows) - log mean exp f(marginal rows)."""
+    joint_term = T.tmean(statnet.head.forward(joint_in))
+    scores = statnet.head.forward(marginal_in)
+    marginal_term = T.logsumexp(scores) - math.log(scores.shape[0])
     return MiBatchEstimate(
         joint_term=joint_term,
         marginal_term=marginal_term,
         value=joint_term - marginal_term,
     )
+
+
+def mi_batch_loss(
+    statnet: StatisticsNetwork,
+    graph_embs: Tensor | Sequence[Tensor],
+    sub_embs: Tensor | Sequence[Tensor],
+    full_pairing: bool = False,
+) -> MiBatchEstimate:
+    """The batched estimator over matched and mismatched embedding pairs.
+
+    The two sides are B x d matrices (or lists of 1 x d rows) whose row i
+    describes the same graph. With ``full_pairing`` the marginal term
+    averages over all B(B-1) mismatched pairs instead of the cyclic shift.
+    Mismatched rows are gathered by constant selection matrices, so the
+    estimate stays differentiable in both sides.
+    """
+    g = graph_embs if isinstance(graph_embs, Tensor) else T.concat_rows(graph_embs)
+    s = sub_embs if isinstance(sub_embs, Tensor) else T.concat_rows(sub_embs)
+    n = g.shape[0]
+    if n != s.shape[0]:
+        raise ValueError(f"batch sides disagree: {n} graphs vs {s.shape[0]} subgraphs")
+    if n < 2:
+        raise ValueError("mutual-information batch needs at least 2 graphs")
+    gi, si = _marginal_pairs(n, full_pairing)
+    eye = np.eye(n)
+    marginal_in = T.concat_cols([Tensor(eye[gi]) @ g, Tensor(eye[si]) @ s])
+    return _dv_estimate(statnet, T.concat_cols([g, s]), marginal_in)
 
 
 def inner_maximize(
@@ -134,7 +151,8 @@ def inner_maximize(
     """Train the head to maximize the batched estimate; everything else frozen.
 
     The embeddings come in as plain arrays (already detached from the
-    generator), so the only live parameters on the tape are the head's.
+    generator), so each step's joint and marginal inputs are built as plain
+    arrays too and the only live parameters on the tape are the head's.
     Returns the per-step estimate trace.
     """
     if steps < 1:
@@ -142,18 +160,21 @@ def inner_maximize(
     n = graph_embs.shape[0]
     if n < 2:
         raise ValueError("inner loop needs at least 2 cached pairs")
+    minibatched = batch_size is not None and batch_size < n
+    if minibatched and rng is None:
+        raise ValueError("minibatched inner loop needs an rng")
+    gi, si = _marginal_pairs(batch_size if minibatched else n, full_pairing)
     optimizer = make_optimizer(optimizer_kind, statnet.head_params(), lr)
     trace: list[float] = []
     for step in range(steps):
-        if batch_size is not None and batch_size < n:
-            if rng is None:
-                raise ValueError("minibatched inner loop needs an rng")
+        if minibatched:
             idx = rng.choice(n, size=batch_size, replace=False)
+            g, s = graph_embs[idx], sub_embs[idx]
         else:
-            idx = np.arange(n)
-        g_batch = [Tensor(graph_embs[i : i + 1]) for i in idx]
-        s_batch = [Tensor(sub_embs[i : i + 1]) for i in idx]
-        estimate = mi_batch_loss(statnet, g_batch, s_batch, full_pairing=full_pairing)
+            g, s = graph_embs, sub_embs
+        estimate = _dv_estimate(
+            statnet, Tensor(np.hstack([g, s])), Tensor(np.hstack([g[gi], s[si]]))
+        )
         loss = -estimate.value
         optimizer.zero_grad()
         loss.backward()

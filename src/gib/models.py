@@ -4,16 +4,17 @@ Parameter groups follow the roles in the bi-level scheme: the generator's
 encoder and assignment MLP plus the classifier are trained in the outer
 phase, the statistics-network head in the inner phase. The attention
 classifier is the self-attentive aggregation baseline whose node scores feed
-the top-k selections.
+the top-k selections. Every model maps a :class:`GraphBatch` to one output
+row per graph and shares the label handling of :class:`Predictor`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from . import tensor as T
+from .batch import GraphBatch, batches
 from .graphs import Graph
 from .mi import StatisticsNetwork
 from .nn import AttentionHead, GcnEncoder, Mlp
@@ -21,7 +22,43 @@ from .subgraph import SubgraphGenerator, subgraph_embedding
 from .tensor import Tensor
 
 
-class GibModel:
+class Predictor:
+    """Label handling shared by the models.
+
+    ``outputs`` maps a batch to B x C logits, or to B x 1 outputs in
+    standardized label units for continuous labels.
+    """
+
+    num_classes: Optional[int]
+    label_mean: float
+    label_std: float
+
+    def outputs(self, batch: GraphBatch) -> Tensor:
+        raise NotImplementedError
+
+    def standardize_label(self, label: float | int) -> float | int:
+        if self.num_classes is not None:
+            return label
+        return (float(label) - self.label_mean) / self.label_std
+
+    def decode(self, out: np.ndarray) -> list[float | int]:
+        """One prediction per output row: a class index or a label value."""
+        if self.num_classes is None:
+            return [float(v) * self.label_std + self.label_mean for v in out[:, 0]]
+        return [int(c) for c in np.argmax(out, axis=1)]
+
+    def predict_all(self, graphs: Sequence[Graph], batch_size: int = 32) -> list[float | int]:
+        """One prediction per graph, from batches of up to ``batch_size`` graphs."""
+        out: list[float | int] = []
+        for batch in batches(graphs, batch_size):
+            out += self.decode(self.outputs(batch).data)
+        return out
+
+    def predict(self, graph: Graph) -> float | int:
+        return self.predict_all([graph])[0]
+
+
+class GibModel(Predictor):
     """Subgraph generator + classifier + statistics network."""
 
     def __init__(
@@ -88,32 +125,28 @@ class GibModel:
 
     # forward pieces ----------------------------------------------------------
 
+    def forward(self, batch: GraphBatch) -> tuple[Tensor, Tensor, Tensor]:
+        """Returns (assignment S, node embeddings), both stacked over the
+        batch's nodes, and the B x d subgraph embeddings."""
+        s, x = self.generator.assignment(batch)
+        return s, x, subgraph_embedding(s, x, batch)
+
     def forward_graph(self, graph: Graph) -> tuple[Tensor, Tensor, Tensor]:
         """Returns (assignment S, node embeddings, subgraph embedding)."""
-        s, x = self.generator.assignment(graph)
-        return s, x, subgraph_embedding(s, x)
+        return self.forward(GraphBatch([graph]))
 
     def logits(self, sub_emb: Tensor) -> Tensor:
         return self.classifier.forward(sub_emb)
 
-    def predict(self, graph: Graph) -> float | int:
-        _, _, sub_emb = self.forward_graph(graph)
-        out = self.logits(sub_emb).data
-        if self.num_classes is None:
-            return float(out[0, 0]) * self.label_std + self.label_mean
-        return int(np.argmax(out[0]))
-
-    def standardize_label(self, label: float | int) -> float | int:
-        if self.num_classes is not None:
-            return label
-        return (float(label) - self.label_mean) / self.label_std
+    def outputs(self, batch: GraphBatch) -> Tensor:
+        return self.logits(self.forward(batch)[2])
 
     def assignment_matrix(self, graph: Graph) -> np.ndarray:
-        s, _ = self.generator.assignment(graph)
+        s, _ = self.generator.assignment(GraphBatch([graph]))
         return s.data
 
 
-class AttentionClassifier:
+class AttentionClassifier(Predictor):
     """GCN encoder + self-attentive readout + MLP classifier.
 
     The readout's node scores are exposed so top-k node selections can be
@@ -138,26 +171,18 @@ class AttentionClassifier:
         self.label_mean = 0.0
         self.label_std = 1.0
 
-    def forward_graph(self, graph: Graph) -> tuple[Tensor, Tensor]:
-        """Returns (logits or regression output, attention scores 1 x n)."""
-        x = self.encoder.forward_graph(graph)
-        graph_emb, scores = self.attention.forward(x)
+    def forward(self, batch: GraphBatch) -> tuple[Tensor, Tensor]:
+        """Returns (B output rows, attention scores 1 x N)."""
+        x = self.encoder.forward(batch)
+        graph_emb, scores = self.attention.forward(x, batch)
         return self.classifier.forward(graph_emb), scores
 
+    def outputs(self, batch: GraphBatch) -> Tensor:
+        return self.forward(batch)[0]
+
     def node_scores(self, graph: Graph) -> np.ndarray:
-        _, scores = self.forward_graph(graph)
+        _, scores = self.forward(GraphBatch([graph]))
         return scores.data.reshape(-1)
-
-    def standardize_label(self, label: float | int) -> float | int:
-        if self.num_classes is not None:
-            return label
-        return (float(label) - self.label_mean) / self.label_std
-
-    def predict(self, graph: Graph) -> float | int:
-        out, _ = self.forward_graph(graph)
-        if self.num_classes is None:
-            return float(out.data[0, 0]) * self.label_std + self.label_mean
-        return int(np.argmax(out.data[0]))
 
     def params(self) -> list[Tensor]:
         return self.encoder.params() + self.attention.params() + self.classifier.params()
@@ -170,7 +195,7 @@ class AttentionClassifier:
         )
 
 
-class MeanPoolClassifier:
+class MeanPoolClassifier(Predictor):
     """GCN encoder + mean readout + MLP classifier (plain aggregation)."""
 
     def __init__(
@@ -190,21 +215,8 @@ class MeanPoolClassifier:
         self.label_mean = 0.0
         self.label_std = 1.0
 
-    def forward_graph(self, graph: Graph) -> Tensor:
-        x = self.encoder.forward_graph(graph)
-        pool = Tensor(np.full((1, graph.n), 1.0 / graph.n))
-        return self.classifier.forward(pool @ x)
-
-    def standardize_label(self, label: float | int) -> float | int:
-        if self.num_classes is not None:
-            return label
-        return (float(label) - self.label_mean) / self.label_std
-
-    def predict(self, graph: Graph) -> float | int:
-        out = self.forward_graph(graph).data
-        if self.num_classes is None:
-            return float(out[0, 0]) * self.label_std + self.label_mean
-        return int(np.argmax(out[0]))
+    def outputs(self, batch: GraphBatch) -> Tensor:
+        return self.classifier.forward(batch.mean(self.encoder.forward(batch)))
 
     def params(self) -> list[Tensor]:
         return self.encoder.params() + self.classifier.params()

@@ -3,17 +3,22 @@
 A GCN layer propagates features through the renormalized adjacency
 D^{-1/2} (A + I) D^{-1/2} (self-loops keep isolated nodes alive) followed by
 a linear map and relu. The attention head scores nodes, normalizes the
-scores with a softmax, and aggregates node embeddings into one graph
-embedding; its scores double as the node ranking behind the top-k baseline.
+scores with a softmax within each graph, and aggregates node embeddings into
+one embedding per graph; its scores double as the node ranking behind the
+top-k baseline. Layers work on a :class:`GraphBatch`, one tape for all its
+graphs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import tensor as T
+# normalized_adjacency is defined with GraphBatch, which builds the GCN's
+# propagation blocks with it; it stays reachable here as well
+from .batch import GraphBatch, normalized_adjacency, segment_pool
 from .graphs import Graph
 from .tensor import ShapeMismatch, Tensor
 
@@ -21,13 +26,6 @@ from .tensor import ShapeMismatch, Tensor
 def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
-def normalized_adjacency(adjacency: np.ndarray) -> np.ndarray:
-    """D^{-1/2} (A + I) D^{-1/2} with D the degree matrix of A + I."""
-    a_hat = adjacency + np.eye(adjacency.shape[0])
-    d_inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=1))
-    return a_hat * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
 
 
 _ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
@@ -38,18 +36,19 @@ _ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
 
 
 class GcnLayer:
-    """One graph-convolution layer: relu(norm_adj @ X @ W)."""
+    """One graph-convolution layer: relu(norm_adj @ X @ W), per graph of a batch."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, activation: str = "relu"):
         self.weight = Tensor(glorot(rng, d_in, d_out))
         self.activation = activation
 
-    def forward(self, norm_adj: Tensor, x: Tensor) -> Tensor:
+    def forward(self, batch: GraphBatch, x: Tensor) -> Tensor:
         if x.shape[1] != self.weight.shape[0]:
             raise ShapeMismatch(
                 f"gcn layer expects width {self.weight.shape[0]}, got {x.shape}"
             )
-        return _ACTIVATIONS[self.activation](norm_adj @ x @ self.weight)
+        propagated = T.segment_matmul(batch.propagation, x, batch.offsets)
+        return _ACTIVATIONS[self.activation](propagated @ self.weight)
 
     def params(self) -> list[Tensor]:
         return [self.weight]
@@ -63,12 +62,15 @@ class GcnEncoder:
             GcnLayer(widths[i], widths[i + 1], rng) for i in range(len(widths) - 1)
         ]
 
-    def forward_graph(self, graph: Graph) -> Tensor:
-        h = Tensor(graph.features)
-        norm_adj = Tensor(normalized_adjacency(graph.adjacency))
+    def forward(self, batch: GraphBatch) -> Tensor:
+        """Node embeddings of every graph in the batch, stacked (N x d)."""
+        h = Tensor(batch.features)
         for layer in self.layers:
-            h = layer.forward(norm_adj, h)
+            h = layer.forward(batch, h)
         return h
+
+    def forward_graph(self, graph: Graph) -> Tensor:
+        return self.forward(GraphBatch([graph]))
 
     def params(self) -> list[Tensor]:
         return [p for layer in self.layers for p in layer.params()]
@@ -126,19 +128,26 @@ class Mlp:
 
 
 class AttentionHead:
-    """Self-attentive readout: softmax(tanh(X' @ P1) @ P2) over nodes."""
+    """Self-attentive readout: softmax(tanh(X' @ P1) @ P2) over each graph's nodes."""
 
     def __init__(self, d: int, hidden: int, rng: np.random.Generator):
         self.p1 = Tensor(glorot(rng, d, hidden))
         self.p2 = Tensor(glorot(rng, hidden, 1))
 
-    def forward(self, embeddings: Tensor) -> tuple[Tensor, Tensor]:
-        """Returns (graph embedding 1 x d, node scores 1 x n summing to 1)."""
+    def forward(
+        self, embeddings: Tensor, batch: Optional[GraphBatch] = None
+    ) -> tuple[Tensor, Tensor]:
+        """Returns (graph embeddings B x d, node scores 1 x N summing to 1
+        within each graph). Without a batch the rows are one graph's nodes."""
         if embeddings.shape[0] == 0:
             raise ValueError("attention over an empty node set")
-        raw = T.tanh(embeddings @ self.p1) @ self.p2  # n x 1
-        scores = T.row_softmax(T.transpose(raw))  # 1 x n
-        return scores @ embeddings, scores
+        if batch is None:
+            offsets, pool = segment_pool([embeddings.shape[0]])
+        else:
+            offsets, pool = batch.offsets, batch.sum_pool
+        raw = T.tanh(embeddings @ self.p1) @ self.p2  # N x 1
+        scores = T.segment_softmax(T.transpose(raw), offsets)  # 1 x N
+        return (Tensor(pool) * scores) @ embeddings, scores
 
     def params(self) -> list[Tensor]:
         return [self.p1, self.p2]

@@ -1,12 +1,13 @@
 """The subgraph generator: node assignments, embeddings, connectivity loss.
 
-The generator runs a GCN encoder over the graph and an MLP over the node
-embeddings to produce an n x 2 row-stochastic assignment S; row i holds the
-probability that node i belongs to the subgraph vs its complement. The
-subgraph's differentiable representation is the first row of S^T X (the
-probability-weighted sum of node embeddings), and the connectivity loss
-|| row_normalize(S^T A S) - I ||_F pushes assignments toward saturated 0/1
-values with few edges cut between the two sides.
+The generator runs a GCN encoder over a batch of graphs and an MLP over the
+node embeddings to produce an N x 2 row-stochastic assignment S; row i holds
+the probability that node i belongs to its graph's subgraph vs the
+complement. A graph's differentiable subgraph representation is the first
+row of S^T X over its own nodes (the probability-weighted sum of node
+embeddings), and the connectivity loss || row_normalize(S^T A S) - I ||_F,
+also per graph, pushes assignments toward saturated 0/1 values with few
+edges cut between the two sides.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
+from .batch import GraphBatch, segment_pool
 from .graphs import Graph
 from .nn import GcnEncoder, Mlp
 from .tensor import Tensor
@@ -38,14 +40,9 @@ class SubgraphGenerator:
         self.encoder = GcnEncoder(widths, rng)
         self.assign_mlp = Mlp([hidden, mlp_hidden, 2], rng, hidden_activation="tanh")
 
-    def node_embeddings(self, graph: Graph) -> Tensor:
-        return self.encoder.forward_graph(graph)
-
-    def assignment(self, graph: Graph) -> tuple[Tensor, Tensor]:
-        """Returns (S, node embeddings). Rows of S sum to 1."""
-        if graph.n == 0:
-            raise ValueError("cannot assign nodes of an empty graph")
-        x = self.node_embeddings(graph)
+    def assignment(self, batch: GraphBatch) -> tuple[Tensor, Tensor]:
+        """Returns (S, node embeddings), stacked over the batch. Rows of S sum to 1."""
+        x = self.encoder.forward(batch)
         s = T.row_softmax(self.assign_mlp.forward(x))
         return s, x
 
@@ -61,27 +58,43 @@ class SubgraphGenerator:
         )
 
 
-def subgraph_embedding(assignment: Tensor, node_embeddings: Tensor) -> Tensor:
-    """First row of S^T X: the probability-weighted sum of node embeddings."""
-    return T.row(T.transpose(assignment) @ node_embeddings, 0)
+_SIDES = (np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
 
 
-def complement_embedding(assignment: Tensor, node_embeddings: Tensor) -> Tensor:
-    """Second row of S^T X: the complement side's representation."""
-    return T.row(T.transpose(assignment) @ node_embeddings, 1)
+def subgraph_embedding(
+    assignment: Tensor, node_embeddings: Tensor, batch: Optional[GraphBatch] = None
+) -> Tensor:
+    """First row of S^T X per graph (B x d): the probability-weighted sum of
+    node embeddings. Without a batch the rows are one graph's nodes."""
+    if batch is None:
+        pool = np.ones((1, node_embeddings.shape[0]))
+    else:
+        pool = batch.sum_pool
+    return Tensor(pool) @ ((assignment @ Tensor(_SIDES[0])) * node_embeddings)
 
 
-def connectivity_loss(assignment: Tensor, adjacency: Tensor | np.ndarray) -> Tensor:
-    """|| row_normalize(S^T A S) - I_2 ||_F.
+def connectivity_loss(assignment: Tensor, adjacency: np.ndarray | GraphBatch) -> Tensor:
+    """|| row_normalize(S^T A S) - I_2 ||_F, averaged over the graphs.
 
-    Row normalization divides by the row sum; an all-zero row (one side has
-    no incident edge mass at all) stays zero, which puts it at distance 1
-    from the identity row and penalizes collapsing every node to one side.
+    ``adjacency`` is one graph's adjacency matrix, or a batch whose stacked
+    nodes are the rows of ``assignment``. Row normalization divides by the
+    row sum; an all-zero row (one side has no incident edge mass at all)
+    stays zero, which puts it at distance 1 from the identity row and
+    penalizes collapsing every node to one side.
     """
-    adj = adjacency if isinstance(adjacency, Tensor) else Tensor(adjacency)
-    quad = T.transpose(assignment) @ adj @ assignment
-    normalized = T.row_l1_normalize(quad)
-    return T.frobenius_norm(normalized - Tensor(np.eye(2)))
+    if isinstance(adjacency, GraphBatch):
+        blocks, offsets, pool = adjacency.adjacency, adjacency.offsets, adjacency.sum_pool
+    else:
+        blocks = [np.asarray(adjacency, dtype=np.float64)]
+        offsets, pool = segment_pool([blocks[0].shape[0]])
+    a_s = T.segment_matmul(blocks, assignment, offsets)
+    # row a of graph b's S^T A S is the pooled (S e_a) * (A S)
+    quad_rows = [
+        T.row_l1_normalize(Tensor(pool) @ ((assignment @ Tensor(side)) * a_s))
+        for side in _SIDES
+    ]
+    identity = Tensor(np.array([[1.0, 0.0, 0.0, 1.0]]))
+    return T.tmean(T.row_norms(T.concat_cols(quad_rows) - identity))
 
 
 @dataclass

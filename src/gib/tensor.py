@@ -471,6 +471,102 @@ def logsumexp(a: Tensor) -> Tensor:
     return out
 
 
+def row_logsumexp(a: Tensor) -> Tensor:
+    """log(sum(exp(x))) of each row, as a column, max-shifted per row."""
+    if a.data.ndim != 2:
+        raise ShapeMismatch(f"row_logsumexp: expected a matrix, got {a.data.shape}")
+    _require_nonempty(a, "row_logsumexp")
+    m = a.data.max(axis=1, keepdims=True)
+    e = np.exp(a.data - m)
+    z = e.sum(axis=1, keepdims=True)
+    out = Tensor(m + np.log(z), (a,), op="row_logsumexp")
+    soft = e / z
+
+    def grad_fn(g: np.ndarray) -> None:
+        a._accumulate(g * soft)
+
+    out.grad_fn = grad_fn
+    return out
+
+
+def row_norms(a: Tensor) -> Tensor:
+    """Euclidean norm of each row, as a column. Subgradient at a zero row is 0."""
+    if a.data.ndim != 2:
+        raise ShapeMismatch(f"row_norms: expected a matrix, got {a.data.shape}")
+    norms = np.sqrt((a.data * a.data).sum(axis=1, keepdims=True))
+    nonzero = norms > 0.0
+    safe = np.where(nonzero, norms, 1.0)
+    out = Tensor(norms, (a,), op="row_norms")
+
+    def grad_fn(g: np.ndarray) -> None:
+        a._accumulate(np.where(nonzero, g * a.data / safe, 0.0))
+
+    out.grad_fn = grad_fn
+    return out
+
+
+# -- segment ops: rows offsets[b]:offsets[b+1] belong to graph b ------------
+
+
+def _check_offsets(offsets: np.ndarray, total: int, op: str) -> list[tuple[int, int]]:
+    """(start, end) of every segment; each must be nonempty and they must tile 0..total."""
+    bounds = np.asarray(offsets).tolist()
+    if bounds[0] != 0 or bounds[-1] != total or any(e <= s for s, e in zip(bounds, bounds[1:])):
+        raise ShapeMismatch(f"{op}: offsets must rise strictly from 0 to {total}, got {bounds}")
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def segment_matmul(blocks: Sequence[np.ndarray], a: Tensor, offsets: np.ndarray) -> Tensor:
+    """Block-diagonal product: segment b of the result is ``blocks[b] @`` segment b of ``a``.
+
+    The blocks are constants (square, one per segment). Each is applied in a
+    loop inside this one node, so the block-diagonal matrix is never formed.
+    """
+    if a.data.ndim != 2:
+        raise ShapeMismatch(f"segment_matmul: expected a matrix, got {a.data.shape}")
+    spans = _check_offsets(offsets, a.data.shape[0], "segment_matmul")
+    if len(blocks) != len(spans):
+        raise ShapeMismatch(f"segment_matmul: {len(blocks)} blocks for {len(spans)} segments")
+    for block, (start, end) in zip(blocks, spans):
+        if block.shape != (end - start, end - start):
+            raise ShapeMismatch(
+                f"segment_matmul: block {block.shape} for a segment of {end - start} rows"
+            )
+    y = np.empty_like(a.data)
+    for block, (start, end) in zip(blocks, spans):
+        y[start:end] = block @ a.data[start:end]
+    out = Tensor(y, (a,), op="segment_matmul")
+
+    def grad_fn(g: np.ndarray) -> None:
+        buf = np.empty_like(a.data)
+        for block, (start, end) in zip(blocks, spans):
+            buf[start:end] = block.T @ g[start:end]
+        a._accumulate(buf)
+
+    out.grad_fn = grad_fn
+    return out
+
+
+def segment_softmax(a: Tensor, offsets: np.ndarray) -> Tensor:
+    """Softmax within each segment of a 1 x N row, stabilized by max subtraction."""
+    if a.data.ndim != 2 or a.data.shape[0] != 1:
+        raise ShapeMismatch(f"segment_softmax: expected a 1 x N row, got {a.data.shape}")
+    offsets = np.asarray(offsets)
+    _check_offsets(offsets, a.data.shape[1], "segment_softmax")
+    starts, sizes = offsets[:-1], np.diff(offsets)
+    x = a.data[0]
+    e = np.exp(x - np.repeat(np.maximum.reduceat(x, starts), sizes))
+    y = e / np.repeat(np.add.reduceat(e, starts), sizes)
+    out = Tensor(y[None, :], (a,), op="segment_softmax")
+
+    def grad_fn(g: np.ndarray) -> None:
+        dot = np.repeat(np.add.reduceat(g[0] * y, starts), sizes)
+        a._accumulate((y * (g[0] - dot))[None, :])
+
+    out.grad_fn = grad_fn
+    return out
+
+
 def zero_grads(params: Iterable[Tensor]) -> None:
     for p in params:
         p.grad = None

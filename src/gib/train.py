@@ -11,16 +11,21 @@ Phases own disjoint parameter groups: the inner loop touches only the head,
 the outer loop only the generator and classifier. ``per_batch_inner`` runs a
 fresh inner loop before every outer minibatch instead of once per epoch,
 which is the literal alternation at a much higher cost.
+
+Each minibatch is one :class:`GraphBatch` and one tape: the shared encoder
+runs once per batch, and its node embeddings feed the subgraph embeddings,
+the graph embeddings and every loss term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import tensor as T
+from .batch import GraphBatch, batches
 from .graphs import ConfigError, Dataset, Graph
 from .metrics import motif_property_bias
 from .mi import inner_maximize, mi_batch_loss
@@ -121,14 +126,19 @@ class TrainResult:
         ]
 
 
-def output_loss(out: Tensor, label: float | int, num_classes: Optional[int]) -> Tensor:
-    """Cross entropy of a 1 x C logit row, or squared error of a 1 x 1 output."""
+def output_loss(
+    out: Tensor, labels: Sequence[float | int], num_classes: Optional[int]
+) -> Tensor:
+    """Mean cross entropy of B x C logit rows, or mean squared error of B x 1 outputs."""
     if num_classes is not None:
-        label = int(label)
-        if not 0 <= label < num_classes:
-            raise ValueError(f"label {label} out of range for {num_classes} classes")
-        return T.logsumexp(out) - T.pick(out, 0, label)
-    diff = out - Tensor(np.array([[float(label)]]))
+        onehot = np.zeros((len(labels), num_classes))
+        for row, label in enumerate(labels):
+            if not 0 <= int(label) < num_classes:
+                raise ValueError(f"label {int(label)} out of range for {num_classes} classes")
+            onehot[row, int(label)] = 1.0
+        picked = (out * Tensor(onehot)) @ Tensor(np.ones((num_classes, 1)))
+        return T.tmean(T.row_logsumexp(out) - picked)
+    diff = out - Tensor(np.array([[float(label)] for label in labels]))
     return T.tmean(diff * diff)
 
 
@@ -136,7 +146,7 @@ def classification_loss(
     classifier: Mlp, sub_emb: Tensor, label: float | int, num_classes: Optional[int]
 ) -> Tensor:
     """Cross entropy for class labels, squared error for continuous ones."""
-    return output_loss(classifier.forward(sub_emb), label, num_classes)
+    return output_loss(classifier.forward(sub_emb), [label], num_classes)
 
 
 def _snapshot(params: list[Tensor]) -> list[np.ndarray]:
@@ -159,14 +169,16 @@ def _batches(indices: list[int], batch_size: int) -> list[list[int]]:
     return out
 
 
-def _cached_embeddings(model: GibModel, graphs: list[Graph]) -> tuple[np.ndarray, np.ndarray]:
+def _cached_embeddings(
+    model: GibModel, graphs: list[Graph], batch_size: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Detached (graph, subgraph) embedding pairs under the current generator."""
     g_rows, s_rows = [], []
-    for graph in graphs:
-        _, _, sub_emb = model.forward_graph(graph)
-        g_rows.append(model.statnet.graph_embedding(graph).data[0])
-        s_rows.append(sub_emb.data[0])
-    return np.array(g_rows), np.array(s_rows)
+    for batch in batches(graphs, batch_size):
+        _, x, sub_emb = model.forward(batch)
+        g_rows.append(batch.mean(x).data)
+        s_rows.append(sub_emb.data)
+    return np.concatenate(g_rows), np.concatenate(s_rows)
 
 
 def run_inner_phase(
@@ -178,7 +190,7 @@ def run_inner_phase(
 ) -> float:
     """Fresh head, T ascent steps on cached embeddings; returns the final estimate."""
     model.statnet.reinitialize_head(phi2_rng)
-    graph_embs, sub_embs = _cached_embeddings(model, graphs)
+    graph_embs, sub_embs = _cached_embeddings(model, graphs, config.batch_size)
     trace = inner_maximize(
         model.statnet,
         graph_embs,
@@ -204,30 +216,13 @@ def outer_step(
         phi2_before = _snapshot(model.phi2_params())
 
     zero_grads(model.outer_params() + model.phi2_params())
-    n = len(graphs)
-    cls_terms: list[Tensor] = []
-    con_terms: list[Tensor] = []
-    graph_embs: list[Tensor] = []
-    sub_embs: list[Tensor] = []
-    for graph in graphs:
-        s, _, sub_emb = model.forward_graph(graph)
-        cls_terms.append(
-            classification_loss(
-                model.classifier,
-                sub_emb,
-                model.standardize_label(graph.label),
-                model.num_classes,
-            )
-        )
-        con_terms.append(connectivity_loss(s, graph.adjacency))
-        if config.use_mi:
-            graph_embs.append(model.statnet.graph_embedding(graph))
-            sub_embs.append(sub_emb)
-
-    cls_loss = _mean_scalar(cls_terms)
-    con_loss = _mean_scalar(con_terms)
-    if config.use_mi and n >= 2:
-        mi_est = mi_batch_loss(model.statnet, graph_embs, sub_embs, config.full_pairing)
+    batch = GraphBatch(graphs)
+    s, x, sub_embs = model.forward(batch)
+    labels = [model.standardize_label(graph.label) for graph in graphs]
+    cls_loss = output_loss(model.logits(sub_embs), labels, model.num_classes)
+    con_loss = connectivity_loss(s, batch)
+    if config.use_mi and len(batch) >= 2:
+        mi_est = mi_batch_loss(model.statnet, batch.mean(x), sub_embs, config.full_pairing)
         mi_loss = mi_est.value
     else:
         mi_loss = Tensor(0.0)
@@ -252,20 +247,15 @@ def outer_step(
     )
 
 
-def _mean_scalar(terms: list[Tensor]) -> Tensor:
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
-    return (1.0 / len(terms)) * acc
-
-
 def _label_scale(dataset: Dataset) -> tuple[float, float]:
     """Mean and std of the training labels (std floored away from zero)."""
     values = np.array([float(dataset.graphs[i].label) for i in dataset.splits["train"]])
     return float(values.mean()), float(max(values.std(), 1e-8))
 
 
-def evaluate_split(model: GibModel, dataset: Dataset, split: str, threshold: float) -> dict:
+def evaluate_split(
+    model: GibModel, dataset: Dataset, split: str, threshold: float, batch_size: int = 32
+) -> dict:
     """Prediction quality plus assignment health on one split."""
     graphs = dataset.subset(split)
     if not graphs:
@@ -277,14 +267,18 @@ def evaluate_split(model: GibModel, dataset: Dataset, split: str, threshold: flo
     mask_lookup = None
     if dataset.masks is not None:
         mask_lookup = {i: dataset.masks[i] for i in dataset.splits[split]}
-    for gi, graph in zip(dataset.splits[split], graphs):
-        pred = model.predict(graph)
+    preds: list[float | int] = []
+    assignments: list[np.ndarray] = []
+    for batch in batches(graphs, batch_size):
+        s, _, sub_embs = model.forward(batch)
+        preds += model.decode(model.logits(sub_embs).data)
+        assignments += batch.split(s.data)
+    for gi, graph, pred, s_graph in zip(dataset.splits[split], graphs, preds, assignments):
         if dataset.continuous:
             sq_err += (pred - float(graph.label)) ** 2
         elif pred == int(graph.label):
             correct += 1
-        s = model.assignment_matrix(graph)
-        sel = discretize(s, graph, threshold)
+        sel = discretize(s_graph, graph, threshold)
         if sel.empty or sel.node_mask.all():
             degenerate += 1
         if mask_lookup is not None and dataset.continuous:
@@ -315,6 +309,11 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     for split in ("train", "val"):
         if not dataset.splits.get(split):
             raise ConfigError(f"dataset needs a nonempty {split!r} split")
+    if config.use_mi and len(dataset.splits["train"]) < 2:
+        raise ConfigError(
+            "the mutual-information estimate needs at least 2 graphs in the 'train' "
+            f"split, got {len(dataset.splits['train'])}"
+        )
 
     ss = np.random.SeedSequence(config.seed)
     init_rng, phi2_rng, shuffle_rng, inner_rng = (
@@ -364,7 +363,7 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
             breakdown = outer_step(model, outer_opt, batch, config)
             epoch_losses.append(breakdown)
 
-        val_stats = evaluate_split(model, dataset, "val", config.threshold)
+        val_stats = evaluate_split(model, dataset, "val", config.threshold, config.batch_size)
         val_value, higher_is_better = _val_metric(val_stats, dataset.continuous)
         record = EpochRecord(
             epoch=epoch,

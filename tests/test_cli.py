@@ -7,9 +7,12 @@ import sys
 
 import pytest
 
+from gib.case_study import CaseStudyConfig
 from gib.cli import main
+from gib.config import SCHEMA, load_config, to_train_config
 from gib.graphs import load_mask_sidecar, load_tu_dataset
 from gib.subgraph import parse_selections
+from gib.train import TrainConfig
 
 FAST_TRAIN = (
     "[train]\n"
@@ -210,3 +213,13 @@ class TestCaseStudyCommand:
                      "--sigma2-fixed", "1.0", "--epochs", "1"]) == 0
         lines = open(os.path.join(out, "case_study_trace.csv")).read().splitlines()
         assert len(lines) == 2 and lines[1].split(",")[3] == "1.0"
+
+
+class TestConfigDefaults:
+    def test_train_schema_defaults_match_train_config(self):
+        assert to_train_config(load_config(), seed=0) == TrainConfig(seed=0)
+
+    def test_case_study_schema_defaults_match_config(self):
+        defaults = CaseStudyConfig()
+        for key, (_, default) in SCHEMA["case_study"].items():
+            assert getattr(defaults, key) == default, key

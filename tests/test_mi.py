@@ -166,3 +166,29 @@ class TestInnerMaximize:
         after = statnet.head_params()
         assert any(not np.array_equal(b, a.data) for b, a in zip(before, after))
         assert [a.data.shape for a in after] == [b.shape for b in before]
+
+
+class TestInnerTracePinned:
+    """The vectorised inner loop reproduces, float for float, the traces of
+    the earlier loop that built every pair from 1 x d tensor rows."""
+
+    TRACES = {
+        (False, None): [-0.2781801447256694, -0.2378497816987073,
+                        -0.20133446846770564, -0.16855655176233927],
+        (False, 4): [-0.4195435414000379, 0.016458531060942694,
+                     -0.06241117462707735, -0.005563240640748479],
+        (True, None): [-0.2771821604024665, -0.23443995559456396,
+                       -0.19545236940292385, -0.16033817056343028],
+        (True, 4): [-0.39334777232874063, 0.008696843641107427,
+                    -0.015312354870820943, -0.011742073196079256],
+    }
+
+    @pytest.mark.parametrize("full_pairing,batch_size", sorted(TRACES, key=str))
+    def test_trace_is_exact(self, full_pairing, batch_size):
+        r = np.random.default_rng(2024)
+        statnet = StatisticsNetwork(GcnEncoder([3, 4], r), 4, r, hidden=6)
+        g = r.normal(size=(6, 4))
+        s = r.normal(size=(6, 4))
+        trace = inner_maximize(statnet, g, s, steps=4, lr=1e-2, batch_size=batch_size,
+                               rng=np.random.default_rng(7), full_pairing=full_pairing)
+        assert trace == self.TRACES[(full_pairing, batch_size)]

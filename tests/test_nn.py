@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import gib.tensor as T
+from gib.batch import GraphBatch
 from gib.gradcheck import assert_gradients_match
 from gib.graphs import Graph
 from gib.nn import (
@@ -11,7 +12,6 @@ from gib.nn import (
     GcnEncoder,
     GcnLayer,
     Mlp,
-    normalized_adjacency,
     topk_subgraph_from_scores,
 )
 from gib.tensor import ShapeMismatch, Tensor
@@ -32,28 +32,29 @@ class TestGcnForward:
         layer = GcnLayer(1, 1, rng())
         layer.weight.data[...] = [[2.0]]
         g = Graph(np.zeros((1, 1)), np.array([[1.0]]), 0)
-        out = layer.forward(Tensor(normalized_adjacency(g.adjacency)), Tensor(g.features))
+        out = layer.forward(GraphBatch([g]), Tensor(g.features))
         assert out.data.item() == 2.0
 
     def test_two_connected_nodes_hand_evaluated(self):
         # with self-loops both degrees are 2, so propagation averages the pair
         layer = GcnLayer(2, 2, rng())
         layer.weight.data[...] = np.eye(2)
-        a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        out = layer.forward(Tensor(normalized_adjacency(a)), Tensor(np.eye(2)))
+        g = Graph(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2), 0)
+        out = layer.forward(GraphBatch([g]), Tensor(g.features))
         np.testing.assert_allclose(out.data, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
 
     def test_negative_preactivations_clamp_to_zero(self):
         layer = GcnLayer(1, 1, rng())
         layer.weight.data[...] = [[-3.0]]
         g = Graph(np.zeros((2, 2)), np.ones((2, 1)), 0)
-        out = layer.forward(Tensor(normalized_adjacency(g.adjacency)), Tensor(g.features))
+        out = layer.forward(GraphBatch([g]), Tensor(g.features))
         assert np.all(out.data == 0.0)
 
     def test_width_mismatch_rejected(self):
         layer = GcnLayer(3, 2, rng())
+        g = Graph(np.zeros((2, 2)), np.ones((2, 2)), 0)
         with pytest.raises(ShapeMismatch):
-            layer.forward(Tensor(np.eye(2)), Tensor(np.ones((2, 2))))
+            layer.forward(GraphBatch([g]), Tensor(g.features))
 
     def test_permutation_equivariance(self):
         r = rng(1)

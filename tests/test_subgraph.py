@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gib.tensor as T
+from gib.batch import GraphBatch
 from gib.gradcheck import assert_gradients_match
 from gib.graphs import Graph
 from gib.subgraph import (
@@ -51,7 +52,7 @@ class TestAssignment:
         r = rng(1)
         gen = SubgraphGenerator(3, 8, r)
         for _ in range(10):
-            s, _ = gen.assignment(random_graph(r, int(r.integers(2, 9))))
+            s, _ = gen.assignment(GraphBatch([random_graph(r, int(r.integers(2, 9)))]))
             np.testing.assert_allclose(s.data.sum(axis=1), 1.0, atol=1e-9)
             assert np.all(s.data >= 0) and np.all(s.data <= 1)
 
@@ -62,7 +63,7 @@ class TestAssignment:
         final_b = gen.assign_mlp.biases[-1]
         final_w.data[...] = 0.0
         final_b.data[...] = [[10.0, -10.0]]
-        s, _ = gen.assignment(random_graph(r, 5))
+        s, _ = gen.assignment(GraphBatch([random_graph(r, 5)]))
         assert np.all(s.data[:, 0] > 0.999)
 
     def test_permutation_equivariance(self):
@@ -71,9 +72,9 @@ class TestAssignment:
         for _ in range(10):
             g = random_graph(r, 7)
             perm = r.permutation(7)
-            s = gen.assignment(g)[0].data
+            s = gen.assignment(GraphBatch([g]))[0].data
             pg = Graph(g.adjacency[np.ix_(perm, perm)], g.features[perm], 0)
-            sp = gen.assignment(pg)[0].data
+            sp = gen.assignment(GraphBatch([pg]))[0].data
             np.testing.assert_allclose(sp, s[perm], atol=1e-10)
 
     def test_discretized_assignment_permutes_with_nodes(self):
@@ -82,8 +83,8 @@ class TestAssignment:
         g = random_graph(r, 8)
         perm = r.permutation(8)
         pg = Graph(g.adjacency[np.ix_(perm, perm)], g.features[perm], 0)
-        mask = discretize(gen.assignment(g)[0].data, g).node_mask
-        mask_p = discretize(gen.assignment(pg)[0].data, pg).node_mask
+        mask = discretize(gen.assignment(GraphBatch([g]))[0].data, g).node_mask
+        mask_p = discretize(gen.assignment(GraphBatch([pg]))[0].data, pg).node_mask
         np.testing.assert_array_equal(mask_p, mask[perm])
 
 
@@ -224,7 +225,7 @@ class TestSelectionRecords:
         records = []
         graphs = [random_graph(r, int(r.integers(3, 8))) for _ in range(4)]
         for i, g in enumerate(graphs):
-            s = gen.assignment(g)[0].data
+            s = gen.assignment(GraphBatch([g]))[0].data
             records.append(selection_record(i, g, discretize(s, g), soft=s))
         path = str(tmp_path / "sel.jsonl")
         dump_selections(path, records)

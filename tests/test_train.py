@@ -104,6 +104,20 @@ class TestOuterStep:
         assert any(not np.array_equal(p.data, b) for p, b in zip(model.outer_params(), before))
 
 
+class TestEvaluateSplit:
+    @pytest.mark.parametrize("continuous", [False, True])
+    def test_batch_size_does_not_change_the_metrics(self, continuous):
+        ds = tiny_dataset(continuous=continuous)
+        ds.splits = random_splits(24, (0.3, 0.5, 0.2), seed=2)
+        model = GibModel(ds.graphs[0].features.shape[1], ds.num_classes, rng(3))
+        whole = evaluate_split(model, ds, "val", 0.5, batch_size=32)
+        for size in (1, 5):
+            chunked = evaluate_split(model, ds, "val", 0.5, batch_size=size)
+            assert chunked.keys() == whole.keys()
+            for key, value in whole.items():
+                assert chunked[key] == pytest.approx(value, abs=1e-12), key
+
+
 class TestTrain:
     def test_seed_reproducibility(self):
         ds = tiny_dataset()
@@ -187,6 +201,14 @@ class TestTrain:
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=1).validate()
 
+    def test_mi_with_one_train_graph_names_the_split(self):
+        ds = tiny_dataset()
+        ds.splits = {"train": [0], "val": [1, 2], "test": list(range(3, 24))}
+        with pytest.raises(ConfigError, match="'train'"):
+            train(ds, TrainConfig(outer_steps=1, inner_steps=1, batch_size=8))
+        # without the estimate one training graph is enough
+        train(ds, TrainConfig(outer_steps=1, batch_size=8, use_mi=False))
+
     def test_metrics_csv_shape(self, tmp_path):
         ds = tiny_dataset()
         config = TrainConfig(outer_steps=3, inner_steps=2, batch_size=8, seed=7)
@@ -219,6 +241,17 @@ class TestCheckpoints:
             fh.write(b"not a checkpoint")
         with pytest.raises(IOError, match="header"):
             load_params(path)
+
+    def test_truncated_file_names_path_and_parameter(self, tmp_path):
+        path = str(tmp_path / "ckpt.bin")
+        save_params(path, [("first", np.ones((2, 2))), ("second", np.ones((4, 4)))])
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(blob[: len(blob) - 40])
+        with pytest.raises(IOError, match="truncated") as info:
+            load_params(path)
+        assert path in str(info.value) and "'second'" in str(info.value)
 
     def test_missing_parameter_rejected(self, tmp_path):
         path = str(tmp_path / "ckpt.bin")
