@@ -40,12 +40,13 @@ print("(0 = ideal partition, 1 = collapse, 2 = worst possible)")
 print("\n== a fresh generator produces soft, row-stochastic assignments ==")
 rng = np.random.default_rng(0)
 generator = SubgraphGenerator(feature_dim=1, hidden=8, rng=rng)
-s, node_embeddings = generator.assignment(GraphBatch([graph]))
+batch = GraphBatch([graph])
+s, node_embeddings = generator.assignment(batch)
 print("assignment rows (p_in, p_out):\n", np.round(s.data, 3))
 print("rows sum to:", s.data.sum(axis=1))
 
 print("\n== the differentiable subgraph embedding ==")
-emb = subgraph_embedding(s, node_embeddings)
+emb = subgraph_embedding(s, node_embeddings, batch)
 print("probability-weighted embedding:", np.round(emb.data, 3))
 
 print("\n== discretizing and cleaning up ==")

@@ -74,7 +74,12 @@ class GraphBatch:
         return [rows[s:e] for s, e in zip(self.offsets[:-1], self.offsets[1:])]
 
 
-def batches(graphs: Sequence[Graph], size: int) -> Iterator[GraphBatch]:
-    """Consecutive batches of at most ``size`` graphs, in order."""
-    for start in range(0, len(graphs), size):
-        yield GraphBatch(graphs[start : start + size])
+# Graphs per batch where a model only runs forward: cached embeddings,
+# evaluation and prediction. No result depends on it beyond rounding.
+EVAL_BATCH = 32
+
+
+def batches(graphs: Sequence[Graph]) -> Iterator[GraphBatch]:
+    """Consecutive batches of at most ``EVAL_BATCH`` graphs, in order."""
+    for start in range(0, len(graphs), EVAL_BATCH):
+        yield GraphBatch(graphs[start : start + EVAL_BATCH])

@@ -83,7 +83,7 @@ def train_baseline(dataset: Dataset, config: TrainConfig, kind: str) -> Baseline
                 raise FloatingPointError(f"baseline {kind} diverged at epoch {epoch}")
             optimizer.step()
 
-        preds = model.predict_all(val_graphs, config.batch_size)
+        preds = model.predict_all(val_graphs)
         if dataset.continuous:
             val = float(np.mean([(p - float(g.label)) ** 2 for p, g in zip(preds, val_graphs)]))
         else:
@@ -165,7 +165,7 @@ def run_denoising(
     for method in methods:
         if method == "gcn":
             base = train_baseline(line_ds, config, kind="meanpool")
-            acc = accuracy(base.model.predict_all(test_graphs, config.batch_size), labels)
+            acc = accuracy(base.model.predict_all(test_graphs), labels)
             runs.append(DenoisingRun("GCN", float("nan"), float("nan"), acc, structure_capable=False))
         elif method in ("att05", "att07"):
             if att_result is None:
@@ -176,7 +176,7 @@ def run_denoising(
                 for g in test_graphs
             ]
             recall, precision, empty = _edge_metrics_for_masks(line_ds, "test", masks)
-            acc = accuracy(att_result.model.predict_all(test_graphs, config.batch_size), labels)
+            acc = accuracy(att_result.model.predict_all(test_graphs), labels)
             runs.append(DenoisingRun(f"GCN+Att{int(keep*10):02d}", recall, precision, acc,
                                      empty_rate=empty))
         elif method == "gib":
@@ -186,7 +186,7 @@ def run_denoising(
                 sel = discretize(result.model.assignment_matrix(g), g, config.threshold)
                 masks.append(sel.node_mask)
             recall, precision, empty = _edge_metrics_for_masks(line_ds, "test", masks)
-            acc = accuracy(result.model.predict_all(test_graphs, config.batch_size), labels)
+            acc = accuracy(result.model.predict_all(test_graphs), labels)
             runs.append(DenoisingRun("GCN+GIB", recall, precision, acc, empty_rate=empty))
         else:
             raise ConfigError(f"unknown denoising method {method!r}")
@@ -308,7 +308,7 @@ def run_motif_recovery(
             for g, gi in zip(test_graphs, test_ids):
                 mask = topk_subgraph_from_scores(g, base.model.node_scores(g), 0.5)
                 recalls.append(node_recall(dataset.masks[gi], np.nonzero(mask)[0].tolist()))
-            acc = accuracy(base.model.predict_all(test_graphs, config.batch_size), labels)
+            acc = accuracy(base.model.predict_all(test_graphs), labels)
             runs.append(MotifRecoveryRun("GCN+Att05", acc, float(np.mean(recalls))))
         elif method == "gib":
             result = train(dataset, config)
@@ -316,7 +316,7 @@ def run_motif_recovery(
             for g, gi in zip(test_graphs, test_ids):
                 sel = discretize(result.model.assignment_matrix(g), g, config.threshold)
                 recalls.append(node_recall(dataset.masks[gi], sel.node_indices()))
-            acc = accuracy(result.model.predict_all(test_graphs, config.batch_size), labels)
+            acc = accuracy(result.model.predict_all(test_graphs), labels)
             runs.append(MotifRecoveryRun("GCN+GIB", acc, float(np.mean(recalls))))
         else:
             raise ConfigError(f"unknown motif-recovery method {method!r}")

@@ -47,10 +47,10 @@ class Predictor:
             return [float(v) * self.label_std + self.label_mean for v in out[:, 0]]
         return [int(c) for c in np.argmax(out, axis=1)]
 
-    def predict_all(self, graphs: Sequence[Graph], batch_size: int = 32) -> list[float | int]:
-        """One prediction per graph, from batches of up to ``batch_size`` graphs."""
+    def predict_all(self, graphs: Sequence[Graph]) -> list[float | int]:
+        """One prediction per graph."""
         out: list[float | int] = []
-        for batch in batches(graphs, batch_size):
+        for batch in batches(graphs):
             out += self.decode(self.outputs(batch).data)
         return out
 

@@ -11,14 +11,14 @@ graphs.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import tensor as T
 # normalized_adjacency is defined with GraphBatch, which builds the GCN's
 # propagation blocks with it; it stays reachable here as well
-from .batch import GraphBatch, normalized_adjacency, segment_pool
+from .batch import GraphBatch, normalized_adjacency
 from .graphs import Graph
 from .tensor import ShapeMismatch, Tensor
 
@@ -134,20 +134,12 @@ class AttentionHead:
         self.p1 = Tensor(glorot(rng, d, hidden))
         self.p2 = Tensor(glorot(rng, hidden, 1))
 
-    def forward(
-        self, embeddings: Tensor, batch: Optional[GraphBatch] = None
-    ) -> tuple[Tensor, Tensor]:
+    def forward(self, embeddings: Tensor, batch: GraphBatch) -> tuple[Tensor, Tensor]:
         """Returns (graph embeddings B x d, node scores 1 x N summing to 1
-        within each graph). Without a batch the rows are one graph's nodes."""
-        if embeddings.shape[0] == 0:
-            raise ValueError("attention over an empty node set")
-        if batch is None:
-            offsets, pool = segment_pool([embeddings.shape[0]])
-        else:
-            offsets, pool = batch.offsets, batch.sum_pool
+        within each graph)."""
         raw = T.tanh(embeddings @ self.p1) @ self.p2  # N x 1
-        scores = T.segment_softmax(T.transpose(raw), offsets)  # 1 x N
-        return (Tensor(pool) * scores) @ embeddings, scores
+        scores = T.segment_softmax(T.transpose(raw), batch.offsets)  # 1 x N
+        return (Tensor(batch.sum_pool) * scores) @ embeddings, scores
 
     def params(self) -> list[Tensor]:
         return [self.p1, self.p2]

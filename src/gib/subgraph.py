@@ -61,16 +61,10 @@ class SubgraphGenerator:
 _SIDES = (np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
 
 
-def subgraph_embedding(
-    assignment: Tensor, node_embeddings: Tensor, batch: Optional[GraphBatch] = None
-) -> Tensor:
+def subgraph_embedding(assignment: Tensor, node_embeddings: Tensor, batch: GraphBatch) -> Tensor:
     """First row of S^T X per graph (B x d): the probability-weighted sum of
-    node embeddings. Without a batch the rows are one graph's nodes."""
-    if batch is None:
-        pool = np.ones((1, node_embeddings.shape[0]))
-    else:
-        pool = batch.sum_pool
-    return Tensor(pool) @ ((assignment @ Tensor(_SIDES[0])) * node_embeddings)
+    node embeddings."""
+    return Tensor(batch.sum_pool) @ ((assignment @ Tensor(_SIDES[0])) * node_embeddings)
 
 
 def connectivity_loss(assignment: Tensor, adjacency: np.ndarray | GraphBatch) -> Tensor:

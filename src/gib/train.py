@@ -169,12 +169,10 @@ def _batches(indices: list[int], batch_size: int) -> list[list[int]]:
     return out
 
 
-def _cached_embeddings(
-    model: GibModel, graphs: list[Graph], batch_size: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _cached_embeddings(model: GibModel, graphs: list[Graph]) -> tuple[np.ndarray, np.ndarray]:
     """Detached (graph, subgraph) embedding pairs under the current generator."""
     g_rows, s_rows = [], []
-    for batch in batches(graphs, batch_size):
+    for batch in batches(graphs):
         _, x, sub_emb = model.forward(batch)
         g_rows.append(batch.mean(x).data)
         s_rows.append(sub_emb.data)
@@ -190,7 +188,7 @@ def run_inner_phase(
 ) -> float:
     """Fresh head, T ascent steps on cached embeddings; returns the final estimate."""
     model.statnet.reinitialize_head(phi2_rng)
-    graph_embs, sub_embs = _cached_embeddings(model, graphs, config.batch_size)
+    graph_embs, sub_embs = _cached_embeddings(model, graphs)
     trace = inner_maximize(
         model.statnet,
         graph_embs,
@@ -253,9 +251,7 @@ def _label_scale(dataset: Dataset) -> tuple[float, float]:
     return float(values.mean()), float(max(values.std(), 1e-8))
 
 
-def evaluate_split(
-    model: GibModel, dataset: Dataset, split: str, threshold: float, batch_size: int = 32
-) -> dict:
+def evaluate_split(model: GibModel, dataset: Dataset, split: str, threshold: float) -> dict:
     """Prediction quality plus assignment health on one split."""
     graphs = dataset.subset(split)
     if not graphs:
@@ -269,7 +265,7 @@ def evaluate_split(
         mask_lookup = {i: dataset.masks[i] for i in dataset.splits[split]}
     preds: list[float | int] = []
     assignments: list[np.ndarray] = []
-    for batch in batches(graphs, batch_size):
+    for batch in batches(graphs):
         s, _, sub_embs = model.forward(batch)
         preds += model.decode(model.logits(sub_embs).data)
         assignments += batch.split(s.data)
@@ -363,7 +359,7 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
             breakdown = outer_step(model, outer_opt, batch, config)
             epoch_losses.append(breakdown)
 
-        val_stats = evaluate_split(model, dataset, "val", config.threshold, config.batch_size)
+        val_stats = evaluate_split(model, dataset, "val", config.threshold)
         val_value, higher_is_better = _val_metric(val_stats, dataset.continuous)
         record = EpochRecord(
             epoch=epoch,

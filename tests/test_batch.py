@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gib.batch
 import gib.tensor as T
 from gib.batch import GraphBatch, batches, segment_pool
 from gib.gradcheck import max_relative_error
@@ -130,14 +131,15 @@ class TestGraphBatch:
         propagated = T.segment_matmul(batch.propagation, Tensor(x), batch.offsets)
         np.testing.assert_allclose(propagated.data, block_diagonal(dense) @ x, atol=1e-12)
 
-    def test_pooling_and_split(self):
+    def test_pooling_and_split(self, monkeypatch):
         graphs = random_graphs(0, [2, 3, 1])
         batch = GraphBatch(graphs)
         x = np.arange(12.0).reshape(6, 2)
         np.testing.assert_array_equal(batch.sum_pool @ x, [[2, 4], [18, 21], [10, 11]])
         np.testing.assert_allclose(batch.mean(Tensor(x)).data, [[1, 2], [6, 7], [10, 11]])
         assert [b.shape[0] for b in batch.split(x)] == [2, 3, 1]
-        assert [len(b) for b in batches(graphs, 2)] == [2, 1]
+        monkeypatch.setattr(gib.batch, "EVAL_BATCH", 2)
+        assert [len(b) for b in batches(graphs)] == [2, 1]
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError, match="at least one graph"):

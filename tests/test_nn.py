@@ -26,6 +26,11 @@ def random_graph(r, n, p=0.4, d=3) -> Graph:
     return Graph(upper + upper.T, r.normal(size=(n, d)), 0)
 
 
+def node_batch(n) -> GraphBatch:
+    """A batch of one edgeless n-node graph, to pool hand-made node rows."""
+    return GraphBatch([Graph(np.zeros((n, n)), np.zeros((n, 1)), 0)])
+
+
 class TestGcnForward:
     def test_isolated_node_scalar_case(self):
         # lone node: normalized adjacency is the 1x1 identity
@@ -72,20 +77,21 @@ class TestAttention:
     def test_single_node_gets_unit_score(self):
         head = AttentionHead(3, 4, rng(2))
         emb = Tensor([[0.3, -0.2, 1.0]])
-        graph_emb, scores = head.forward(emb)
+        graph_emb, scores = head.forward(emb, node_batch(1))
         assert scores.data.shape == (1, 1) and scores.data.item() == 1.0
         np.testing.assert_allclose(graph_emb.data, emb.data, atol=1e-12)
 
     def test_identical_embeddings_share_scores(self):
         head = AttentionHead(2, 4, rng(3))
-        _, scores = head.forward(Tensor([[1.0, 2.0], [1.0, 2.0]]))
+        _, scores = head.forward(Tensor([[1.0, 2.0], [1.0, 2.0]]), node_batch(2))
         np.testing.assert_allclose(scores.data, [[0.5, 0.5]], atol=1e-12)
 
     def test_scores_sum_to_one(self):
         r = rng(4)
         head = AttentionHead(3, 4, r)
         for _ in range(20):
-            _, scores = head.forward(Tensor(r.normal(size=(int(r.integers(1, 9)), 3))))
+            n = int(r.integers(1, 9))
+            _, scores = head.forward(Tensor(r.normal(size=(n, 3))), node_batch(n))
             assert abs(scores.data.sum() - 1.0) < 1e-12
 
     def test_graph_embedding_permutation_invariant(self):
@@ -94,8 +100,8 @@ class TestAttention:
         for _ in range(10):
             x = r.normal(size=(6, 3))
             perm = r.permutation(6)
-            e1, _ = head.forward(Tensor(x))
-            e2, _ = head.forward(Tensor(x[perm]))
+            e1, _ = head.forward(Tensor(x), node_batch(6))
+            e2, _ = head.forward(Tensor(x[perm]), node_batch(6))
             np.testing.assert_allclose(e1.data, e2.data, atol=1e-10)
 
 

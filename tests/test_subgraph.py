@@ -33,6 +33,11 @@ def random_graph(r, n, p=0.4, d=3) -> Graph:
     return Graph(upper + upper.T, r.normal(size=(n, d)), 0)
 
 
+def node_batch(n) -> GraphBatch:
+    """A batch of one edgeless n-node graph, to pool hand-made node rows."""
+    return GraphBatch([Graph(np.zeros((n, n)), np.zeros((n, 1)), 0)])
+
+
 def two_triangles() -> Graph:
     a = np.zeros((6, 6))
     for i, j in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]:
@@ -92,24 +97,26 @@ class TestSubgraphEmbedding:
     def test_hard_selection_sums_selected_rows(self):
         s = Tensor(np.array([[1.0, 0.0]] * 3))
         x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-        np.testing.assert_array_equal(subgraph_embedding(s, x).data, [[9.0, 12.0]])
+        np.testing.assert_array_equal(subgraph_embedding(s, x, node_batch(3)).data, [[9.0, 12.0]])
 
     def test_empty_side_gives_zero_vector(self):
         s = Tensor(np.array([[0.0, 1.0]] * 3))
         x = Tensor(np.ones((3, 2)))
-        np.testing.assert_array_equal(subgraph_embedding(s, x).data, [[0.0, 0.0]])
+        np.testing.assert_array_equal(subgraph_embedding(s, x, node_batch(3)).data, [[0.0, 0.0]])
 
     def test_half_membership_scales_linearly(self):
         s = Tensor(np.array([[0.5, 0.5]]))
         x = Tensor(np.array([[2.0, 4.0]]))
-        np.testing.assert_array_equal(subgraph_embedding(s, x).data, [[1.0, 2.0]])
+        np.testing.assert_array_equal(subgraph_embedding(s, x, node_batch(1)).data, [[1.0, 2.0]])
 
     def test_linear_in_embeddings(self):
         r = rng(5)
         s = Tensor(T.row_softmax(Tensor(r.normal(size=(6, 2)))).data)
         x1, x2 = r.normal(size=(6, 3)), r.normal(size=(6, 3))
-        lhs = subgraph_embedding(s, Tensor(2.0 * x1 + 3.0 * x2)).data
-        rhs = 2.0 * subgraph_embedding(s, Tensor(x1)).data + 3.0 * subgraph_embedding(s, Tensor(x2)).data
+        batch = node_batch(6)
+        lhs = subgraph_embedding(s, Tensor(2.0 * x1 + 3.0 * x2), batch).data
+        rhs = (2.0 * subgraph_embedding(s, Tensor(x1), batch).data
+               + 3.0 * subgraph_embedding(s, Tensor(x2), batch).data)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import gib.batch
 from gib.checkpoint import load_params, restore_into, save_params
 from gib.graphs import ConfigError, MotifConfig, gen_planted_motif_dataset, random_splits
 from gib.models import GibModel
@@ -106,13 +107,14 @@ class TestOuterStep:
 
 class TestEvaluateSplit:
     @pytest.mark.parametrize("continuous", [False, True])
-    def test_batch_size_does_not_change_the_metrics(self, continuous):
+    def test_batch_size_does_not_change_the_metrics(self, continuous, monkeypatch):
         ds = tiny_dataset(continuous=continuous)
         ds.splits = random_splits(24, (0.3, 0.5, 0.2), seed=2)
         model = GibModel(ds.graphs[0].features.shape[1], ds.num_classes, rng(3))
-        whole = evaluate_split(model, ds, "val", 0.5, batch_size=32)
+        whole = evaluate_split(model, ds, "val", 0.5)
         for size in (1, 5):
-            chunked = evaluate_split(model, ds, "val", 0.5, batch_size=size)
+            monkeypatch.setattr(gib.batch, "EVAL_BATCH", size)
+            chunked = evaluate_split(model, ds, "val", 0.5)
             assert chunked.keys() == whole.keys()
             for key, value in whole.items():
                 assert chunked[key] == pytest.approx(value, abs=1e-12), key
