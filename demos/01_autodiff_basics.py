@@ -12,7 +12,7 @@ from gib.tensor import Tensor
 
 print("== values ==")
 a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-b = Tensor([[1.0, 1.0], [1.0, 1.0]])
+b = T.constant([[1.0, 1.0], [1.0, 1.0]])  # data: needs no gradient
 product = a @ b
 print("A @ ones =\n", product.data)
 
@@ -20,6 +20,7 @@ print("\n== gradients ==")
 loss = T.tsum(product)
 loss.backward()
 print("d sum(A @ ones) / dA =\n", a.grad)  # each entry feeds two output cells
+print("the constant gets no gradient:", b.grad, "; nodes on the tape:", len(loss.tape()))
 
 x = Tensor(3.0)
 (x * x).backward()
@@ -37,7 +38,7 @@ inputs = rng.normal(size=(5, 3))
 
 
 def two_layer_net(ts):
-    hidden = T.tanh(Tensor(inputs) @ ts[0])
+    hidden = T.tanh(T.constant(inputs) @ ts[0])
     return T.logsumexp(hidden @ ts[1])
 
 

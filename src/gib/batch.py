@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .graphs import Graph
-from .tensor import Tensor
+from .tensor import Tensor, constant
 
 
 def normalized_adjacency(graph: Graph) -> np.ndarray:
@@ -67,7 +67,7 @@ class GraphBatch:
 
     def mean(self, x: Tensor) -> Tensor:
         """B x d per-graph means of the rows of an N x d tensor."""
-        return Tensor(self.mean_pool) @ x
+        return constant(self.mean_pool) @ x
 
     def split(self, rows: np.ndarray) -> list[np.ndarray]:
         """An N-row array cut into its per-graph blocks."""

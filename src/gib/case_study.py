@@ -100,10 +100,10 @@ def dv_estimate(
     n = x.shape[0]
     if n < 2:
         raise ValueError("estimator needs at least 2 pairs")
-    x_col = Tensor(x.reshape(-1, 1))
-    y_col = y_tensor if y_tensor is not None else Tensor(y.reshape(-1, 1))
+    x_col = T.constant(x.reshape(-1, 1))
+    y_col = y_tensor if y_tensor is not None else T.constant(y.reshape(-1, 1))
     joint = statnet.forward(T.concat_cols([x_col, y_col]))
-    x_shift = Tensor(np.roll(x, -1).reshape(-1, 1))
+    x_shift = T.constant(np.roll(x, -1).reshape(-1, 1))
     marginal = statnet.forward(T.concat_cols([x_shift, y_col]))
     return T.tmean(joint) - (T.logsumexp(marginal) - math.log(n))
 
@@ -194,10 +194,9 @@ def run_case_study(config: CaseStudyConfig) -> list[CaseStudyTraceRow]:
         if config.sigma2_fixed is None:
             # outer step: reparameterize y through rho with this epoch's noise
             zero_grads(statnet.params() + [rho])
-            y_live = Tensor(x.reshape(-1, 1)) + T.exp(0.5 * rho) * Tensor(eps.reshape(-1, 1))
+            y_live = T.constant(x.reshape(-1, 1)) + T.exp(0.5 * rho) * T.constant(eps.reshape(-1, 1))
             outer_loss = dv_estimate(statnet, x, y, y_tensor=y_live)
             outer_loss.backward()
-            rho.grad = rho.grad if rho.grad is not None else np.zeros_like(rho.data)
             outer_opt.step()
     return trace
 

@@ -70,19 +70,22 @@ def _write_manifest(out_dir: str, command: str, args: argparse.Namespace,
         fh.write("\n")
 
 
+def _splits(config: dict, n: int, seed: int) -> dict[str, list[int]]:
+    """Splits of n graphs from the [data] section: k-fold when ``folds`` > 0,
+    otherwise seeded train/val/test ratios."""
+    data_cfg = config["data"]
+    if data_cfg["folds"] > 0:
+        return kfold_splits(n, data_cfg["fold_index"], data_cfg["folds"], seed)
+    ratios = (data_cfg["split_train"], data_cfg["split_val"], data_cfg["split_test"])
+    return random_splits(n, ratios, seed)
+
+
 def _load_dataset(args: argparse.Namespace, config: dict,
                   continuous: Optional[bool] = None, with_masks: bool = False) -> Dataset:
     dataset = load_tu_dataset(args.data, args.name, continuous=continuous)
     if with_masks:
         dataset.masks = load_mask_sidecar(args.data, args.name)
-    data_cfg = config["data"]
-    if data_cfg["folds"] > 0:
-        dataset.splits = kfold_splits(
-            len(dataset.graphs), data_cfg["fold_index"], data_cfg["folds"], args.seed
-        )
-    else:
-        ratios = (data_cfg["split_train"], data_cfg["split_val"], data_cfg["split_test"])
-        dataset.splits = random_splits(len(dataset.graphs), ratios, args.seed)
+    dataset.splits = _splits(config, len(dataset.graphs), args.seed)
     print(f"loaded {dataset.name}: {len(dataset.graphs)} graphs, "
           f"{'continuous labels' if dataset.continuous else f'{dataset.num_classes} classes'}")
     return dataset
@@ -185,9 +188,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     seeds = [args.seed + i for i in range(args.seeds)]
     rows_per_seed: list[list[DenoisingRun]] = []
     for seed in seeds:
-        data_cfg = config["data"]
-        ratios = (data_cfg["split_train"], data_cfg["split_val"], data_cfg["split_test"])
-        dataset.splits = random_splits(len(dataset.graphs), ratios, seed)
+        dataset.splits = _splits(config, len(dataset.graphs), seed)
         train_cfg = to_train_config(config, seed)
         rows_per_seed.append(run_denoising(dataset, train_cfg))
         print(f"seed {seed}: " + "; ".join(
@@ -234,9 +235,7 @@ def cmd_interpret(args: argparse.Namespace) -> int:
     seeds = [args.seed + i for i in range(args.seeds)]
     rows_per_seed: list[list[InterpretationRun]] = []
     for seed in seeds:
-        data_cfg = config["data"]
-        ratios = (data_cfg["split_train"], data_cfg["split_val"], data_cfg["split_test"])
-        dataset.splits = random_splits(len(dataset.graphs), ratios, seed)
+        dataset.splits = _splits(config, len(dataset.graphs), seed)
         train_cfg = to_train_config(config, seed)
         rows_per_seed.append(run_interpretation(dataset, train_cfg, tuple(methods)))
         print(f"seed {seed}: " + "; ".join(
@@ -270,6 +269,8 @@ def cmd_case_study(args: argparse.Namespace) -> int:
         lr_inner=cs["lr_inner"],
         lr_outer=cs["lr_outer"],
         hidden=cs["hidden"],
+        inner_batch=cs["inner_batch"],
+        warmup_steps=cs["warmup_steps"],
         seed=args.seed,
         sigma2_fixed=args.sigma2_fixed,
     )

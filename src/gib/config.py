@@ -50,6 +50,8 @@ SCHEMA: dict[str, dict[str, tuple[type, Any]]] = {
         "lr_inner": (float, 3e-3),
         "lr_outer": (float, 0.05),
         "hidden": (int, 64),
+        "inner_batch": (int, 4096),
+        "warmup_steps": (int, 300),
     },
 }
 

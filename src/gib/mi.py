@@ -133,7 +133,7 @@ def mi_batch_loss(
         raise ValueError("mutual-information batch needs at least 2 graphs")
     gi, si = _marginal_pairs(n, full_pairing)
     eye = np.eye(n)
-    marginal_in = T.concat_cols([Tensor(eye[gi]) @ g, Tensor(eye[si]) @ s])
+    marginal_in = T.concat_cols([T.constant(eye[gi]) @ g, T.constant(eye[si]) @ s])
     return _dv_estimate(statnet, T.concat_cols([g, s]), marginal_in)
 
 
@@ -173,7 +173,7 @@ def inner_maximize(
         else:
             g, s = graph_embs, sub_embs
         estimate = _dv_estimate(
-            statnet, Tensor(np.hstack([g, s])), Tensor(np.hstack([g[gi], s[si]]))
+            statnet, T.constant(np.hstack([g, s])), T.constant(np.hstack([g[gi], s[si]]))
         )
         loss = -estimate.value
         optimizer.zero_grad()

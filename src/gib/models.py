@@ -19,7 +19,7 @@ from .graphs import Graph
 from .mi import StatisticsNetwork
 from .nn import AttentionHead, GcnEncoder, Mlp
 from .subgraph import SubgraphGenerator, subgraph_embedding
-from .tensor import Tensor
+from .tensor import Tensor, constant
 
 
 class Predictor:
@@ -80,7 +80,7 @@ class GibModel(Predictor):
         self.hidden = hidden
         # regression targets are standardized during training; predictions undo
         # it. Kept as a named (non-trained) tensor so checkpoints carry it.
-        self._label_scale = Tensor(np.array([[0.0, 1.0]]))
+        self._label_scale = constant([[0.0, 1.0]])
 
     @property
     def label_mean(self) -> float:

@@ -64,7 +64,7 @@ class GcnEncoder:
 
     def forward(self, batch: GraphBatch) -> Tensor:
         """Node embeddings of every graph in the batch, stacked (N x d)."""
-        h = Tensor(batch.features)
+        h = T.constant(batch.features)
         for layer in self.layers:
             h = layer.forward(batch, h)
         return h
@@ -139,7 +139,7 @@ class AttentionHead:
         within each graph)."""
         raw = T.tanh(embeddings @ self.p1) @ self.p2  # N x 1
         scores = T.segment_softmax(T.transpose(raw), batch.offsets)  # 1 x N
-        return (Tensor(batch.sum_pool) * scores) @ embeddings, scores
+        return (T.constant(batch.sum_pool) * scores) @ embeddings, scores
 
     def params(self) -> list[Tensor]:
         return [self.p1, self.p2]

@@ -58,13 +58,14 @@ class SubgraphGenerator:
         )
 
 
-_SIDES = (np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]]))
+_SIDES = (T.constant([[1.0], [0.0]]), T.constant([[0.0], [1.0]]))
+_IDENTITY = T.constant([[1.0, 0.0, 0.0, 1.0]])
 
 
 def subgraph_embedding(assignment: Tensor, node_embeddings: Tensor, batch: GraphBatch) -> Tensor:
     """First row of S^T X per graph (B x d): the probability-weighted sum of
     node embeddings."""
-    return Tensor(batch.sum_pool) @ ((assignment @ Tensor(_SIDES[0])) * node_embeddings)
+    return T.constant(batch.sum_pool) @ ((assignment @ _SIDES[0]) * node_embeddings)
 
 
 def connectivity_loss(assignment: Tensor, adjacency: np.ndarray | GraphBatch) -> Tensor:
@@ -84,11 +85,10 @@ def connectivity_loss(assignment: Tensor, adjacency: np.ndarray | GraphBatch) ->
     a_s = T.segment_matmul(blocks, assignment, offsets)
     # row a of graph b's S^T A S is the pooled (S e_a) * (A S)
     quad_rows = [
-        T.row_l1_normalize(Tensor(pool) @ ((assignment @ Tensor(side)) * a_s))
+        T.row_l1_normalize(T.constant(pool) @ ((assignment @ side) * a_s))
         for side in _SIDES
     ]
-    identity = Tensor(np.array([[1.0, 0.0, 0.0, 1.0]]))
-    return T.tmean(T.row_norms(T.concat_cols(quad_rows) - identity))
+    return T.tmean(T.row_norms(T.concat_cols(quad_rows) - _IDENTITY))
 
 
 @dataclass

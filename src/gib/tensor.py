@@ -4,7 +4,7 @@ Every differentiable quantity in this package is a :class:`Tensor` wrapping a
 64-bit numpy array. Operations record their inputs and a local-gradient
 closure on the fly (define-by-run), so each forward pass builds a fresh tape.
 ``Tensor.backward()`` replays the tape in reverse topological order and
-accumulates exact chain-rule gradients into ``.grad`` buffers.
+accumulates exact chain-rule gradients into ``.grad``.
 
 Design points:
   * float64 everywhere; gradient checks against central finite differences
@@ -13,6 +13,14 @@ Design points:
   * Dense arrays only; the graphs handled here have tens of nodes.
   * Broadcasting in add/sub/mul follows numpy; gradients of broadcast
     operands are reduce-summed back to the operand shape.
+  * Data enters as constants (:func:`constant`): leaves that need no
+    gradient. An op's output needs one when any of its inputs does; the tape
+    leaves out everything else, and no gradient is computed or stored for
+    it. Leaves built with ``Tensor(values)`` need gradients (parameters).
+  * A tensor's first gradient is stored as it comes, without a copy, and
+    later ones are added into a new array, so one gradient array may be
+    the ``.grad`` of several tensors. Gradient arrays are therefore
+    read-only: no code may write into ``.grad`` in place.
 """
 
 from __future__ import annotations
@@ -27,9 +35,9 @@ class ShapeMismatch(ValueError):
 
 
 class Tensor:
-    """A node of the computation tape: value, gradient buffer, parents."""
+    """A node of the computation tape: value, gradient, parents."""
 
-    __slots__ = ("data", "grad", "parents", "grad_fn", "op")
+    __slots__ = ("data", "grad", "parents", "grad_fn", "op", "requires_grad")
 
     def __init__(
         self,
@@ -37,9 +45,11 @@ class Tensor:
         parents: tuple[Tensor, ...] = (),
         grad_fn: Optional[Callable[[np.ndarray], None]] = None,
         op: str = "leaf",
+        requires_grad: bool = True,
     ):
         self.data = np.asarray(values, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
+        self.requires_grad = any(p.requires_grad for p in parents) if parents else requires_grad
         self.parents = parents
         self.grad_fn = grad_fn
         self.op = op
@@ -62,19 +72,19 @@ class Tensor:
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        self.grad = g if self.grad is None else self.grad + g
 
     def tape(self) -> list[Tensor]:
-        """All nodes reachable from this one, in topological order.
+        """All nodes that need a gradient and are reachable from this one
+        through nodes that need one, in topological order.
 
         Every node's parents appear before the node itself, so iterating the
         reversed list during backward visits each op after all its consumers.
+        A constant's tape is empty.
         """
         order: list[Tensor] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Tensor, bool]] = [(self, False)] if self.requires_grad else []
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -85,12 +95,12 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for p in reversed(node.parents):
-                if id(p) not in seen:
+                if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
         return order
 
     def backward(self) -> None:
-        """Populate ``.grad`` of every tensor this scalar loss depends on."""
+        """Populate ``.grad`` of every tensor on this scalar loss's tape."""
         if self.data.size != 1:
             raise ShapeMismatch(
                 f"backward() requires a scalar loss, got shape {self.data.shape}"
@@ -132,8 +142,13 @@ class Tensor:
         return transpose(self)
 
 
+def constant(values) -> Tensor:
+    """A leaf that needs no gradient: data, targets, pooling matrices."""
+    return Tensor(values, requires_grad=False)
+
+
 def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    return x if isinstance(x, Tensor) else constant(x)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -166,8 +181,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data, (a, b), op="add")
 
     def grad_fn(g: np.ndarray) -> None:
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.data.shape))
 
     out.grad_fn = grad_fn
     return out
@@ -178,8 +195,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data, (a, b), op="sub")
 
     def grad_fn(g: np.ndarray) -> None:
-        a._accumulate(_unbroadcast(g, a.data.shape))
-        b._accumulate(_unbroadcast(-g, b.data.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g, b.data.shape))
 
     out.grad_fn = grad_fn
     return out
@@ -190,8 +209,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data, (a, b), op="mul")
 
     def grad_fn(g: np.ndarray) -> None:
-        a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
     out.grad_fn = grad_fn
     return out
@@ -209,7 +230,7 @@ def neg(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0), (a,), op="relu")
-    mask = (a.data > 0.0).astype(np.float64)  # subgradient at 0 is 0
+    mask = a.data > 0.0  # subgradient at 0 is 0
 
     def grad_fn(g: np.ndarray) -> None:
         a._accumulate(g * mask)
@@ -223,7 +244,10 @@ def tanh(a: Tensor) -> Tensor:
     out = Tensor(y, (a,), op="tanh")
 
     def grad_fn(g: np.ndarray) -> None:
-        a._accumulate(g * (1.0 - y * y))
+        d = np.multiply(y, y, out=np.empty_like(y))  # (1 - y^2) * g in one buffer
+        np.subtract(1.0, d, out=d)
+        d *= g
+        a._accumulate(d)
 
     out.grad_fn = grad_fn
     return out
@@ -267,8 +291,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data, (a, b), op="matmul")
 
     def grad_fn(g: np.ndarray) -> None:
-        a._accumulate(g @ b.data.T)
-        b._accumulate(a.data.T @ g)
+        if a.requires_grad:
+            a._accumulate(g @ b.data.T)
+        if b.requires_grad:
+            b._accumulate(a.data.T @ g)
 
     out.grad_fn = grad_fn
     return out
@@ -333,7 +359,8 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     def grad_fn(g: np.ndarray) -> None:
         offset = 0
         for p, m in zip(parts, sizes):
-            p._accumulate(g[offset : offset + m, :])
+            if p.requires_grad:
+                p._accumulate(g[offset : offset + m, :])
             offset += m
 
     out.grad_fn = grad_fn
@@ -357,7 +384,8 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     def grad_fn(g: np.ndarray) -> None:
         offset = 0
         for p, m in zip(parts, sizes):
-            p._accumulate(g[:, offset : offset + m])
+            if p.requires_grad:
+                p._accumulate(g[:, offset : offset + m])
             offset += m
 
     out.grad_fn = grad_fn

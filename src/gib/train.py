@@ -136,9 +136,9 @@ def output_loss(
             if not 0 <= int(label) < num_classes:
                 raise ValueError(f"label {int(label)} out of range for {num_classes} classes")
             onehot[row, int(label)] = 1.0
-        picked = (out * Tensor(onehot)) @ Tensor(np.ones((num_classes, 1)))
+        picked = (out * T.constant(onehot)) @ T.constant(np.ones((num_classes, 1)))
         return T.tmean(T.row_logsumexp(out) - picked)
-    diff = out - Tensor(np.array([[float(label)] for label in labels]))
+    diff = out - T.constant([[float(label)] for label in labels])
     return T.tmean(diff * diff)
 
 
@@ -223,7 +223,7 @@ def outer_step(
         mi_est = mi_batch_loss(model.statnet, batch.mean(x), sub_embs, config.full_pairing)
         mi_loss = mi_est.value
     else:
-        mi_loss = Tensor(0.0)
+        mi_loss = T.constant(0.0)
 
     con_weight = config.effective_con_weight()
     total = cls_loss + config.beta * mi_loss + con_weight * con_loss

@@ -120,3 +120,15 @@ class TestRunCaseStudy:
                               warmup_steps=100, seed=17)
         trace = run_case_study(cfg)
         assert trace[-1].sigma2 > trace[0].sigma2
+
+    def test_trace_pinned_bitwise(self):
+        # recorded with every leaf on the tape and zero-filled gradient
+        # buffers; leaving constants off the tape must not move a single bit
+        cfg = CaseStudyConfig(epochs=3, inner_steps=10, samples_per_epoch=2000,
+                              inner_batch=512, warmup_steps=20, hidden=16, seed=21)
+        trace = run_case_study(cfg)
+        assert [(r.mi_estimate, r.oracle_mi, r.sigma2) for r in trace] == [
+            (0.03757403110750164, 0.6378197643165525, 0.25),
+            (0.062356790948026125, 0.6303228778460828, 0.2628177268994383),
+            (0.09575755210570136, 0.6212801868962811, 0.27603880945338316),
+        ]

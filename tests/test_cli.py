@@ -10,7 +10,8 @@ import pytest
 from gib.case_study import CaseStudyConfig
 from gib.cli import main
 from gib.config import SCHEMA, load_config, to_train_config
-from gib.graphs import load_mask_sidecar, load_tu_dataset
+import gib.cli
+from gib.graphs import kfold_splits, load_mask_sidecar, load_tu_dataset
 from gib.subgraph import parse_selections
 from gib.train import TrainConfig
 
@@ -128,6 +129,25 @@ class TestDenoiseCommand:
         table = open(os.path.join(out, "denoise_table.csv")).read().splitlines()
         gib_row = table[-1].split(",")
         assert "+-" in gib_row[1]  # mean +- std over the seed sweep
+
+    def test_seed_sweep_uses_kfold_splits(self, tmp_path, motif_dir, monkeypatch):
+        noisy_dir = str(tmp_path / "noisy")
+        main(["gen-noise", "--data", motif_dir, "--name", "TOY",
+              "--fraction", "0.3", "--seed", "1", "--out", noisy_dir])
+        config = str(tmp_path / "folds.ini")
+        with open(config, "w") as fh:
+            fh.write(FAST_TRAIN.split("[data]")[0] + "[data]\nfolds = 5\nfold_index = 1\n")
+        seen = []
+
+        def recording(dataset, train_cfg):
+            seen.append((train_cfg.seed, dict(dataset.splits)))
+            return run_denoising(dataset, train_cfg)
+
+        run_denoising = gib.cli.run_denoising
+        monkeypatch.setattr(gib.cli, "run_denoising", recording)
+        assert main(["denoise", "--config", config, "--data", noisy_dir, "--name", "TOY_NOISY",
+                     "--seed", "2", "--seeds", "2", "--out", str(tmp_path / "sweep")]) == 0
+        assert seen == [(seed, kfold_splits(20, 1, 5, seed)) for seed in (2, 3)]
 
     def test_missing_mask_sidecar_fails(self, tmp_path, motif_dir, config_file):
         bare = str(tmp_path / "bare")

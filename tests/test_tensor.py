@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gib.tensor as T
 from gib.gradcheck import assert_gradients_match, max_relative_error
@@ -141,6 +143,100 @@ class TestBackward:
         for node in loss.tape():
             assert node.grad is not None
             assert node.grad.shape == node.data.shape
+
+
+def _zero_fill_accumulate(self, g):
+    """Reference gradient store: a fresh zero buffer per tensor, every
+    gradient added into it."""
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    self.grad += g
+
+
+def _same_bits(a, b) -> bool:
+    """Bitwise equality of two float arrays, except the sign of zero (the
+    zero buffer turns a first gradient of -0.0 into +0.0)."""
+    a, b = np.asarray(a) + 0.0, np.asarray(b) + 0.0
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestConstants:
+    def test_constants_get_no_grad_and_stay_off_the_tape(self):
+        w = Tensor([[1.0, -2.0], [0.5, 3.0]])
+        x = T.constant([[1.0, 2.0], [3.0, 4.0]])
+        target = T.constant([[0.0, 1.0]])
+        loss = T.tsum(T.tanh(x @ w) * (x - 1.0) - target)
+        loss.backward()
+        assert not x.requires_grad and w.requires_grad and loss.requires_grad
+        assert x.grad is None and target.grad is None
+        assert all(node.requires_grad for node in loss.tape())
+        assert not any(node is x or node is target for node in loss.tape())
+        assert w.grad.shape == w.data.shape
+
+    def test_op_of_constants_is_a_constant(self):
+        c = T.constant([[1.0, 2.0]]) * 3.0 + T.constant([[1.0, 1.0]])
+        assert not c.requires_grad
+        loss = T.tsum(c)
+        assert loss.tape() == []
+        loss.backward()  # nothing upstream needs a gradient
+        assert c.grad is None
+
+    def test_raw_operands_are_wrapped_as_constants(self):
+        x = Tensor([[2.0]])
+        y = x * np.array([[3.0]]) + 1.0
+        assert [p.requires_grad for p in y.parents] == [True, False]
+        assert not y.parents[0].parents[1].requires_grad
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        rows=st.integers(1, 4),
+        cols=st.integers(1, 4),
+        width=st.integers(1, 3),
+        b_kind=st.sampled_from(["full", "row", "col", "one", "vector", "scalar"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_shared_gradients_match_zero_filled_buffers(self, rows, cols, width, b_kind, seed):
+        b_shape = {"full": (rows, cols), "row": (1, cols), "col": (rows, 1),
+                   "one": (1, 1), "vector": (cols,), "scalar": ()}[b_kind]
+        r = np.random.default_rng(seed)
+        arrays = [r.normal(size=(rows, cols)), r.normal(size=b_shape),
+                  r.normal(size=(cols, width))]
+        data = r.normal(size=(rows, cols))
+
+        def leaf_grads():
+            x, b, w = (Tensor(a.copy()) for a in arrays)
+            q, p = T.tanh(x), x * b  # x on two paths, b broadcast
+            h = p + q  # p and q are handed the one gradient array of h
+            m = T.concat_cols([h * x - b, T.constant(data)]) @ T.concat_rows([w, w])
+            # p's second consumer runs after h and before q on the way back
+            loss = (T.tsum(q) + T.tsum(p * 2.0) + T.tsum(T.exp(0.1 * m) + T.relu(m))
+                    + T.tmean(h * h))
+            loss.backward()
+            return [t.grad for t in (x, b, w)]
+
+        shared = leaf_grads()
+        accumulate = Tensor._accumulate
+        Tensor._accumulate = _zero_fill_accumulate
+        try:
+            reference = leaf_grads()
+        finally:
+            Tensor._accumulate = accumulate
+        for got, want in zip(shared, reference):
+            assert _same_bits(got, want)
+
+    def test_reuse_leaves_the_upstream_gradient_alone(self):
+        x = Tensor([[1.0, -2.0]])
+        doubled = x + x  # x's first gradient is doubled's own gradient array
+        T.tsum(doubled * T.constant([[3.0, 5.0]])).backward()
+        np.testing.assert_array_equal(doubled.grad, [[3.0, 5.0]])
+        np.testing.assert_array_equal(x.grad, [[6.0, 10.0]])
+        assert x.grad is not doubled.grad
+
+        y = Tensor([[1.5, -0.5]])
+        square = y * y
+        T.tsum(square).backward()
+        np.testing.assert_array_equal(square.grad, [[1.0, 1.0]])
+        np.testing.assert_array_equal(y.grad, [[3.0, -1.0]])
 
 
 def _rand(rng, *shape):

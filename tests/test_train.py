@@ -8,7 +8,15 @@ import pytest
 
 import gib.batch
 from gib.checkpoint import load_params, restore_into, save_params
-from gib.graphs import ConfigError, MotifConfig, gen_planted_motif_dataset, random_splits
+from gib.experiments import build_line_dataset
+from gib.graphs import (
+    ConfigError,
+    Dataset,
+    MotifConfig,
+    add_noise_edges,
+    gen_planted_motif_dataset,
+    random_splits,
+)
 from gib.models import GibModel
 from gib.nn import Mlp
 from gib.optim import make_optimizer
@@ -220,6 +228,30 @@ class TestTrain:
         lines = open(path).read().splitlines()
         assert lines[0].startswith("outer_step,loss_cls,loss_mi,loss_con,loss_total")
         assert len(lines) == len(result.history) + 1
+
+    def test_line_graph_history_pinned_bitwise(self):
+        # recorded with every leaf on the tape and zero-filled gradient
+        # buffers; leaving constants off the tape must not move a single bit
+        motif = gen_planted_motif_dataset(MotifConfig(num_graphs=12, background_nodes=(6, 8), seed=3))
+        noise_rng = rng(4)
+        graphs, masks = [], []
+        for g in motif.graphs:
+            noisy, mask = add_noise_edges(g, 0.3, int(noise_rng.integers(2**32)))
+            graphs.append(noisy)
+            masks.append(np.nonzero(mask)[0].tolist())
+        ds = build_line_dataset(Dataset(graphs, motif.num_classes, masks=masks))
+        ds.splits = random_splits(len(ds.graphs), (0.6, 0.2, 0.2), seed=5)
+        config = TrainConfig(outer_steps=3, inner_steps=4, batch_size=4, seed=6, patience=100)
+        history = train(ds, config).history
+        assert [(r.cls, r.mi, r.con, r.total, r.val_metric, r.degenerate_rate)
+                for r in history] == [
+            (0.4963187472104016, -0.15867542311042288, 1.0185094986587728,
+             1.498960703558132, 0.5, 1.0),
+            (0.4151750196796631, -0.04137858788822435, 1.0147978870554661,
+             1.4258350479463067, 0.5, 1.0),
+            (0.36274942432256563, -0.06769138720309892, 1.0115173795522479,
+             1.3674976651545037, 0.5, 1.0),
+        ]
 
 
 class TestCheckpoints:
