@@ -1,11 +1,13 @@
 """Disjoint-union minibatches of graphs.
 
-A batch of B graphs stacks their node features into one N x F matrix; graph
-b owns rows ``offsets[b]:offsets[b+1]``. Graph convolution applies each
-graph's own propagation block to its rows (``tensor.segment_matmul``), so the
-N x N block-diagonal matrix is never formed, and readouts pool each graph's
-rows with constant B x N matrices. A single graph is a batch of one: the
-one-graph entry points of the model call the batched code with it.
+A batch of B graphs stacks their nodes into N rows; graph b owns rows
+``offsets[b]:offsets[b+1]``. Graph convolution applies each graph's own
+propagation block to its rows (``tensor.segment_matmul``), so the N x N
+block-diagonal matrix is never formed, and readouts pool each graph's rows
+with constant B x N matrices. The blocks and the first layer's input, each
+block times its graph's features, are built once per graph and kept on the
+``Graph``; a batch holds references to them. A single graph is a batch of
+one: the one-graph entry points of the model call the batched code with it.
 """
 
 from __future__ import annotations
@@ -16,15 +18,6 @@ import numpy as np
 
 from .graphs import Graph
 from .tensor import Tensor, constant
-
-
-def normalized_adjacency(graph: Graph) -> np.ndarray:
-    """D^{-1/2} (A + I) D^{-1/2} with D the degree matrix of A + I, from the
-    graph's kept D^{-1/2} diagonal (A has a zero diagonal)."""
-    d = graph.d_inv_sqrt
-    out = graph.adjacency * d[:, None] * d[None, :]
-    np.fill_diagonal(out, d * d)
-    return out
 
 
 def segment_pool(sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -42,7 +35,9 @@ def segment_pool(sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
 class GraphBatch:
     """The disjoint union of a list of graphs, with per-graph segment offsets.
 
-    Its pooling matrices and propagation blocks live as long as the batch.
+    Its pooling matrices live as long as the batch; its propagation blocks
+    and propagated features (N x F, the first GCN layer's input) come from
+    its graphs, which keep them.
     """
 
     def __init__(self, graphs: Sequence[Graph]):
@@ -52,11 +47,12 @@ class GraphBatch:
         sizes = [g.n for g in self.graphs]
         if min(sizes) == 0:
             raise ValueError("cannot batch a graph without nodes")
-        self.features = np.concatenate([g.features for g in self.graphs], axis=0)
         self.offsets, self.sum_pool = segment_pool(sizes)
         self.mean_pool = self.sum_pool / np.array(sizes, dtype=np.float64)[:, None]
-        # each graph's D^{-1/2} (A + I) D^{-1/2}, for tensor.segment_matmul
-        self.propagation = [normalized_adjacency(g) for g in self.graphs]
+        self.propagation = [g.propagation for g in self.graphs]
+        self.propagated_features = np.concatenate(
+            [g.propagated_features for g in self.graphs], axis=0
+        )
 
     def __len__(self) -> int:
         return len(self.graphs)

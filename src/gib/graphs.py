@@ -5,6 +5,11 @@ datasets back out in the same format (plus a ground-truth sidecar), the
 line-graph transform used by the denoising experiment, and the planted-motif
 generator that stands in for chemistry data in the interpretation experiment.
 
+A ``Graph`` is fixed once built, so it also keeps the GCN operators derived
+from it: its renormalized propagation block (``normalized_adjacency``) and
+that block times its features, built on first use and shared by every batch
+that holds the graph.
+
 Edges are always kept in canonical order: the sorted list of pairs (i, j)
 with i < j. Ground-truth edge masks index into that order.
 """
@@ -39,6 +44,10 @@ class Graph:
 
     adjacency is a symmetric 0/1 float matrix with zero diagonal; features
     has one row per node; label is an int class index or a float property.
+
+    Both arrays are fixed after construction: the graph keeps read-only
+    views of them (the caller's own arrays stay writable), because the GCN
+    operators built from them on first use are kept with the graph.
     """
 
     adjacency: np.ndarray
@@ -55,22 +64,28 @@ class Graph:
             raise GraphFormatError("adjacency must have zero diagonal")
         if not np.all((a == 0.0) | (a == 1.0)):
             raise GraphFormatError("adjacency entries must be 0 or 1")
-        x = np.asarray(self.features, dtype=np.float64)
+        # C-ordered, so every first-layer product is the same BLAS call
+        x = np.ascontiguousarray(self.features, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] != a.shape[0]:
             raise GraphFormatError(
                 f"features must have one row per node: {x.shape} vs n={a.shape[0]}"
             )
-        self.adjacency = a
-        self.features = x
+        self.adjacency = _read_only(a)
+        self.features = _read_only(x)
 
     @property
     def n(self) -> int:
         return self.adjacency.shape[0]
 
     @functools.cached_property
-    def d_inv_sqrt(self) -> np.ndarray:
-        """Diagonal of D^{-1/2}, D the degree matrix of A + I; kept after first use."""
-        return 1.0 / np.sqrt(self.adjacency.sum(axis=1) + 1.0)
+    def propagation(self) -> np.ndarray:
+        """The GCN's propagation block ``normalized_adjacency(self)``; kept."""
+        return _read_only(normalized_adjacency(self))
+
+    @functools.cached_property
+    def propagated_features(self) -> np.ndarray:
+        """``propagation @ features``, the first GCN layer's input; kept."""
+        return _read_only(self.propagation @ self.features)
 
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edges in canonical sorted (i < j) order."""
@@ -80,6 +95,21 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return int(np.triu(self.adjacency, k=1).sum())
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+def normalized_adjacency(graph: Graph) -> np.ndarray:
+    """D^{-1/2} (A + I) D^{-1/2} with D the degree matrix of A + I (A has a
+    zero diagonal): the renormalized propagation of a GCN layer."""
+    d = 1.0 / np.sqrt(graph.adjacency.sum(axis=1) + 1.0)
+    out = graph.adjacency * d[:, None] * d[None, :]
+    np.fill_diagonal(out, d * d)
+    return out
 
 
 @dataclass
@@ -304,28 +334,23 @@ def add_noise_edges(
     if fraction < 0:
         raise ConfigError(f"noise fraction must be nonnegative, got {fraction}")
     n_new = math.ceil(fraction * graph.num_edges)
-    original = set(graph.edges())
+    adjacency = graph.adjacency.copy()
     if n_new > 0:
-        absent = [
-            (i, j)
-            for i in range(graph.n)
-            for j in range(i + 1, graph.n)
-            if graph.adjacency[i, j] == 0.0
-        ]
-        if len(absent) < n_new:
+        # free node pairs in row-major (i < j) order
+        rows, cols = np.triu_indices(graph.n, k=1)
+        free = graph.adjacency[rows, cols] == 0.0
+        rows, cols = rows[free], cols[free]
+        if len(rows) < n_new:
             raise GenerationError(
-                f"cannot place {n_new} new edges: only {len(absent)} node pairs are free"
+                f"cannot place {n_new} new edges: only {len(rows)} node pairs are free"
             )
         rng = np.random.default_rng(seed)
-        chosen = rng.choice(len(absent), size=n_new, replace=False)
-        adjacency = graph.adjacency.copy()
-        for k in chosen:
-            i, j = absent[int(k)]
-            adjacency[i, j] = adjacency[j, i] = 1.0
-    else:
-        adjacency = graph.adjacency.copy()
+        chosen = rng.choice(len(rows), size=n_new, replace=False)
+        adjacency[rows[chosen], cols[chosen]] = 1.0
+        adjacency[cols[chosen], rows[chosen]] = 1.0
     noisy = Graph(adjacency, graph.features.copy(), graph.label)
-    mask = np.array([e in original for e in noisy.edges()], dtype=bool)
+    rows, cols = np.nonzero(np.triu(noisy.adjacency, k=1))
+    mask = graph.adjacency[rows, cols] == 1.0
     return noisy, mask
 
 
@@ -341,15 +366,13 @@ def to_line_graph(graph: Graph) -> LineGraphPair:
     edges = graph.edges()
     if not edges:
         raise ValueError("to_line_graph: graph has no edges")
+    ends = np.array(edges)
     m = len(edges)
-    adjacency = np.zeros((m, m))
-    for a in range(m):
-        ia, ja = edges[a]
-        for b in range(a + 1, m):
-            ib, jb = edges[b]
-            if ia in (ib, jb) or ja in (ib, jb):
-                adjacency[a, b] = adjacency[b, a] = 1.0
-    features = np.array([graph.features[i] + graph.features[j] for i, j in edges])
+    incidence = np.zeros((m, graph.n))
+    incidence[np.arange(m)[:, None], ends] = 1.0
+    adjacency = (incidence @ incidence.T > 0.0).astype(np.float64)
+    np.fill_diagonal(adjacency, 0.0)
+    features = graph.features[ends[:, 0]] + graph.features[ends[:, 1]]
     line = Graph(adjacency, features, graph.label)
     return LineGraphPair(original=graph, line=line, edge_map=edges)
 

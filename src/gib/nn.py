@@ -2,11 +2,13 @@
 
 A GCN layer propagates features through the renormalized adjacency
 D^{-1/2} (A + I) D^{-1/2} (self-loops keep isolated nodes alive) followed by
-a linear map and relu. The attention head scores nodes, normalizes the
-scores with a softmax within each graph, and aggregates node embeddings into
-one embedding per graph; its scores double as the node ranking behind the
-top-k baseline. Layers work on a :class:`GraphBatch`, one tape for all its
-graphs.
+a linear map and relu. The encoder's first layer propagates the constant
+node features, so it takes the propagated features each graph keeps; only
+later layers, whose input needs a gradient, propagate on the tape. The
+attention head scores nodes, normalizes the scores with a softmax within
+each graph, and aggregates node embeddings into one embedding per graph; its
+scores double as the node ranking behind the top-k baseline. Layers work on
+a :class:`GraphBatch`, one tape for all its graphs.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tensor as T
-# normalized_adjacency is defined with GraphBatch, which builds the GCN's
-# propagation blocks with it; it stays reachable here as well
-from .batch import GraphBatch, normalized_adjacency
-from .graphs import Graph
+from .batch import GraphBatch
+# normalized_adjacency builds each graph's propagation block in gib.graphs;
+# it stays importable from here, the name the benchmark probes it under
+from .graphs import Graph, normalized_adjacency
 from .tensor import ShapeMismatch, Tensor
 
 
@@ -43,11 +45,14 @@ class GcnLayer:
         self.activation = activation
 
     def forward(self, batch: GraphBatch, x: Tensor) -> Tensor:
-        if x.shape[1] != self.weight.shape[0]:
+        return self.transform(T.segment_matmul(batch.propagation, x, batch.offsets))
+
+    def transform(self, propagated: Tensor) -> Tensor:
+        """The layer after propagation: activation(propagated @ W)."""
+        if propagated.shape[1] != self.weight.shape[0]:
             raise ShapeMismatch(
-                f"gcn layer expects width {self.weight.shape[0]}, got {x.shape}"
+                f"gcn layer expects width {self.weight.shape[0]}, got {propagated.shape}"
             )
-        propagated = T.segment_matmul(batch.propagation, x, batch.offsets)
         return _ACTIVATIONS[self.activation](propagated @ self.weight)
 
     def params(self) -> list[Tensor]:
@@ -58,14 +63,17 @@ class GcnEncoder:
     """A stack of GCN layers producing node embeddings."""
 
     def __init__(self, widths: Sequence[int], rng: np.random.Generator):
+        if len(widths) < 2:
+            raise ShapeMismatch("a GcnEncoder needs at least an input and an output width")
         self.layers = [
             GcnLayer(widths[i], widths[i + 1], rng) for i in range(len(widths) - 1)
         ]
 
     def forward(self, batch: GraphBatch) -> Tensor:
         """Node embeddings of every graph in the batch, stacked (N x d)."""
-        h = T.constant(batch.features)
-        for layer in self.layers:
+        first, *rest = self.layers
+        h = first.transform(T.constant(batch.propagated_features))
+        for layer in rest:
             h = layer.forward(batch, h)
         return h
 

@@ -70,6 +70,13 @@ class TrainConfig:
             raise ConfigError("learning rates must be positive")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2 (mismatched pairs need company)")
+        if self.inner_batch_size is not None and self.inner_batch_size < 2:
+            raise ConfigError(
+                "inner_batch_size must be >= 2 (a cyclic shift of one pair pairs it "
+                f"with itself), got {self.inner_batch_size}"
+            )
+        if not 0.0 < self.threshold < 1.0:
+            raise ConfigError(f"threshold must be in (0, 1), got {self.threshold}")
 
     def effective_con_weight(self) -> float:
         return self.con_weight if self.use_con else 0.0

@@ -1,16 +1,21 @@
 """Disjoint-union graph batches: the segment ops behind them, and batched
 losses checked against one-graph batches."""
 
+import ctypes
+import platform
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gib
 import gib.batch
 import gib.tensor as T
 from gib.batch import GraphBatch, batches, segment_pool
 from gib.gradcheck import max_relative_error
-from gib.graphs import Graph
+from gib.graphs import Graph, normalized_adjacency
 from gib.models import AttentionClassifier, GibModel, MeanPoolClassifier
 from gib.subgraph import connectivity_loss
 from gib.tensor import ShapeMismatch, Tensor
@@ -141,6 +146,17 @@ class TestGraphBatch:
         monkeypatch.setattr(gib.batch, "EVAL_BATCH", 2)
         assert [len(b) for b in batches(graphs)] == [2, 1]
 
+    def test_batches_share_each_graphs_kept_operators(self):
+        graphs = random_graphs(4, [3, 5, 2])
+        first, second = GraphBatch(graphs), GraphBatch([graphs[1], graphs[0]])
+        assert second.propagation[0] is first.propagation[1]
+        assert second.propagation[1] is first.propagation[0]
+        for g, block in zip(graphs, first.propagation):
+            assert block.tobytes() == normalized_adjacency(g).tobytes()
+        rows = first.split(first.propagated_features)
+        for g, kept in zip(graphs, rows):
+            assert kept.tobytes() == (normalized_adjacency(g) @ g.features).tobytes()
+
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError, match="at least one graph"):
             GraphBatch([])
@@ -248,3 +264,37 @@ class TestNodePermutation:
         np.testing.assert_allclose(graph_embs_p.data, graph_embs.data, atol=MATCH_TOL)
         assert float(cls_p.data) == pytest.approx(float(cls.data), abs=MATCH_TOL)
         assert float(con_p.data) == pytest.approx(float(con.data), abs=MATCH_TOL)
+
+
+class TestAllocator:
+    """``import gib`` asks glibc to keep freed heap, and does nothing where
+    the C library has no ``mallopt``."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+    def test_applied_on_glibc(self):
+        assert gib._keep_freed_heap() is True
+
+    def test_no_op_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+        assert gib._keep_freed_heap() is False
+
+    @pytest.mark.parametrize("mmap_result, calls", [(1, [-3, -1]), (0, [-3])])
+    def test_trim_threshold_only_after_mmap_threshold(self, monkeypatch, mmap_result, calls):
+        # a trim threshold alone would pin glibc's mmap threshold at 128 KiB
+        seen = []
+
+        def mallopt(param, value):
+            seen.append(param)
+            return mmap_result if param == -3 else 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        assert gib._keep_freed_heap() is bool(mmap_result)
+        assert seen == calls
+
+    @pytest.mark.parametrize("error", [OSError, TypeError])
+    def test_no_op_without_a_loadable_libc(self, monkeypatch, error):
+        def unloadable(name):
+            raise error("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", unloadable)
+        assert gib._keep_freed_heap() is False

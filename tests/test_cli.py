@@ -80,6 +80,16 @@ class TestTrainCommand:
                      "--name", "TOY", "--out", str(tmp_path / "r")])
         assert code == 1
 
+    def test_inner_batch_of_one_rejected_by_name(self, tmp_path, motif_dir, capsys):
+        cfg = str(tmp_path / "one.ini")
+        with open(cfg, "w") as fh:
+            fh.write(FAST_TRAIN.replace("[data]\n", "inner_batch_size = 1\n[data]\n"))
+        code = main(["train", "--config", cfg, "--data", motif_dir,
+                     "--name", "TOY", "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert "inner_batch_size" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "r" / "checkpoint.bin"))
+
     def test_missing_dataset_fails_nonzero(self, tmp_path, config_file):
         code = main(["train", "--config", config_file, "--data", str(tmp_path),
                      "--name", "GHOST", "--out", str(tmp_path / "r")])

@@ -2,8 +2,12 @@
 
 import os
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gib.graphs import (
     ConfigError,
@@ -24,6 +28,7 @@ from gib.graphs import (
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "data")
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def triangle() -> Graph:
@@ -56,6 +61,17 @@ class TestGraphInvariants:
     def test_canonical_edge_order(self):
         g = triangle()
         assert g.edges() == [(0, 1), (0, 2), (1, 2)]
+
+    def test_arrays_are_read_only_views(self):
+        a = triangle().adjacency.copy()
+        x = np.ones((3, 2))
+        g = Graph(a, x, 0)
+        for kept in (g.adjacency, g.features, g.propagation, g.propagated_features):
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0, 0] = 5.0
+        # the caller's own arrays stay writable
+        a[0, 1] = a[1, 0] = 0.0
+        x[0, 0] = 2.0
 
 
 class TestTuLoader:
@@ -121,6 +137,78 @@ class TestTuLoader:
             np.testing.assert_array_equal(a.adjacency, b.adjacency)
             assert a.label == b.label
         assert masks == ds.masks
+
+
+def random_graph(seed: int, n: int, p: float, d: int) -> Graph:
+    r = np.random.default_rng(seed)
+    upper = np.triu((r.random((n, n)) < p).astype(float), 1)
+    return Graph(upper + upper.T, r.normal(size=(n, d)), 0)
+
+
+def add_noise_edges_loops(graph: Graph, fraction: float, seed: int):
+    """The scan-by-loops add_noise_edges that the vectorised one replaced."""
+    n_new = math.ceil(fraction * graph.num_edges)
+    original = set(graph.edges())
+    adjacency = graph.adjacency.copy()
+    if n_new > 0:
+        absent = [
+            (i, j)
+            for i in range(graph.n)
+            for j in range(i + 1, graph.n)
+            if graph.adjacency[i, j] == 0.0
+        ]
+        chosen = np.random.default_rng(seed).choice(len(absent), size=n_new, replace=False)
+        for k in chosen:
+            i, j = absent[int(k)]
+            adjacency[i, j] = adjacency[j, i] = 1.0
+    noisy = Graph(adjacency, graph.features.copy(), graph.label)
+    return noisy, np.array([e in original for e in noisy.edges()], dtype=bool)
+
+
+def line_graph_loops(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Line adjacency and features by the O(m^2) double loop replaced by
+    the incidence product."""
+    edges = graph.edges()
+    m = len(edges)
+    adjacency = np.zeros((m, m))
+    for a in range(m):
+        ia, ja = edges[a]
+        for b in range(a + 1, m):
+            ib, jb = edges[b]
+            if ia in (ib, jb) or ja in (ib, jb):
+                adjacency[a, b] = adjacency[b, a] = 1.0
+    features = np.array([graph.features[i] + graph.features[j] for i, j in edges])
+    return adjacency, features
+
+
+class TestAgainstLoops:
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
+           p=st.floats(0.05, 0.6), fraction=st.floats(0.0, 0.8))
+    def test_add_noise_edges(self, seed, n, p, fraction):
+        g = random_graph(seed, n, p, 2)
+        free = n * (n - 1) // 2 - g.num_edges
+        if math.ceil(fraction * g.num_edges) > free:
+            with pytest.raises(GenerationError, match="free"):
+                add_noise_edges(g, fraction, seed)
+            return
+        noisy, mask = add_noise_edges(g, fraction, seed)
+        expected, expected_mask = add_noise_edges_loops(g, fraction, seed)
+        assert noisy.adjacency.tobytes() == expected.adjacency.tobytes()
+        assert mask.dtype == bool and mask.tolist() == expected_mask.tolist()
+
+    @PROPERTY
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
+           p=st.floats(0.05, 0.9), d=st.integers(1, 4))
+    def test_to_line_graph(self, seed, n, p, d):
+        g = random_graph(seed, n, p, d)
+        if g.num_edges == 0:
+            return
+        pair = to_line_graph(g)
+        adjacency, features = line_graph_loops(g)
+        assert pair.edge_map == g.edges()
+        assert pair.line.adjacency.tobytes() == adjacency.tobytes()
+        assert pair.line.features.tobytes() == features.tobytes()
 
 
 class TestNoise:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gib.tensor as T
 from gib.batch import GraphBatch
@@ -71,6 +73,39 @@ class TestGcnForward:
             pg = Graph(g.adjacency[np.ix_(perm, perm)], g.features[perm], 0)
             out_p = encoder.forward_graph(pg).data
             np.testing.assert_allclose(out_p, out[perm], atol=1e-10)
+
+
+def forward_propagating_every_layer(encoder: GcnEncoder, batch: GraphBatch) -> T.Tensor:
+    """The encoder as it ran before graphs kept their propagated features:
+    every layer, the first included, runs segment_matmul on the tape."""
+    h = T.constant(np.concatenate([g.features for g in batch.graphs], axis=0))
+    for layer in encoder.layers:
+        h = layer.forward(batch, h)
+    return h
+
+
+class TestKeptFirstLayerInput:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 8), min_size=1, max_size=4),
+           widths=st.lists(st.integers(1, 5), min_size=2, max_size=4))
+    def test_forward_and_gradients_match_propagating_every_layer(self, seed, sizes, widths):
+        r = rng(seed)
+        graphs = [random_graph(r, n, d=widths[0]) for n in sizes]
+        encoder = GcnEncoder(widths, r)
+        batch = GraphBatch(graphs)
+        weights = Tensor(r.normal(size=(sum(sizes), widths[-1])))
+        grads = []
+        for forward in (GcnEncoder.forward, forward_propagating_every_layer):
+            for p in encoder.params():
+                p.grad = None
+            out = forward(encoder, batch)
+            T.tsum(out * weights).backward()
+            grads.append((out.data.tobytes(), [p.grad.tobytes() for p in encoder.params()]))
+        assert grads[0] == grads[1]
+
+    def test_encoder_needs_a_layer(self):
+        with pytest.raises(ShapeMismatch, match="GcnEncoder"):
+            GcnEncoder([3], rng())
 
 
 class TestAttention:

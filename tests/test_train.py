@@ -211,6 +211,20 @@ class TestTrain:
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=1).validate()
 
+    @pytest.mark.parametrize("size", [1, 0, -4])
+    def test_inner_batch_below_two_named(self, size):
+        # a cyclic shift of one pair pairs it with itself, so the MI term reads 0
+        with pytest.raises(ConfigError, match="inner_batch_size"):
+            TrainConfig(inner_batch_size=size).validate()
+        TrainConfig(inner_batch_size=2).validate()
+        TrainConfig(inner_batch_size=None).validate()
+
+    @pytest.mark.parametrize("threshold", [1.5, 1.0, 0.0, -0.2, float("nan")])
+    def test_threshold_outside_unit_interval_named(self, threshold):
+        with pytest.raises(ConfigError, match="threshold"):
+            TrainConfig(threshold=threshold).validate()
+        TrainConfig(threshold=0.3).validate()
+
     def test_mi_with_one_train_graph_names_the_split(self):
         ds = tiny_dataset()
         ds.splits = {"train": [0], "val": [1, 2], "test": list(range(3, 24))}
