@@ -1,7 +1,8 @@
 """Command-line entry points for reproducible experiment runs.
 
 Subcommands: ``train``, ``gen-noise``, ``gen-motif``, ``denoise``,
-``interpret``, ``case-study``. Every run writes a manifest (resolved config,
+``interpret``, ``case-study``. Every run validates its configuration before
+it creates its output directory, then writes a manifest (resolved config,
 seed, dataset hash, code version) before any training starts, and all
 randomness flows from the one root seed, so identical (config, seed, data)
 invocations emit identical result files.
@@ -10,6 +11,7 @@ invocations emit identical result files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import os
@@ -96,12 +98,12 @@ def _load_dataset(args: argparse.Namespace, config: dict,
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    train_cfg = to_train_config(config, args.seed)
     dataset = _load_dataset(args, config)
     os.makedirs(args.out, exist_ok=True)
     outputs = ["metrics.csv", "mi_trace.csv", "checkpoint.bin", "manifest.json"]
     _write_manifest(args.out, "train", args, config, dataset, outputs)
 
-    train_cfg = to_train_config(config, args.seed)
     result = train(dataset, train_cfg)
     write_metrics_csv(os.path.join(args.out, "metrics.csv"), result)
     write_mi_trace_csv(os.path.join(args.out, "mi_trace.csv"), result)
@@ -180,6 +182,7 @@ def _aggregate(rows_per_seed: list[list], fields: list[str]) -> list[list[str]]:
 
 def cmd_denoise(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    train_cfg = to_train_config(config, args.seed)
     dataset = _load_dataset(args, config, with_masks=True)
     os.makedirs(args.out, exist_ok=True)
     _write_manifest(args.out, "denoise", args, config, dataset,
@@ -189,8 +192,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
     rows_per_seed: list[list[DenoisingRun]] = []
     for seed in seeds:
         dataset.splits = _splits(config, len(dataset.graphs), seed)
-        train_cfg = to_train_config(config, seed)
-        rows_per_seed.append(run_denoising(dataset, train_cfg))
+        rows_per_seed.append(run_denoising(dataset, dataclasses.replace(train_cfg, seed=seed)))
         print(f"seed {seed}: " + "; ".join(
             f"{r.method} recall={r.recall:.3f} acc={r.accuracy:.3f}"
             if r.structure_capable else f"{r.method} acc={r.accuracy:.3f}"
@@ -209,6 +211,7 @@ def cmd_denoise(args: argparse.Namespace) -> int:
 
 def cmd_interpret(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    train_cfg = to_train_config(config, args.seed)
     dataset = _load_dataset(args, config, with_masks=True)
     if not dataset.continuous:
         raise ConfigError(
@@ -236,8 +239,9 @@ def cmd_interpret(args: argparse.Namespace) -> int:
     rows_per_seed: list[list[InterpretationRun]] = []
     for seed in seeds:
         dataset.splits = _splits(config, len(dataset.graphs), seed)
-        train_cfg = to_train_config(config, seed)
-        rows_per_seed.append(run_interpretation(dataset, train_cfg, tuple(methods)))
+        rows_per_seed.append(
+            run_interpretation(dataset, dataclasses.replace(train_cfg, seed=seed), tuple(methods))
+        )
         print(f"seed {seed}: " + "; ".join(
             f"{r.method} bias={r.bias_mean:.3f}" for r in rows_per_seed[-1]
         ))

@@ -1,8 +1,9 @@
 """Run configuration: flat ``key = value`` files with one section per module.
 
-Every key has a schema entry with a type and default; unknown sections or
-keys are rejected by name, and the fully resolved configuration (defaults
-included) is echoed into each run's manifest so no silent defaults exist.
+A ``#`` starts a comment, also after a value. Every key has a schema entry
+with a type and default; unknown sections or keys are rejected by name, and
+the fully resolved configuration (defaults included) is echoed into each
+run's manifest so no silent defaults exist.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def load_config(path: Optional[str] = None) -> dict[str, dict[str, Any]]:
     resolved = {s: {k: d for k, (_, d) in keys.items()} for s, keys in SCHEMA.items()}
     if path is None:
         return resolved
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.optionxform = str  # keep key case
     read = parser.read(path)
     if not read:
@@ -98,8 +99,9 @@ def to_train_config(
     use_con: bool = True,
     debug_freeze_checks: bool = False,
 ) -> TrainConfig:
+    """The [train] section as a validated :class:`TrainConfig`."""
     t = config["train"]
-    return TrainConfig(
+    train_config = TrainConfig(
         beta=t["beta"],
         con_weight=t["con_weight"],
         inner_steps=t["inner_steps"],
@@ -121,3 +123,5 @@ def to_train_config(
         inner_batch_size=t["inner_batch_size"] or None,
         debug_freeze_checks=debug_freeze_checks,
     )
+    train_config.validate()
+    return train_config

@@ -13,7 +13,7 @@ a :class:`GraphBatch`, one tape for all its graphs.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,30 +30,19 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-_ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
-    "relu": T.relu,
-    "tanh": T.tanh,
-    "identity": lambda t: t,
-}
-
-
 class GcnLayer:
     """One graph-convolution layer: relu(norm_adj @ X @ W), per graph of a batch."""
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, activation: str = "relu"):
         self.weight = Tensor(glorot(rng, d_in, d_out))
-        self.activation = activation
+        self.activation = T.check_activation(activation)
 
     def forward(self, batch: GraphBatch, x: Tensor) -> Tensor:
         return self.transform(T.segment_matmul(batch.propagation, x, batch.offsets))
 
     def transform(self, propagated: Tensor) -> Tensor:
         """The layer after propagation: activation(propagated @ W)."""
-        if propagated.shape[1] != self.weight.shape[0]:
-            raise ShapeMismatch(
-                f"gcn layer expects width {self.weight.shape[0]}, got {propagated.shape}"
-            )
-        return _ACTIVATIONS[self.activation](propagated @ self.weight)
+        return T.dense(propagated, self.weight, None, self.activation)
 
     def params(self) -> list[Tensor]:
         return [self.weight]
@@ -102,6 +91,8 @@ class Mlp:
     ):
         if len(widths) < 2:
             raise ShapeMismatch("an Mlp needs at least an input and an output width")
+        T.check_activation(hidden_activation)
+        T.check_activation(final_activation)
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []
         self.activations: list[str] = []
@@ -112,13 +103,9 @@ class Mlp:
             self.activations.append(final_activation if last else hidden_activation)
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.shape[1] != self.weights[0].shape[0]:
-            raise ShapeMismatch(
-                f"mlp expects input width {self.weights[0].shape[0]}, got {x.shape}"
-            )
         h = x
         for w, b, act in zip(self.weights, self.biases, self.activations):
-            h = _ACTIVATIONS[act](h @ w + b)
+            h = T.dense(h, w, b, act)
         return h
 
     def params(self) -> list[Tensor]:
@@ -145,7 +132,7 @@ class AttentionHead:
     def forward(self, embeddings: Tensor, batch: GraphBatch) -> tuple[Tensor, Tensor]:
         """Returns (graph embeddings B x d, node scores 1 x N summing to 1
         within each graph)."""
-        raw = T.tanh(embeddings @ self.p1) @ self.p2  # N x 1
+        raw = T.dense(embeddings, self.p1, None, "tanh") @ self.p2  # N x 1
         scores = T.segment_softmax(T.transpose(raw), batch.offsets)  # 1 x N
         return (T.constant(batch.sum_pool) * scores) @ embeddings, scores
 

@@ -10,6 +10,9 @@ Design points:
   * float64 everywhere; gradient checks against central finite differences
     need the precision, and nothing here is large enough to want float32.
   * relu subgradient at exactly 0 is 0.
+  * An affine layer with its activation, ``act(x @ w + b)``, is one node
+    (:func:`dense`) that keeps one output array on the tape; it is bitwise
+    the same as the ``matmul``, ``add`` and activation chain.
   * Dense arrays only; the graphs handled here have tens of nodes.
   * Broadcasting in add/sub/mul follows numpy; gradients of broadcast
     operands are reduce-summed back to the operand shape.
@@ -239,15 +242,20 @@ def relu(a: Tensor) -> Tensor:
     return out
 
 
+def _tanh_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(1 - y^2) * g in one buffer, y being tanh's output."""
+    d = np.multiply(y, y, out=np.empty_like(y))
+    np.subtract(1.0, d, out=d)
+    d *= g
+    return d
+
+
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
     out = Tensor(y, (a,), op="tanh")
 
     def grad_fn(g: np.ndarray) -> None:
-        d = np.multiply(y, y, out=np.empty_like(y))  # (1 - y^2) * g in one buffer
-        np.subtract(1.0, d, out=d)
-        d *= g
-        a._accumulate(d)
+        a._accumulate(_tanh_grad(y, g))
 
     out.grad_fn = grad_fn
     return out
@@ -295,6 +303,63 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             a._accumulate(g @ b.data.T)
         if b.requires_grad:
             b._accumulate(a.data.T @ g)
+
+    out.grad_fn = grad_fn
+    return out
+
+
+ACTIVATIONS = ("identity", "relu", "tanh")
+
+
+def check_activation(name: str) -> str:
+    """``name`` if :func:`dense` knows it; a ValueError naming it otherwise."""
+    if name not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {name!r}, expected one of {ACTIVATIONS}")
+    return name
+
+
+def dense(x: Tensor, w: Tensor, b: Optional[Tensor], activation: str) -> Tensor:
+    """``activation(x @ w + b)`` as one node: a whole affine layer.
+
+    The product goes into a fresh array and the bias and activation are
+    applied to it in place, so the layer keeps one N x d_out array on the
+    tape, not three. ``b`` is a 1 x d_out row or ``None``; ``activation`` is
+    one of :data:`ACTIVATIONS`. Value and gradients are bitwise those of the
+    ``matmul``, ``add`` and activation chain: the backward forms the
+    pre-activation gradient once and runs the chain's numpy expressions in
+    the chain's order (relu's mask is read off the output, which is positive
+    exactly where the pre-activation is).
+    """
+    check_activation(activation)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeMismatch(f"dense: input {x.data.shape} does not fit weight {w.data.shape}")
+    if b is not None and b.data.shape != (1, w.data.shape[1]):
+        raise ShapeMismatch(
+            f"dense: bias {b.data.shape} does not fit weight {w.data.shape}, "
+            f"expected (1, {w.data.shape[1]})"
+        )
+    y = x.data @ w.data
+    if b is not None:
+        y += b.data
+    if activation == "tanh":
+        np.tanh(y, out=y)
+    elif activation == "relu":
+        np.maximum(y, 0.0, out=y)
+    out = Tensor(y, (x, w) if b is None else (x, w, b), op="dense")
+
+    def grad_fn(g: np.ndarray) -> None:
+        if activation == "tanh":
+            d = _tanh_grad(y, g)
+        elif activation == "relu":
+            d = g * (y > 0.0)  # subgradient at 0 is 0
+        else:
+            d = g
+        if b is not None and b.requires_grad:
+            b._accumulate(_unbroadcast(d, b.data.shape))
+        if x.requires_grad:
+            x._accumulate(d @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(x.data.T @ d)
 
     out.grad_fn = grad_fn
     return out

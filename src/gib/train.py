@@ -252,6 +252,15 @@ def outer_step(
     )
 
 
+def _outer_norms(model: GibModel) -> str:
+    """Frobenius norm of each generator and classifier parameter, by name."""
+    outer = {id(p) for p in model.outer_params()}
+    return ", ".join(
+        f"{name}={float(np.linalg.norm(p.data)):.4g}"
+        for name, p in model.named_params() if id(p) in outer
+    )
+
+
 def _label_scale(dataset: Dataset) -> tuple[float, float]:
     """Mean and std of the training labels (std floored away from zero)."""
     values = np.array([float(dataset.graphs[i].label) for i in dataset.splits["train"]])
@@ -355,7 +364,7 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
 
         order = [train_indices[i] for i in shuffle_rng.permutation(len(train_indices))]
         epoch_losses: list[LossBreakdown] = []
-        for batch_ids in _batches(order, config.batch_size):
+        for batch_index, batch_ids in enumerate(_batches(order, config.batch_size)):
             batch = [train_graphs[i] for i in batch_ids]
             if config.use_mi and config.per_batch_inner:
                 outer_before = _snapshot(model.outer_params()) if config.debug_freeze_checks else None
@@ -363,7 +372,13 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
                 if outer_before is not None:
                     _assert_unchanged(model.outer_params(), outer_before, "generator/classifier")
                 mi_trace.append((epoch, mi_estimate))
-            breakdown = outer_step(model, outer_opt, batch, config)
+            try:
+                breakdown = outer_step(model, outer_opt, batch, config)
+            except FloatingPointError as err:
+                raise FloatingPointError(
+                    f"epoch {epoch}, batch {batch_index}: {err}; "
+                    f"outer-parameter norms {_outer_norms(model)}"
+                ) from err
             epoch_losses.append(breakdown)
 
         val_stats = evaluate_split(model, dataset, "val", config.threshold)

@@ -1,7 +1,9 @@
 """Command-line workflows: artifact emission, determinism, error paths."""
 
+import configparser
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -89,6 +91,7 @@ class TestTrainCommand:
         assert code == 1
         assert "inner_batch_size" in capsys.readouterr().err
         assert not os.path.exists(str(tmp_path / "r" / "checkpoint.bin"))
+        assert not os.path.exists(str(tmp_path / "r"))  # no directory, no manifest
 
     def test_missing_dataset_fails_nonzero(self, tmp_path, config_file):
         code = main(["train", "--config", config_file, "--data", str(tmp_path),
@@ -253,3 +256,18 @@ class TestConfigDefaults:
         defaults = CaseStudyConfig()
         for key, (_, default) in SCHEMA["case_study"].items():
             assert getattr(defaults, key) == default, key
+
+    def test_readme_config_block_matches_schema(self, tmp_path):
+        readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+        blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+        assert len(blocks) == 1
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        parser.optionxform = str
+        parser.read_string(blocks[0])
+        assert parser.sections() == list(SCHEMA)
+        for section, keys in SCHEMA.items():
+            assert list(parser[section]) == list(keys), section
+        # every value, read as a config file, is the schema default
+        path = tmp_path / "readme.ini"
+        path.write_text(blocks[0])
+        assert load_config(str(path)) == load_config()

@@ -57,6 +57,10 @@ class TestGcnForward:
         out = layer.forward(GraphBatch([g]), Tensor(g.features))
         assert np.all(out.data == 0.0)
 
+    def test_unknown_activation_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="'rleu'"):
+            GcnLayer(3, 2, rng(), activation="rleu")
+
     def test_width_mismatch_rejected(self):
         layer = GcnLayer(3, 2, rng())
         g = Graph(np.zeros((2, 2)), np.ones((2, 2)), 0)
@@ -171,6 +175,11 @@ class TestMlp:
     def test_width_mismatch_rejected(self):
         with pytest.raises(ShapeMismatch):
             Mlp([3, 2], rng(9)).forward(Tensor(np.ones((1, 4))))
+
+    @pytest.mark.parametrize("where", ["hidden_activation", "final_activation"])
+    def test_unknown_activation_rejected_at_construction(self, where):
+        with pytest.raises(ValueError, match="'tahn'"):
+            Mlp([3, 4, 2], rng(9), **{where: "tahn"})
 
 
 class TestTopK:

@@ -239,6 +239,87 @@ class TestConstants:
         np.testing.assert_array_equal(y.grad, [[3.0, -1.0]])
 
 
+def _unfused(x, w, b, activation):
+    """The oracle for T.dense: the matmul, add and activation chain it replaces."""
+    h = x @ w
+    if b is not None:
+        h = h + b
+    return {"identity": lambda t: t, "relu": T.relu, "tanh": T.tanh}[activation](h)
+
+
+class TestDense:
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        rows=st.integers(1, 5),
+        d_in=st.integers(1, 4),
+        d_out=st.integers(1, 4),
+        activation=st.sampled_from(T.ACTIVATIONS),
+        with_bias=st.booleans(),
+        x_needs_grad=st.booleans(),
+        x_reused=st.booleans(),
+        integer_values=st.booleans(),  # small integers put pre-activations exactly at 0
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_unfused_chain(
+        self, rows, d_in, d_out, activation, with_bias, x_needs_grad, x_reused,
+        integer_values, seed,
+    ):
+        r = np.random.default_rng(seed)
+
+        def draw(*shape):
+            return r.integers(-1, 2, size=shape).astype(float) if integer_values else r.normal(size=shape)
+
+        xa, wa, ba = draw(rows, d_in), draw(d_in, d_out), draw(1, d_out)
+        upstream, other = r.normal(size=(rows, d_out)), r.normal(size=(rows, d_in))
+
+        def run(layer):
+            x = Tensor(xa) if x_needs_grad else T.constant(xa)
+            w, b = Tensor(wa), (Tensor(ba) if with_bias else None)
+            out = layer(x, w, b, activation)
+            loss = T.tsum(out * T.constant(upstream))
+            if x_reused:
+                loss = loss + T.tsum(T.tanh(x) * T.constant(other))
+            loss.backward()
+            return [out.data] + [t.grad for t in (x, w, b) if t is not None]
+
+        for got, want in zip(run(T.dense), run(_unfused)):
+            if want is None:
+                assert got is None
+            else:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_relu_at_zero_has_zero_subgradient(self):
+        x = Tensor([[1.0, -1.0], [2.0, 1.0]])
+        w = Tensor([[1.0], [1.0]])
+        b = Tensor([[0.0]])
+        out = T.dense(x, w, b, "relu")  # first row's pre-activation is exactly 0
+        T.tsum(out).backward()
+        np.testing.assert_array_equal(out.data, [[0.0], [3.0]])
+        np.testing.assert_array_equal(x.grad, [[0.0, 0.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(w.grad, [[2.0], [1.0]])
+        np.testing.assert_array_equal(b.grad, [[1.0]])
+
+    def test_one_tape_node(self):
+        x, w, b = T.constant(np.ones((3, 2))), Tensor(np.ones((2, 4))), Tensor(np.zeros((1, 4)))
+        out = T.dense(x, w, b, "tanh")
+        assert out.op == "dense"
+        assert [t.op for t in T.tsum(out).tape()] == ["leaf", "leaf", "dense", "sum"]
+
+    def test_width_mismatch_names_both_shapes(self):
+        with pytest.raises(ShapeMismatch, match=r"\(2, 3\).*\(2, 2\)"):
+            T.dense(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))), None, "identity")
+
+    @pytest.mark.parametrize("bias_shape", [(3,), (2, 3), (1, 2)])
+    def test_bias_must_be_one_row_of_output_width(self, bias_shape):
+        with pytest.raises(ShapeMismatch, match=r"bias \(.*\(3, 3\)"):
+            T.dense(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3))),
+                    Tensor(np.zeros(bias_shape)), "tanh")
+
+    def test_unknown_activation_named(self):
+        with pytest.raises(ValueError, match="'sigmoid'"):
+            T.dense(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3))), None, "sigmoid")
+
+
 def _rand(rng, *shape):
     return rng.normal(size=shape)
 
@@ -277,6 +358,22 @@ class TestGradientsAgainstFiniteDifferences:
             x = _rand(rng, 3, 4)
             x = np.where(np.abs(x) < 1e-3, x + 0.1, x)  # keep clear of the kink
             assert_gradients_match(lambda ts: T.tsum(T.relu(ts[0])), [x])
+
+    @pytest.mark.parametrize("activation", T.ACTIVATIONS)
+    def test_dense(self, activation):
+        rng = np.random.default_rng(20)
+        for _ in range(self.N_INSTANCES // 4):
+            n, d_in, d_out = rng.integers(1, 5, size=3)
+            x, w, b = _rand(rng, n, d_in), _rand(rng, d_in, d_out), _rand(rng, 1, d_out)
+            if min(np.abs(x @ w).min(), np.abs(x @ w + b).min()) < 1e-3:
+                continue  # keep relu's pre-activations clear of the kink
+            weights = T.constant(_rand(rng, n, d_out))
+            assert_gradients_match(
+                lambda ts: T.tsum(T.dense(ts[0], ts[1], ts[2], activation) * weights), [x, w, b]
+            )
+            assert_gradients_match(
+                lambda ts: T.tsum(T.dense(ts[0], ts[1], None, activation) * weights), [x, w]
+            )
 
     def test_exp_log(self):
         rng = np.random.default_rng(13)

@@ -1,7 +1,9 @@
 """Bi-level training: losses, phase ownership, determinism, checkpoints."""
 
+import importlib
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -202,6 +204,30 @@ class TestTrain:
         opt = make_optimizer("adam", model.outer_params(), 1e-3)
         with pytest.raises(FloatingPointError, match="diverged"):
             outer_step(model, opt, ds.subset("train")[:4], config)
+
+    def test_divergence_in_a_later_batch_names_epoch_batch_and_norms(self, monkeypatch):
+        ds = tiny_dataset()
+        ds.splits = {"train": list(range(16)), "val": list(range(16, 20)),
+                     "test": list(range(20, 24))}
+        config = TrainConfig(outer_steps=3, inner_steps=1, batch_size=8, seed=0)
+        train_module = importlib.import_module("gib.train")
+        real_step = train_module.outer_step
+        calls = []
+
+        def poisoned_step(model, optimizer, graphs, cfg):
+            calls.append(len(graphs))
+            if len(calls) == 4:  # two batches an epoch: epoch 2, batch 1
+                model.classifier.weights[0].data[0, 0] = np.nan
+            return real_step(model, optimizer, graphs, cfg)
+
+        monkeypatch.setattr(train_module, "outer_step", poisoned_step)
+        with pytest.raises(FloatingPointError) as info:
+            train(ds, config)
+        message = str(info.value)
+        assert calls == [8, 8, 8, 8]
+        assert message.startswith("epoch 2, batch 1: outer step diverged: cls=nan")
+        assert "classifier.layer0.weight=nan" in message
+        assert re.search(r"generator\.encoder\.gcn0\.weight=\d", message)  # finite ones too
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
