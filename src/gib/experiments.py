@@ -74,9 +74,10 @@ def train_baseline(dataset: Dataset, config: TrainConfig, kind: str) -> Baseline
     for epoch in range(1, config.outer_steps + 1):
         order = shuffle_rng.permutation(len(train_graphs))
         for start in range(0, len(order), config.batch_size):
-            batch = GraphBatch([train_graphs[i] for i in order[start : start + config.batch_size]])
+            graphs = [train_graphs[i] for i in order[start : start + config.batch_size]]
+            batch = GraphBatch(graphs)
             zero_grads(model.params())
-            labels = [model.standardize_label(graph.label) for graph in batch.graphs]
+            labels = [model.standardize_label(graph.label) for graph in graphs]
             loss = output_loss(model.outputs(batch), labels, dataset.num_classes)
             loss.backward()
             if not np.isfinite(float(loss.data)):

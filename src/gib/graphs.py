@@ -8,7 +8,7 @@ generator that stands in for chemistry data in the interpretation experiment.
 A ``Graph`` is fixed once built, so it also keeps the GCN operators derived
 from it: its renormalized propagation block (``normalized_adjacency``) and
 that block times its features, built on first use and shared by every batch
-that holds the graph.
+that holds the graph, and the one-graph batch of itself.
 
 Edges are always kept in canonical order: the sorted list of pairs (i, j)
 with i < j. Ground-truth edge masks index into that order.
@@ -21,9 +21,12 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .batch import GraphBatch
 
 
 class GraphFormatError(ValueError):
@@ -86,6 +89,14 @@ class Graph:
     def propagated_features(self) -> np.ndarray:
         """``propagation @ features``, the first GCN layer's input; kept."""
         return _read_only(self.propagation @ self.features)
+
+    @functools.cached_property
+    def as_batch(self) -> GraphBatch:
+        """This graph alone as a ``GraphBatch``, the batch of the one-graph
+        entry points (predictions, node scores, assignments); kept."""
+        from .batch import GraphBatch  # gib.batch imports this module
+
+        return GraphBatch([self])
 
     def edges(self) -> list[tuple[int, int]]:
         """Undirected edges in canonical sorted (i < j) order."""

@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .batch import GraphBatch
 from .graphs import Graph
 from .nn import GcnEncoder, Mlp
 from .optim import make_optimizer
@@ -53,7 +52,7 @@ class StatisticsNetwork:
         Batched callers take ``batch.mean`` of the node embeddings they
         already have, since the encoder is shared with the generator.
         """
-        batch = GraphBatch([graph])
+        batch = graph.as_batch
         return batch.mean(self.encoder.forward(batch))
 
     def statistic(self, graph_emb: Tensor, sub_emb: Tensor) -> Tensor:
@@ -137,6 +136,13 @@ def mi_batch_loss(
     return _dv_estimate(statnet, T.concat_cols([g, s]), marginal_in)
 
 
+def _dv_inputs(
+    g: np.ndarray, s: np.ndarray, gi: np.ndarray, si: np.ndarray
+) -> tuple[Tensor, Tensor]:
+    """Constant joint rows [g_i, s_i] and mismatched rows [g_gi, s_si]."""
+    return T.constant(np.hstack([g, s])), T.constant(np.hstack([g[gi], s[si]]))
+
+
 def inner_maximize(
     statnet: StatisticsNetwork,
     graph_embs: np.ndarray,
@@ -151,9 +157,10 @@ def inner_maximize(
     """Train the head to maximize the batched estimate; everything else frozen.
 
     The embeddings come in as plain arrays (already detached from the
-    generator), so each step's joint and marginal inputs are built as plain
-    arrays too and the only live parameters on the tape are the head's.
-    Returns the per-step estimate trace.
+    generator), so the joint and marginal inputs are built as plain arrays
+    too, once for all steps unless each step draws a minibatch, and the only
+    live parameters on the tape are the head's. Returns the per-step
+    estimate trace.
     """
     if steps < 1:
         raise ValueError(f"inner loop needs at least 1 step, got {steps}")
@@ -165,16 +172,14 @@ def inner_maximize(
         raise ValueError("minibatched inner loop needs an rng")
     gi, si = _marginal_pairs(batch_size if minibatched else n, full_pairing)
     optimizer = make_optimizer(optimizer_kind, statnet.head_params(), lr)
+    if not minibatched:
+        joint_in, marginal_in = _dv_inputs(graph_embs, sub_embs, gi, si)
     trace: list[float] = []
     for step in range(steps):
         if minibatched:
             idx = rng.choice(n, size=batch_size, replace=False)
-            g, s = graph_embs[idx], sub_embs[idx]
-        else:
-            g, s = graph_embs, sub_embs
-        estimate = _dv_estimate(
-            statnet, T.constant(np.hstack([g, s])), T.constant(np.hstack([g[gi], s[si]]))
-        )
+            joint_in, marginal_in = _dv_inputs(graph_embs[idx], sub_embs[idx], gi, si)
+        estimate = _dv_estimate(statnet, joint_in, marginal_in)
         loss = -estimate.value
         optimizer.zero_grad()
         loss.backward()

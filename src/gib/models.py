@@ -55,7 +55,7 @@ class Predictor:
         return out
 
     def predict(self, graph: Graph) -> float | int:
-        return self.predict_all([graph])[0]
+        return self.decode(self.outputs(graph.as_batch).data)[0]
 
 
 class GibModel(Predictor):
@@ -133,7 +133,7 @@ class GibModel(Predictor):
 
     def forward_graph(self, graph: Graph) -> tuple[Tensor, Tensor, Tensor]:
         """Returns (assignment S, node embeddings, subgraph embedding)."""
-        return self.forward(GraphBatch([graph]))
+        return self.forward(graph.as_batch)
 
     def logits(self, sub_emb: Tensor) -> Tensor:
         return self.classifier.forward(sub_emb)
@@ -142,7 +142,7 @@ class GibModel(Predictor):
         return self.logits(self.forward(batch)[2])
 
     def assignment_matrix(self, graph: Graph) -> np.ndarray:
-        s, _ = self.generator.assignment(GraphBatch([graph]))
+        s, _ = self.generator.assignment(graph.as_batch)
         return s.data
 
 
@@ -181,7 +181,7 @@ class AttentionClassifier(Predictor):
         return self.forward(batch)[0]
 
     def node_scores(self, graph: Graph) -> np.ndarray:
-        _, scores = self.forward(GraphBatch([graph]))
+        _, scores = self.forward(graph.as_batch)
         return scores.data.reshape(-1)
 
     def params(self) -> list[Tensor]:

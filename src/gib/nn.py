@@ -38,7 +38,7 @@ class GcnLayer:
         self.activation = T.check_activation(activation)
 
     def forward(self, batch: GraphBatch, x: Tensor) -> Tensor:
-        return self.transform(T.segment_matmul(batch.propagation, x, batch.offsets))
+        return self.transform(T.segment_matmul(batch.propagation, x, batch.segments))
 
     def transform(self, propagated: Tensor) -> Tensor:
         """The layer after propagation: activation(propagated @ W)."""
@@ -67,7 +67,7 @@ class GcnEncoder:
         return h
 
     def forward_graph(self, graph: Graph) -> Tensor:
-        return self.forward(GraphBatch([graph]))
+        return self.forward(graph.as_batch)
 
     def params(self) -> list[Tensor]:
         return [p for layer in self.layers for p in layer.params()]
@@ -133,7 +133,7 @@ class AttentionHead:
         """Returns (graph embeddings B x d, node scores 1 x N summing to 1
         within each graph)."""
         raw = T.dense(embeddings, self.p1, None, "tanh") @ self.p2  # N x 1
-        scores = T.segment_softmax(T.transpose(raw), batch.offsets)  # 1 x N
+        scores = T.segment_softmax(T.transpose(raw), batch.segments)  # 1 x N
         return (T.constant(batch.sum_pool) * scores) @ embeddings, scores
 
     def params(self) -> list[Tensor]:

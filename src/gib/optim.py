@@ -7,6 +7,8 @@ inner/outer phases express their parameter freezes.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from .tensor import Tensor, zero_grads
@@ -27,6 +29,18 @@ class Sgd:
 
 
 class Adam:
+    """Adam whose moments live in two flat vectors, one span per parameter.
+
+    A step gathers the gradients into one vector and updates the moments and
+    the step in place, one numpy call per operation for all parameters
+    together, then subtracts each parameter's span from its values. The
+    operations are those of ``m = b1 m + (1 - b1) g``,
+    ``v = b2 v + (1 - b2) g^2`` and ``p -= lr (m / b1t) / (sqrt(v / b2t) + eps)``
+    in that order, elementwise, so the result is bitwise that of the
+    per-parameter expressions. A parameter without a gradient keeps its
+    value and its moments.
+    """
+
     def __init__(
         self,
         params: list[Tensor],
@@ -41,19 +55,46 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        bounds = list(accumulate((p.data.size for p in params), initial=0))
+        self._spans = list(zip(bounds[:-1], bounds[1:]))
+        self.m = np.zeros(bounds[-1])
+        self.v = np.zeros(bounds[-1])
+        # gathered gradient and the step's scratch, so a step allocates little
+        self._grad = np.empty(bounds[-1])
+        self._step = np.empty(bounds[-1])
+        self._scratch = np.empty(bounds[-1])
 
     def step(self) -> None:
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
-        for i, p in enumerate(self.params):
+        g, m, v, step, tmp = self._grad, self.m, self.v, self._step, self._scratch
+        skipped = []
+        for p, (start, end) in zip(self.params, self._spans):
             if p.grad is None:
-                continue
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * p.grad
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * p.grad**2
-            p.data -= self.lr * (self.m[i] / b1t) / (np.sqrt(self.v[i] / b2t) + self.eps)
+                skipped.append((start, end, m[start:end].copy(), v[start:end].copy()))
+                g[start:end] = 0.0
+            else:
+                g[start:end] = np.ravel(p.grad)
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=tmp)
+        m += tmp
+        v *= self.beta2
+        np.square(g, out=tmp)
+        tmp *= 1.0 - self.beta2
+        v += tmp
+        np.divide(m, b1t, out=step)
+        step *= self.lr
+        np.divide(v, b2t, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        step /= tmp
+        for start, end, m_kept, v_kept in skipped:
+            m[start:end] = m_kept
+            v[start:end] = v_kept
+        for p, (start, end) in zip(self.params, self._spans):
+            if p.grad is not None:
+                p.data -= step[start:end].reshape(p.data.shape)
 
     def zero_grad(self) -> None:
         zero_grads(self.params)

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tensor as T
-from .batch import GraphBatch, segment_pool
+from .batch import GraphBatch
 from .graphs import Graph
 from .nn import GcnEncoder, Mlp
 from .tensor import Tensor
@@ -78,11 +78,12 @@ def connectivity_loss(assignment: Tensor, adjacency: np.ndarray | GraphBatch) ->
     penalizes collapsing every node to one side.
     """
     if isinstance(adjacency, GraphBatch):
-        blocks, offsets, pool = adjacency.adjacency, adjacency.offsets, adjacency.sum_pool
+        blocks, segments, pool = adjacency.adjacency, adjacency.segments, adjacency.sum_pool
     else:
         blocks = [np.asarray(adjacency, dtype=np.float64)]
-        offsets, pool = segment_pool([blocks[0].shape[0]])
-    a_s = T.segment_matmul(blocks, assignment, offsets)
+        n = blocks[0].shape[0]
+        segments, pool = T.Segments((0, n)), np.ones((1, n))
+    a_s = T.segment_matmul(blocks, assignment, segments)
     # row a of graph b's S^T A S is the pooled (S e_a) * (A S)
     quad_rows = [
         T.row_l1_normalize(T.constant(pool) @ ((assignment @ side) * a_s))
@@ -153,7 +154,6 @@ def largest_connected_part(selection: SubgraphSelection) -> SubgraphSelection:
     best = max(components, key=len)  # max is stable: first largest wins
     mask = np.zeros_like(selection.node_mask)
     mask[best] = True
-    n = selection.node_mask.shape[0]
     induced = selection.induced_adjacency * np.outer(mask, mask)
     return SubgraphSelection(node_mask=mask, induced_adjacency=induced, threshold=selection.threshold)
 

@@ -14,6 +14,13 @@ Design points:
     (:func:`dense`) that keeps one output array on the tape; it is bitwise
     the same as the ``matmul``, ``add`` and activation chain.
   * Dense arrays only; the graphs handled here have tens of nodes.
+  * Segment ops (one graph per range of rows) take :class:`Segments`, whose
+    spans are checked once, when they are built (with a batch), not on
+    every call.
+  * :func:`row_softmax` takes row maxima and sums column by column, which
+    is much cheaper than numpy's axis-1 reductions on its N x 2 inputs. It
+    is bitwise the axis-reduction form only for two columns; wider rows
+    agree to rounding.
   * Broadcasting in add/sub/mul follows numpy; gradients of broadcast
     operands are reduce-summed back to the operand shape.
   * Data enters as constants (:func:`constant`): leaves that need no
@@ -52,7 +59,14 @@ class Tensor:
     ):
         self.data = np.asarray(values, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
-        self.requires_grad = any(p.requires_grad for p in parents) if parents else requires_grad
+        if parents:
+            # a plain loop: ``any`` over a generator costs more on every node
+            requires_grad = False
+            for p in parents:
+                if p.requires_grad:
+                    requires_grad = True
+                    break
+        self.requires_grad = requires_grad
         self.parents = parents
         self.grad_fn = grad_fn
         self.op = op
@@ -168,12 +182,13 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _check_broadcastable(a: Tensor, b: Tensor, op: str) -> None:
+    sa, sb = a.data.shape, b.data.shape
+    if sa == sb or not sa or not sb:
+        return
     try:
-        np.broadcast_shapes(a.data.shape, b.data.shape)
+        np.broadcast_shapes(sa, sb)
     except ValueError:
-        raise ShapeMismatch(
-            f"{op}: shapes {a.data.shape} and {b.data.shape} do not broadcast"
-        ) from None
+        raise ShapeMismatch(f"{op}: shapes {sa} and {sb} do not broadcast") from None
 
 
 # -- elementwise arithmetic -------------------------------------------------
@@ -355,7 +370,9 @@ def dense(x: Tensor, w: Tensor, b: Optional[Tensor], activation: str) -> Tensor:
         else:
             d = g
         if b is not None and b.requires_grad:
-            b._accumulate(_unbroadcast(d, b.data.shape))
+            # _unbroadcast's column sum without its shape bookkeeping; a
+            # one-row d passes as it is, as there
+            b._accumulate(d if d.shape[0] == 1 else np.add.reduce(d, axis=0, keepdims=True))
         if x.requires_grad:
             x._accumulate(d @ w.data.T)
         if w.requires_grad:
@@ -460,18 +477,45 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
 # -- row-wise normalizers ----------------------------------------------------
 
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """Max of each row as a column, folded column by column: on tall,
+    narrow arrays numpy's axis-1 reduction costs far more per row."""
+    m = x[:, :1].copy()
+    for j in range(1, x.shape[1]):
+        np.maximum(m, x[:, j : j + 1], out=m)
+    return m
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """Sum of each row as a column, added column by column from 0.0.
+
+    For two columns it is bitwise numpy's ``x.sum(axis=1, keepdims=True)``,
+    the sign of zero included; wider rows may differ from numpy's pairwise
+    summation in the last bits.
+    """
+    s = x[:, :1] + 0.0
+    for j in range(1, x.shape[1]):
+        s += x[:, j : j + 1]
+    return s
+
+
 def row_softmax(a: Tensor) -> Tensor:
-    """Softmax over each row, stabilized by max subtraction."""
+    """Softmax over each row, stabilized by max subtraction.
+
+    Row maxima and sums are taken column by column (:func:`_row_max`,
+    :func:`_row_sum`), since the assignment matrices are N x 2; value and
+    gradient are bitwise those of the axis-1 reductions for two columns and
+    agree to rounding (a few ulp) for wider rows.
+    """
     if a.data.ndim != 2:
         raise ShapeMismatch(f"row_softmax: expected a matrix, got {a.data.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    e = np.exp(a.data - _row_max(a.data))
+    y = e / _row_sum(e)
     out = Tensor(y, (a,), op="row_softmax")
 
     def grad_fn(g: np.ndarray) -> None:
         # dL/dx = y * (g - sum_j g_j y_j) per row
-        dot = (g * y).sum(axis=1, keepdims=True)
+        dot = _row_sum(g * y)
         a._accumulate(y * (g - dot))
 
     out.grad_fn = grad_fn
@@ -525,7 +569,8 @@ def tsum(a: Tensor) -> Tensor:
 def tmean(a: Tensor) -> Tensor:
     _require_nonempty(a, "mean")
     n = a.data.size
-    out = Tensor(a.data.mean(), (a,), op="mean")
+    # the sum and divide of ndarray.mean, without its Python wrapper
+    out = Tensor(np.add.reduce(a.data, axis=None) / n, (a,), op="mean")
 
     def grad_fn(g: np.ndarray) -> None:
         a._accumulate(np.full_like(a.data, float(g) / n))
@@ -598,55 +643,75 @@ def row_norms(a: Tensor) -> Tensor:
     return out
 
 
-# -- segment ops: rows offsets[b]:offsets[b+1] belong to graph b ------------
+# -- segment ops: consecutive row ranges, one per graph ------------------------
 
 
-def _check_offsets(offsets: np.ndarray, total: int, op: str) -> list[tuple[int, int]]:
-    """(start, end) of every segment; each must be nonempty and they must tile 0..total."""
-    bounds = np.asarray(offsets).tolist()
-    if bounds[0] != 0 or bounds[-1] != total or any(e <= s for s, e in zip(bounds, bounds[1:])):
-        raise ShapeMismatch(f"{op}: offsets must rise strictly from 0 to {total}, got {bounds}")
-    return list(zip(bounds[:-1], bounds[1:]))
+class Segments:
+    """Consecutive ranges of rows (or entries), one per graph, checked once.
+
+    ``offsets`` must rise strictly from 0; segment b covers
+    ``spans[b] = (offsets[b], offsets[b+1])`` and every segment is nonempty.
+    The check runs here, when the segments are built (a :class:`GraphBatch`
+    builds them with the batch), not in every segment op: an op only checks
+    that the segments cover its input.
+    """
+
+    __slots__ = ("spans", "starts", "sizes", "total")
+
+    def __init__(self, offsets: Sequence[int] | np.ndarray):
+        bounds = np.asarray(offsets).tolist()
+        if len(bounds) < 2 or bounds[0] != 0 or any(e <= s for s, e in zip(bounds, bounds[1:])):
+            raise ShapeMismatch(f"segment offsets must rise strictly from 0, got {bounds}")
+        self.spans = list(zip(bounds[:-1], bounds[1:]))
+        self.starts = np.array(bounds[:-1])
+        self.sizes = np.diff(bounds)
+        self.total = bounds[-1]
+
+    def __len__(self) -> int:
+        return len(self.spans)
+
+    def require_total(self, n: int, op: str) -> None:
+        if n != self.total:
+            raise ShapeMismatch(f"{op}: segment offsets cover {self.total}, the input has {n}")
 
 
-def segment_matmul(blocks: Sequence[np.ndarray], a: Tensor, offsets: np.ndarray) -> Tensor:
+def segment_matmul(blocks: Sequence[np.ndarray], a: Tensor, segments: Segments) -> Tensor:
     """Block-diagonal product: segment b of the result is ``blocks[b] @`` segment b of ``a``.
 
     The blocks are constants (square, one per segment). Each is applied in a
-    loop inside this one node, so the block-diagonal matrix is never formed.
+    loop inside this one node, its product written straight into the output,
+    so the block-diagonal matrix is never formed. Block shapes are not
+    checked per call: a block that does not fit its segment makes numpy's
+    product raise.
     """
     if a.data.ndim != 2:
         raise ShapeMismatch(f"segment_matmul: expected a matrix, got {a.data.shape}")
-    spans = _check_offsets(offsets, a.data.shape[0], "segment_matmul")
-    if len(blocks) != len(spans):
-        raise ShapeMismatch(f"segment_matmul: {len(blocks)} blocks for {len(spans)} segments")
+    segments.require_total(a.data.shape[0], "segment_matmul")
+    if len(blocks) != len(segments):
+        raise ShapeMismatch(f"segment_matmul: {len(blocks)} blocks for {len(segments)} segments")
+    spans = segments.spans
+    x = a.data
+    y = np.empty(x.shape)
     for block, (start, end) in zip(blocks, spans):
-        if block.shape != (end - start, end - start):
-            raise ShapeMismatch(
-                f"segment_matmul: block {block.shape} for a segment of {end - start} rows"
-            )
-    y = np.empty_like(a.data)
-    for block, (start, end) in zip(blocks, spans):
-        y[start:end] = block @ a.data[start:end]
+        np.matmul(block, x[start:end], out=y[start:end])
     out = Tensor(y, (a,), op="segment_matmul")
 
     def grad_fn(g: np.ndarray) -> None:
-        buf = np.empty_like(a.data)
+        buf = np.empty(x.shape)
         for block, (start, end) in zip(blocks, spans):
-            buf[start:end] = block.T @ g[start:end]
+            np.matmul(block.T, g[start:end], out=buf[start:end])
         a._accumulate(buf)
 
     out.grad_fn = grad_fn
     return out
 
 
-def segment_softmax(a: Tensor, offsets: np.ndarray) -> Tensor:
+def segment_softmax(a: Tensor, segments: Segments) -> Tensor:
     """Softmax within each segment of a 1 x N row, stabilized by max subtraction."""
     if a.data.ndim != 2 or a.data.shape[0] != 1:
         raise ShapeMismatch(f"segment_softmax: expected a 1 x N row, got {a.data.shape}")
-    offsets = np.asarray(offsets)
-    _check_offsets(offsets, a.data.shape[1], "segment_softmax")
-    starts, sizes = offsets[:-1], np.diff(offsets)
+    segments.require_total(a.data.shape[1], "segment_softmax")
+    starts, sizes = segments.starts, segments.sizes
     x = a.data[0]
     e = np.exp(x - np.repeat(np.maximum.reduceat(x, starts), sizes))
     y = e / np.repeat(np.add.reduceat(e, starts), sizes)

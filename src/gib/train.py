@@ -252,12 +252,12 @@ def outer_step(
     )
 
 
-def _outer_norms(model: GibModel) -> str:
-    """Frobenius norm of each generator and classifier parameter, by name."""
-    outer = {id(p) for p in model.outer_params()}
+def _param_norms(model: GibModel, params: list[Tensor]) -> str:
+    """Frobenius norm of each of ``params``, by name."""
+    wanted = {id(p) for p in params}
     return ", ".join(
         f"{name}={float(np.linalg.norm(p.data)):.4g}"
-        for name, p in model.named_params() if id(p) in outer
+        for name, p in model.named_params() if id(p) in wanted
     )
 
 
@@ -354,30 +354,35 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     higher_is_better = dataset.num_classes is not None
     stale = 0
 
+    def inner_phase(graphs: list[Graph], where: str) -> None:
+        outer_before = _snapshot(model.outer_params()) if config.debug_freeze_checks else None
+        try:
+            mi_estimate = run_inner_phase(model, graphs, config, phi2_rng, inner_rng)
+        except FloatingPointError as err:
+            raise FloatingPointError(
+                f"{where}: {err}; statistics-head parameter norms "
+                f"{_param_norms(model, model.phi2_params())}"
+            ) from err
+        if outer_before is not None:
+            _assert_unchanged(model.outer_params(), outer_before, "generator/classifier")
+        mi_trace.append((epoch, mi_estimate))
+
     for epoch in range(1, config.outer_steps + 1):
         if config.use_mi and not config.per_batch_inner:
-            outer_before = _snapshot(model.outer_params()) if config.debug_freeze_checks else None
-            mi_estimate = run_inner_phase(model, train_graphs, config, phi2_rng, inner_rng)
-            if outer_before is not None:
-                _assert_unchanged(model.outer_params(), outer_before, "generator/classifier")
-            mi_trace.append((epoch, mi_estimate))
+            inner_phase(train_graphs, f"epoch {epoch}")
 
         order = [train_indices[i] for i in shuffle_rng.permutation(len(train_indices))]
         epoch_losses: list[LossBreakdown] = []
         for batch_index, batch_ids in enumerate(_batches(order, config.batch_size)):
             batch = [train_graphs[i] for i in batch_ids]
             if config.use_mi and config.per_batch_inner:
-                outer_before = _snapshot(model.outer_params()) if config.debug_freeze_checks else None
-                mi_estimate = run_inner_phase(model, batch, config, phi2_rng, inner_rng)
-                if outer_before is not None:
-                    _assert_unchanged(model.outer_params(), outer_before, "generator/classifier")
-                mi_trace.append((epoch, mi_estimate))
+                inner_phase(batch, f"epoch {epoch}, batch {batch_index}")
             try:
                 breakdown = outer_step(model, outer_opt, batch, config)
             except FloatingPointError as err:
                 raise FloatingPointError(
                     f"epoch {epoch}, batch {batch_index}: {err}; "
-                    f"outer-parameter norms {_outer_norms(model)}"
+                    f"outer-parameter norms {_param_norms(model, model.outer_params())}"
                 ) from err
             epoch_losses.append(breakdown)
 

@@ -2,8 +2,10 @@
 losses checked against one-graph batches."""
 
 import ctypes
+import gc
 import platform
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 import gib
 import gib.batch
 import gib.tensor as T
-from gib.batch import GraphBatch, batches, segment_pool
+from gib.batch import GraphBatch, batches
 from gib.gradcheck import max_relative_error
 from gib.graphs import Graph, normalized_adjacency
 from gib.models import AttentionClassifier, GibModel, MeanPoolClassifier
@@ -39,6 +41,10 @@ def random_graphs(seed, sizes, d=3, continuous=False):
     return graphs
 
 
+def segments(sizes):
+    return T.Segments(np.cumsum([0] + list(sizes)))
+
+
 def block_diagonal(blocks):
     n = sum(b.shape[0] for b in blocks)
     out = np.zeros((n, n))
@@ -57,28 +63,28 @@ class TestSegmentOpGradients:
     @given(sizes=SEGMENTS, width=st.integers(1, 3), seed=SEEDS)
     def test_segment_matmul(self, sizes, width, seed):
         r = np.random.default_rng(seed)
-        offsets, _ = segment_pool(sizes)
+        segs = segments(sizes)
         blocks = [r.normal(size=(n, n)) for n in sizes]
         x = r.normal(size=(sum(sizes), width))
         np.testing.assert_allclose(
-            T.segment_matmul(blocks, Tensor(x), offsets).data,
+            T.segment_matmul(blocks, Tensor(x), segs).data,
             block_diagonal(blocks) @ x, atol=1e-12,
         )
-        build = lambda ts: T.tsum(T.tanh(T.segment_matmul(blocks, ts[0], offsets)))
+        build = lambda ts: T.tsum(T.tanh(T.segment_matmul(blocks, ts[0], segs)))
         assert max_relative_error(build, [x]) <= GRAD_TOL
 
     @PROPERTY
     @given(sizes=SEGMENTS, seed=SEEDS)
     def test_segment_softmax(self, sizes, seed):
         r = np.random.default_rng(seed)
-        offsets, _ = segment_pool(sizes)
+        segs = segments(sizes)
         x = r.normal(scale=2.0, size=(1, sum(sizes)))
         weights = Tensor(r.normal(size=(1, sum(sizes))))
-        y = T.segment_softmax(Tensor(x), offsets).data
-        for start, end in zip(offsets[:-1], offsets[1:]):
+        y = T.segment_softmax(Tensor(x), segs).data
+        for start, end in segs.spans:
             expected = T.row_softmax(Tensor(x[:, start:end])).data
             np.testing.assert_allclose(y[:, start:end], expected, atol=1e-12)
-        build = lambda ts: T.tsum(T.segment_softmax(ts[0], offsets) * weights)
+        build = lambda ts: T.tsum(T.segment_softmax(ts[0], segs) * weights)
         assert max_relative_error(build, [x]) <= GRAD_TOL
 
     @PROPERTY
@@ -112,8 +118,12 @@ class TestSegmentOpGradients:
 
     @pytest.mark.parametrize("offsets", [[0, 0, 3], [0, 2], [1, 3], [0, 2, 1, 3]])
     def test_bad_offsets_rejected(self, offsets):
+        # an empty, out-of-order or not-from-0 segment fails when the segments
+        # are built; segments that do not cover the input fail in the op
         with pytest.raises(ShapeMismatch, match="offsets"):
-            T.segment_softmax(Tensor(np.zeros((1, 3))), np.array(offsets))
+            T.segment_softmax(Tensor(np.zeros((1, 3))), T.Segments(np.array(offsets)))
+        with pytest.raises(ShapeMismatch, match="offsets"):
+            T.segment_matmul([np.eye(3)], Tensor(np.zeros((3, 1))), T.Segments(np.array(offsets)))
 
 
 # -- the batch itself ----------------------------------------------------------
@@ -133,7 +143,7 @@ class TestGraphBatch:
             dense.append(a_hat * np.outer(d, d))
         for block, expected in zip(batch.propagation, dense):
             np.testing.assert_array_equal(block, expected)
-        propagated = T.segment_matmul(batch.propagation, Tensor(x), batch.offsets)
+        propagated = T.segment_matmul(batch.propagation, Tensor(x), batch.segments)
         np.testing.assert_allclose(propagated.data, block_diagonal(dense) @ x, atol=1e-12)
 
     def test_pooling_and_split(self, monkeypatch):
@@ -141,6 +151,8 @@ class TestGraphBatch:
         batch = GraphBatch(graphs)
         x = np.arange(12.0).reshape(6, 2)
         np.testing.assert_array_equal(batch.sum_pool @ x, [[2, 4], [18, 21], [10, 11]])
+        # the filled 1/n is bitwise the divide of the sum pool by the sizes
+        assert batch.mean_pool.tobytes() == (batch.sum_pool / np.array([[2.0], [3.0], [1.0]])).tobytes()
         np.testing.assert_allclose(batch.mean(Tensor(x)).data, [[1, 2], [6, 7], [10, 11]])
         assert [b.shape[0] for b in batch.split(x)] == [2, 3, 1]
         monkeypatch.setattr(gib.batch, "EVAL_BATCH", 2)
@@ -157,6 +169,21 @@ class TestGraphBatch:
         for g, kept in zip(graphs, rows):
             assert kept.tobytes() == (normalized_adjacency(g) @ g.features).tobytes()
 
+    def test_graph_keeps_its_batch_of_one_without_a_cycle(self):
+        graph = random_graphs(6, [4])[0]
+        kept = graph.as_batch
+        assert graph.as_batch is kept and len(kept) == 1
+        assert kept.propagation[0] is graph.propagation
+        # with the cyclic collector off, refcounting alone frees the graph
+        # and its batch
+        gone = weakref.ref(graph)
+        gc.disable()
+        try:
+            del graph, kept
+            assert gone() is None
+        finally:
+            gc.enable()
+
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError, match="at least one graph"):
             GraphBatch([])
@@ -172,12 +199,14 @@ def _model(seed, continuous):
                     hidden=4, mlp_hidden=4)
 
 
-def _outer_terms(model, batch):
-    """Batched (S, sub embeddings, graph embeddings, cls, con) of one batch."""
+def _outer_terms(model, graphs):
+    """The batch of ``graphs`` and its batched (S, sub embeddings, graph
+    embeddings, cls, con)."""
+    batch = GraphBatch(graphs)
     s, x, sub = model.forward(batch)
-    labels = [model.standardize_label(g.label) for g in batch.graphs]
+    labels = [model.standardize_label(g.label) for g in graphs]
     cls = output_loss(model.logits(sub), labels, model.num_classes)
-    return s, sub, batch.mean(x), cls, connectivity_loss(s, batch)
+    return batch, (s, sub, batch.mean(x), cls, connectivity_loss(s, batch))
 
 
 def _grads(model, loss):
@@ -197,8 +226,7 @@ class TestBatchInvariance:
     def test_matches_one_graph_batches(self, sizes, seed, continuous):
         graphs = random_graphs(seed, sizes, continuous=continuous)
         model = _model(seed % 1000, continuous)
-        batch = GraphBatch(graphs)
-        s, sub, graph_embs, cls, con = _outer_terms(model, batch)
+        batch, (s, sub, graph_embs, cls, con) = _outer_terms(model, graphs)
         batch_grads = _grads(model, cls + con)
 
         cls_terms, con_terms, one_grads = [], [], []
@@ -255,9 +283,8 @@ class TestNodePermutation:
         relabelled = list(graphs)
         relabelled[which] = Graph(g.adjacency[np.ix_(perm, perm)], g.features[perm], g.label)
 
-        base, moved = GraphBatch(graphs), GraphBatch(relabelled)
-        s, sub, graph_embs, cls, con = _outer_terms(model, base)
-        s_p, sub_p, graph_embs_p, cls_p, con_p = _outer_terms(model, moved)
+        base, (s, sub, graph_embs, cls, con) = _outer_terms(model, graphs)
+        moved, (s_p, sub_p, graph_embs_p, cls_p, con_p) = _outer_terms(model, relabelled)
         np.testing.assert_allclose(moved.split(s_p.data)[which],
                                    base.split(s.data)[which][perm], atol=MATCH_TOL)
         np.testing.assert_allclose(sub_p.data, sub.data, atol=MATCH_TOL)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import gib.tensor as T
 from gib.gradcheck import assert_gradients_match, max_relative_error
@@ -444,3 +445,122 @@ class TestGradientsAgainstFiniteDifferences:
 
 
 _fixed_w = np.linspace(-1.0, 1.0, 6 * 2).reshape(6, 2)
+
+
+# -- properties over random shapes: the column-folded row ops and broadcasting ----
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+SEEDS = st.integers(0, 2**32 - 1)
+# +-0.0, subnormals and values far enough apart to underflow exp are all drawn
+ENTRIES = st.floats(-60.0, 60.0, allow_nan=False)
+# wider rows than two columns: the folded sum may differ from numpy's pairwise
+# one in the last bits, so value and gradient agree to this absolute tolerance
+WIDE_ROW_TOL = 1e-14
+
+
+def _axis_row_softmax(x, g):
+    """row_softmax's value and gradient in the axis-1 reduction form."""
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    y = e / e.sum(axis=1, keepdims=True)
+    return y, y * (g - (g * y).sum(axis=1, keepdims=True))
+
+
+def _tape_row_softmax(x, g):
+    leaf = Tensor(x)
+    y = T.row_softmax(leaf)
+    T.tsum(y * T.constant(g)).backward()
+    return y.data, leaf.grad
+
+
+def _broadcast_shape(which, rows, cols):
+    return [(rows, cols), (1, cols), (rows, 1), (1, 1), (cols,), ()][which]
+
+
+class TestRowOpProperties:
+    @PROPERTY
+    @given(data=st.data(), rows=st.integers(1, 9))
+    def test_row_softmax_bitwise_on_two_columns(self, data, rows):
+        x = data.draw(arrays(np.float64, (rows, 2), elements=ENTRIES))
+        g = data.draw(arrays(np.float64, (rows, 2), elements=ENTRIES))
+        y, grad = _tape_row_softmax(x, g)
+        y_old, grad_old = _axis_row_softmax(x, g)
+        assert y.tobytes() == y_old.tobytes()
+        assert grad.tobytes() == grad_old.tobytes()
+
+    @PROPERTY
+    @given(rows=st.integers(1, 6), cols=st.integers(1, 12), seed=SEEDS)
+    def test_row_softmax_wide_rows_within_tolerance(self, rows, cols, seed):
+        r = np.random.default_rng(seed)
+        x, g = r.normal(scale=5.0, size=(rows, cols)), r.normal(size=(rows, cols))
+        y, grad = _tape_row_softmax(x, g)
+        y_old, grad_old = _axis_row_softmax(x, g)
+        np.testing.assert_allclose(y, y_old, rtol=0, atol=WIDE_ROW_TOL)
+        np.testing.assert_allclose(grad, grad_old, rtol=0, atol=WIDE_ROW_TOL)
+
+    @PROPERTY
+    @given(rows=st.integers(1, 4), cols=st.integers(1, 5), seed=SEEDS)
+    def test_row_normalizer_gradients(self, rows, cols, seed):
+        r = np.random.default_rng(seed)
+        x = r.normal(scale=2.0, size=(rows, cols))
+        w = T.constant(r.normal(size=(rows, cols)))
+        positive = np.abs(x) + 0.1
+        assert max_relative_error(lambda ts: T.tsum(T.row_softmax(ts[0]) * w), [x]) <= 1e-5
+        assert max_relative_error(lambda ts: T.tsum(T.row_l1_normalize(ts[0]) * w), [positive]) <= 1e-5
+        assert max_relative_error(lambda ts: T.logsumexp(ts[0]), [x]) <= 1e-5
+
+    @PROPERTY
+    @given(rows=st.integers(1, 4), cols=st.integers(1, 4), left=st.integers(0, 5),
+           right=st.integers(0, 5), seed=SEEDS)
+    def test_broadcasting_add_mul_gradients(self, rows, cols, left, right, seed):
+        r = np.random.default_rng(seed)
+        a = r.normal(size=_broadcast_shape(left, rows, cols))
+        b = r.normal(size=_broadcast_shape(right, rows, cols))
+        out_shape = np.broadcast_shapes(a.shape, b.shape)
+        w = T.constant(r.normal(size=out_shape))
+        for op, expected in ((T.add, a + b), (T.mul, a * b)):
+            np.testing.assert_array_equal(op(Tensor(a), Tensor(b)).data, expected)
+            build = lambda ts: T.tsum(T.tanh(op(ts[0], ts[1])) * w)
+            assert max_relative_error(build, [a, b]) <= 1e-5
+
+    @PROPERTY
+    @given(shapes=st.tuples(st.integers(2, 4), st.integers(2, 4)).filter(lambda s: s[0] != s[1]))
+    def test_non_broadcasting_shapes_rejected(self, shapes):
+        with pytest.raises(ShapeMismatch, match="do not broadcast"):
+            T.add(Tensor(np.zeros((shapes[0], 3))), Tensor(np.zeros((shapes[1], 3))))
+
+
+class TestSegmentsChecked:
+    """Segments are checked once, when built; the ops check only coverage."""
+
+    @PROPERTY
+    @given(offsets=st.lists(st.integers(-2, 8), min_size=0, max_size=5))
+    def test_bad_offsets_rejected_when_built(self, offsets):
+        valid = (len(offsets) >= 2 and offsets[0] == 0
+                 and all(e > s for s, e in zip(offsets, offsets[1:])))
+        if valid:
+            segments = T.Segments(offsets)
+            assert segments.spans == list(zip(offsets[:-1], offsets[1:]))
+            assert segments.total == offsets[-1]
+        else:
+            with pytest.raises(ShapeMismatch, match="offsets"):
+                T.Segments(offsets)
+
+    @PROPERTY
+    @given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4), extra=st.integers(-2, 2))
+    def test_ops_reject_segments_that_do_not_cover_the_input(self, sizes, extra):
+        segments = T.Segments(np.cumsum([0] + sizes))
+        n = sum(sizes) + extra
+        if extra == 0 or n <= 0:
+            return
+        blocks = [np.eye(k) for k in sizes]
+        with pytest.raises(ShapeMismatch, match="offsets cover"):
+            T.segment_matmul(blocks, Tensor(np.zeros((n, 2))), segments)
+        with pytest.raises(ShapeMismatch, match="offsets cover"):
+            T.segment_softmax(Tensor(np.zeros((1, n))), segments)
+
+    def test_misfit_block_raises_in_the_product(self):
+        segments = T.Segments([0, 2, 5])
+        x = Tensor(np.zeros((5, 2)))
+        for blocks in ([np.eye(2), np.eye(2)], [np.eye(3), np.eye(3)], [np.eye(2)]):
+            with pytest.raises(ValueError):
+                T.segment_matmul(blocks, x, segments)

@@ -85,6 +85,55 @@ class TestClassificationLoss:
             classification_loss(mlp, Tensor([[0.0, 0.0]]), 2, 2)
 
 
+def _reference_adam(params, grads_per_step, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The per-parameter Adam expressions, on copies of ``params``."""
+    values = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grads_per_step, start=1):
+        b1t, b2t = 1.0 - b1**t, 1.0 - b2**t
+        for i, g in enumerate(grads):
+            if g is None:
+                continue
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * g**2
+            values[i] = values[i] - lr * (m[i] / b1t) / (np.sqrt(v[i] / b2t) + eps)
+    return values
+
+
+class TestAdam:
+    def test_flat_update_is_bitwise_the_per_parameter_one(self):
+        r = rng(3)
+        # a matrix, a row, a 0-d scalar (as the case study's rho) and a
+        # matrix whose gradient is sometimes missing or a transposed view
+        shapes = [(4, 3), (1, 3), (), (3, 2)]
+        start = [r.normal(size=shape) for shape in shapes]
+        steps = []
+        for step in range(6):
+            grads = [r.normal(size=shape) for shape in shapes]
+            grads[3] = None if step % 3 == 1 else r.normal(size=(2, 3)).T
+            steps.append(grads)
+        params = [Tensor(a.copy()) for a in start]
+        opt = make_optimizer("adam", params, 0.01)
+        for grads in steps:
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+        for p, expected in zip(params, _reference_adam(start, steps, 0.01)):
+            assert p.data.shape == expected.shape
+            assert p.data.tobytes() == expected.tobytes()
+
+    def test_parameter_without_gradient_keeps_value_and_moments(self):
+        params = [Tensor(np.ones((2, 2))), Tensor(np.ones(3))]
+        opt = make_optimizer("adam", params, 0.1)
+        params[0].grad, params[1].grad = np.ones((2, 2)), None
+        opt.step()
+        np.testing.assert_array_equal(params[1].data, np.ones(3))
+        np.testing.assert_array_equal(opt.m[4:], 0.0)
+        np.testing.assert_array_equal(opt.v[4:], 0.0)
+        assert np.all(params[0].data < 1.0)
+
+
 class TestOuterStep:
     def test_loss_breakdown_identity(self):
         ds = tiny_dataset()
@@ -228,6 +277,34 @@ class TestTrain:
         assert message.startswith("epoch 2, batch 1: outer step diverged: cls=nan")
         assert "classifier.layer0.weight=nan" in message
         assert re.search(r"generator\.encoder\.gcn0\.weight=\d", message)  # finite ones too
+
+    @pytest.mark.parametrize("per_batch_inner, where", [(False, "epoch 1"),
+                                                        (True, "epoch 1, batch 0")])
+    def test_inner_divergence_names_epoch_batch_and_head_norms(
+        self, monkeypatch, per_batch_inner, where
+    ):
+        ds = tiny_dataset()
+        ds.splits = {"train": list(range(16)), "val": list(range(16, 20)),
+                     "test": list(range(20, 24))}
+        config = TrainConfig(outer_steps=2, inner_steps=3, batch_size=8, seed=0,
+                             per_batch_inner=per_batch_inner)
+        train_module = importlib.import_module("gib.train")
+
+        def poisoned_model(*args, **kwargs):
+            # a NaN encoder weight makes every cached embedding NaN, so the
+            # first inner step of epoch 1 diverges before any outer step
+            model = GibModel(*args, **kwargs)
+            model.generator.encoder.layers[0].weight.data[0, 0] = np.nan
+            return model
+
+        monkeypatch.setattr(train_module, "GibModel", poisoned_model)
+        with pytest.raises(FloatingPointError) as info:
+            train(ds, config)
+        message = str(info.value)
+        assert message.startswith(f"{where}: inner step 0: estimator diverged")
+        assert "statistics-head parameter norms statnet.head.layer0.weight=" in message
+        assert re.search(r"statnet\.head\.layer1\.bias=\d", message)
+        assert "generator." not in message  # the head's norms only
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
