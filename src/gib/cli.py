@@ -261,23 +261,13 @@ def cmd_interpret(args: argparse.Namespace) -> int:
 
 def cmd_case_study(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    cs = config["case_study"]
     os.makedirs(args.out, exist_ok=True)
     _write_manifest(args.out, "case-study", args, config, None,
                     ["case_study_trace.csv", "manifest.json"])
-    cs_config = CaseStudyConfig(
-        epochs=args.epochs if args.epochs is not None else cs["epochs"],
-        inner_steps=cs["inner_steps"],
-        samples_per_epoch=cs["samples_per_epoch"],
-        sigma2_init=cs["sigma2_init"],
-        lr_inner=cs["lr_inner"],
-        lr_outer=cs["lr_outer"],
-        hidden=cs["hidden"],
-        inner_batch=cs["inner_batch"],
-        warmup_steps=cs["warmup_steps"],
-        seed=args.seed,
-        sigma2_fixed=args.sigma2_fixed,
-    )
+    section = dict(config["case_study"])
+    if args.epochs is not None:
+        section["epochs"] = args.epochs
+    cs_config = CaseStudyConfig(**section, seed=args.seed, sigma2_fixed=args.sigma2_fixed)
     trace = run_case_study(cs_config)
     write_trace_csv(os.path.join(args.out, "case_study_trace.csv"), trace)
     first, last = trace[0], trace[-1]

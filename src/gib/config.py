@@ -9,33 +9,32 @@ run's manifest so no silent defaults exist.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 from typing import Any, Optional
 
+from .case_study import CaseStudyConfig
 from .graphs import ConfigError
 from .train import TrainConfig
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
-# section -> key -> (python type, default)
+
+def _fields(config_class: type, leave_out: tuple[str, ...]) -> dict[str, tuple[type, Any]]:
+    """key -> (type, default) for the fields of a config dataclass, in field
+    order, typed by each default. A ``None`` default is 0 in a file."""
+    out = {}
+    for field in dataclasses.fields(config_class):
+        if field.name not in leave_out:
+            default = 0 if field.default is None else field.default
+            out[field.name] = (type(default), default)
+    return out
+
+
+# section -> key -> (python type, default). Fields set from the command line
+# (the seed, the loss ablations, the case study's fixed channel) or only by
+# tests (the freeze checks) have no key.
 SCHEMA: dict[str, dict[str, tuple[type, Any]]] = {
-    "train": {
-        "beta": (float, 0.1),
-        "con_weight": (float, 1.0),
-        "inner_steps": (int, 20),
-        "outer_steps": (int, 100),
-        "lr_inner": (float, 1e-3),
-        "lr_outer": (float, 1e-3),
-        "batch_size": (int, 32),
-        "optimizer": (str, "adam"),
-        "patience": (int, 20),
-        "hidden": (int, 16),
-        "gcn_layers": (int, 2),
-        "mlp_hidden": (int, 16),
-        "threshold": (float, 0.5),
-        "per_batch_inner": (bool, False),
-        "full_pairing": (bool, False),
-        "inner_batch_size": (int, 0),  # 0 means full cached set
-    },
+    "train": _fields(TrainConfig, ("seed", "use_mi", "use_con", "debug_freeze_checks")),
     "data": {
         "split_train": (float, 0.7),
         "split_val": (float, 0.05),
@@ -43,17 +42,7 @@ SCHEMA: dict[str, dict[str, tuple[type, Any]]] = {
         "folds": (int, 0),  # 0 means ratio split, otherwise k-fold
         "fold_index": (int, 0),
     },
-    "case_study": {
-        "epochs": (int, 30),
-        "inner_steps": (int, 150),
-        "samples_per_epoch": (int, 20000),
-        "sigma2_init": (float, 0.25),
-        "lr_inner": (float, 3e-3),
-        "lr_outer": (float, 0.05),
-        "hidden": (int, 64),
-        "inner_batch": (int, 4096),
-        "warmup_steps": (int, 300),
-    },
+    "case_study": _fields(CaseStudyConfig, ("seed", "sigma2_fixed")),
 }
 
 
@@ -92,36 +81,10 @@ def flatten(config: dict[str, dict[str, Any]]) -> dict[str, Any]:
     return {f"{s}.{k}": v for s, keys in config.items() for k, v in keys.items()}
 
 
-def to_train_config(
-    config: dict[str, dict[str, Any]],
-    seed: int,
-    use_mi: bool = True,
-    use_con: bool = True,
-    debug_freeze_checks: bool = False,
-) -> TrainConfig:
+def to_train_config(config: dict[str, dict[str, Any]], seed: int) -> TrainConfig:
     """The [train] section as a validated :class:`TrainConfig`."""
-    t = config["train"]
-    train_config = TrainConfig(
-        beta=t["beta"],
-        con_weight=t["con_weight"],
-        inner_steps=t["inner_steps"],
-        outer_steps=t["outer_steps"],
-        lr_inner=t["lr_inner"],
-        lr_outer=t["lr_outer"],
-        batch_size=t["batch_size"],
-        seed=seed,
-        optimizer=t["optimizer"],
-        hidden=t["hidden"],
-        gcn_layers=t["gcn_layers"],
-        mlp_hidden=t["mlp_hidden"],
-        patience=t["patience"],
-        threshold=t["threshold"],
-        use_mi=use_mi,
-        use_con=use_con,
-        per_batch_inner=t["per_batch_inner"],
-        full_pairing=t["full_pairing"],
-        inner_batch_size=t["inner_batch_size"] or None,
-        debug_freeze_checks=debug_freeze_checks,
-    )
+    section = dict(config["train"])
+    section["inner_batch_size"] = section["inner_batch_size"] or None  # 0: the full cached set
+    train_config = TrainConfig(**section, seed=seed)
     train_config.validate()
     return train_config

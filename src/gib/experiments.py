@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .batch import GraphBatch
-from .graphs import ConfigError, Dataset, to_line_graph
+from .graphs import ConfigError, Dataset, Graph, to_line_graph
 from .metrics import (
     accuracy,
     count_components,
@@ -27,7 +27,7 @@ from .nn import topk_subgraph_from_scores
 from .optim import make_optimizer
 from .subgraph import SubgraphSelection, discretize, selection_record
 from .tensor import zero_grads
-from .train import TrainConfig, output_loss, train
+from .train import TrainConfig, build_model, fit, output_loss, train
 
 
 # -- single-level baselines ------------------------------------------------------
@@ -42,69 +42,33 @@ class BaselineResult:
 
 def train_baseline(dataset: Dataset, config: TrainConfig, kind: str) -> BaselineResult:
     """Train an aggregation baseline (attention or mean pooling) end to end."""
-    config.validate()
+    if kind not in ("attention", "meanpool"):
+        raise ConfigError(f"unknown baseline kind {kind!r}")
     ss = np.random.SeedSequence(config.seed)
     init_rng, shuffle_rng = (np.random.default_rng(c) for c in ss.spawn(2))
-    feature_dim = dataset.graphs[0].features.shape[1]
-    if kind == "attention":
-        model: AttentionClassifier | MeanPoolClassifier = AttentionClassifier(
-            feature_dim, dataset.num_classes, init_rng,
-            hidden=config.hidden, gcn_layers=config.gcn_layers, mlp_hidden=config.mlp_hidden,
-        )
-    elif kind == "meanpool":
-        model = MeanPoolClassifier(
-            feature_dim, dataset.num_classes, init_rng,
-            hidden=config.hidden, gcn_layers=config.gcn_layers, mlp_hidden=config.mlp_hidden,
-        )
-    else:
-        raise ConfigError(f"unknown baseline kind {kind!r}")
-
-    if dataset.continuous:
-        values = np.array([float(dataset.graphs[i].label) for i in dataset.splits["train"]])
-        model.label_mean, model.label_std = float(values.mean()), float(max(values.std(), 1e-8))
+    model_class = AttentionClassifier if kind == "attention" else MeanPoolClassifier
+    model = build_model(model_class, dataset, config, init_rng)
     optimizer = make_optimizer(config.optimizer, model.params(), config.lr_outer)
-    train_graphs = dataset.subset("train")
     val_graphs = dataset.subset("val")
-    best_val = None
-    best_epoch = 0
-    best_state: list[np.ndarray] = []
-    higher_is_better = dataset.num_classes is not None
-    stale = 0
 
-    for epoch in range(1, config.outer_steps + 1):
-        order = shuffle_rng.permutation(len(train_graphs))
-        for start in range(0, len(order), config.batch_size):
-            graphs = [train_graphs[i] for i in order[start : start + config.batch_size]]
-            batch = GraphBatch(graphs)
-            zero_grads(model.params())
-            labels = [model.standardize_label(graph.label) for graph in graphs]
-            loss = output_loss(model.outputs(batch), labels, dataset.num_classes)
-            loss.backward()
-            if not np.isfinite(float(loss.data)):
-                raise FloatingPointError(f"baseline {kind} diverged at epoch {epoch}")
-            optimizer.step()
+    def step(epoch: int, batch_index: int, graphs: list[Graph]) -> None:
+        zero_grads(model.params())
+        labels = [model.standardize_label(graph.label) for graph in graphs]
+        loss = output_loss(model.outputs(GraphBatch(graphs)), labels, dataset.num_classes)
+        loss.backward()
+        if not np.isfinite(float(loss.data)):
+            raise FloatingPointError(
+                f"epoch {epoch}, batch {batch_index}: baseline {kind} diverged")
+        optimizer.step()
 
+    def validate(epoch: int) -> float:
         preds = model.predict_all(val_graphs)
         if dataset.continuous:
-            val = float(np.mean([(p - float(g.label)) ** 2 for p, g in zip(preds, val_graphs)]))
-        else:
-            val = accuracy(preds, [int(g.label) for g in val_graphs])
-        improved = (
-            best_val is None
-            or (higher_is_better and val > best_val)
-            or (not higher_is_better and val < best_val)
-        )
-        if improved:
-            best_val, best_epoch, stale = val, epoch, 0
-            best_state = [p.data.copy() for p in model.params()]
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
+            return float(np.mean([(p - float(g.label)) ** 2 for p, g in zip(preds, val_graphs)]))
+        return accuracy(preds, [int(g.label) for g in val_graphs])
 
-    for live, saved in zip(model.params(), best_state):
-        live.data[...] = saved
-    return BaselineResult(model=model, best_epoch=best_epoch, best_val=float(best_val))
+    best_epoch, best_val = fit(model, dataset, config, shuffle_rng, step, validate)
+    return BaselineResult(model=model, best_epoch=best_epoch, best_val=best_val)
 
 
 # -- denoising ---------------------------------------------------------------------

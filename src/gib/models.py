@@ -26,15 +26,37 @@ class Predictor:
     """Label handling shared by the models.
 
     ``outputs`` maps a batch to B x C logits, or to B x 1 outputs in
-    standardized label units for continuous labels.
+    standardized label units for continuous labels. The label mean and std
+    live in the named constant ``label_scale``, so checkpoints carry them.
     """
 
-    num_classes: Optional[int]
-    label_mean: float
-    label_std: float
+    def __init__(self, num_classes: Optional[int]):
+        self.num_classes = num_classes
+        self.label_scale = constant([[0.0, 1.0]])
+
+    @property
+    def label_mean(self) -> float:
+        return float(self.label_scale.data[0, 0])
+
+    @property
+    def label_std(self) -> float:
+        return float(self.label_scale.data[0, 1])
+
+    def fit_label_scale(self, labels: Sequence[float | int]) -> None:
+        """Standardize against the mean and std of these (training) labels,
+        the std floored away from zero."""
+        values = np.array([float(label) for label in labels])
+        self.label_scale.data[0] = values.mean(), max(values.std(), 1e-8)
 
     def outputs(self, batch: GraphBatch) -> Tensor:
         raise NotImplementedError
+
+    def named_params(self) -> list[tuple[str, Tensor]]:
+        raise NotImplementedError
+
+    def params(self) -> list[Tensor]:
+        """The trained parameters: every named one but the label scale."""
+        return [p for name, p in self.named_params() if name != "label_scale"]
 
     def standardize_label(self, label: float | int) -> float | int:
         if self.num_classes is not None:
@@ -70,33 +92,14 @@ class GibModel(Predictor):
         gcn_layers: int = 2,
         mlp_hidden: int = 16,
     ):
+        super().__init__(num_classes)
         self.generator = SubgraphGenerator(
             feature_dim, hidden, rng, gcn_layers=gcn_layers, mlp_hidden=mlp_hidden
         )
         out_width = num_classes if num_classes is not None else 1
         self.classifier = Mlp([hidden, mlp_hidden, out_width], rng, hidden_activation="tanh")
         self.statnet = StatisticsNetwork(self.generator.encoder, hidden, rng, hidden=mlp_hidden)
-        self.num_classes = num_classes
         self.hidden = hidden
-        # regression targets are standardized during training; predictions undo
-        # it. Kept as a named (non-trained) tensor so checkpoints carry it.
-        self._label_scale = constant([[0.0, 1.0]])
-
-    @property
-    def label_mean(self) -> float:
-        return float(self._label_scale.data[0, 0])
-
-    @label_mean.setter
-    def label_mean(self, value: float) -> None:
-        self._label_scale.data[0, 0] = value
-
-    @property
-    def label_std(self) -> float:
-        return float(self._label_scale.data[0, 1])
-
-    @label_std.setter
-    def label_std(self, value: float) -> None:
-        self._label_scale.data[0, 1] = value
 
     # parameter groups ------------------------------------------------------
 
@@ -120,7 +123,7 @@ class GibModel(Predictor):
             self.generator.named_params()
             + self.classifier.named_params("classifier")
             + self.statnet.named_params()
-            + [("label_scale", self._label_scale)]
+            + [("label_scale", self.label_scale)]
         )
 
     # forward pieces ----------------------------------------------------------
@@ -162,14 +165,12 @@ class AttentionClassifier(Predictor):
         gcn_layers: int = 2,
         mlp_hidden: int = 16,
     ):
+        super().__init__(num_classes)
         widths = [feature_dim] + [hidden] * gcn_layers
         self.encoder = GcnEncoder(widths, rng)
         self.attention = AttentionHead(hidden, mlp_hidden, rng)
         out_width = num_classes if num_classes is not None else 1
         self.classifier = Mlp([hidden, mlp_hidden, out_width], rng, hidden_activation="tanh")
-        self.num_classes = num_classes
-        self.label_mean = 0.0
-        self.label_std = 1.0
 
     def forward(self, batch: GraphBatch) -> tuple[Tensor, Tensor]:
         """Returns (B output rows, attention scores 1 x N)."""
@@ -184,14 +185,12 @@ class AttentionClassifier(Predictor):
         _, scores = self.forward(graph.as_batch)
         return scores.data.reshape(-1)
 
-    def params(self) -> list[Tensor]:
-        return self.encoder.params() + self.attention.params() + self.classifier.params()
-
     def named_params(self) -> list[tuple[str, Tensor]]:
         return (
             self.encoder.named_params("att.encoder")
             + self.attention.named_params("att.head")
             + self.classifier.named_params("att.classifier")
+            + [("label_scale", self.label_scale)]
         )
 
 
@@ -207,16 +206,18 @@ class MeanPoolClassifier(Predictor):
         gcn_layers: int = 2,
         mlp_hidden: int = 16,
     ):
+        super().__init__(num_classes)
         widths = [feature_dim] + [hidden] * gcn_layers
         self.encoder = GcnEncoder(widths, rng)
         out_width = num_classes if num_classes is not None else 1
         self.classifier = Mlp([hidden, mlp_hidden, out_width], rng, hidden_activation="tanh")
-        self.num_classes = num_classes
-        self.label_mean = 0.0
-        self.label_std = 1.0
 
     def outputs(self, batch: GraphBatch) -> Tensor:
         return self.classifier.forward(batch.mean(self.encoder.forward(batch)))
 
-    def params(self) -> list[Tensor]:
-        return self.encoder.params() + self.classifier.params()
+    def named_params(self) -> list[tuple[str, Tensor]]:
+        return (
+            self.encoder.named_params("pool.encoder")
+            + self.classifier.named_params("pool.classifier")
+            + [("label_scale", self.label_scale)]
+        )

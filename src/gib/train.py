@@ -1,4 +1,4 @@
-"""The bi-level training loop.
+"""The bi-level training loop, on the epoch loop every model shares.
 
 Each outer step (an epoch over minibatches by default) first re-initializes
 the statistics head and trains it alone for T ascent steps on embeddings
@@ -20,7 +20,7 @@ the graph embeddings and every loss term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .batch import GraphBatch, batches
 from .graphs import ConfigError, Dataset, Graph
 from .metrics import motif_property_bias
 from .mi import inner_maximize, mi_batch_loss
-from .models import GibModel
+from .models import GibModel, Predictor
 from .nn import Mlp
 from .optim import make_optimizer
 from .subgraph import connectivity_loss, discretize
@@ -78,9 +78,6 @@ class TrainConfig:
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must be in (0, 1), got {self.threshold}")
 
-    def effective_con_weight(self) -> float:
-        return self.con_weight if self.use_con else 0.0
-
 
 @dataclass
 class LossBreakdown:
@@ -90,12 +87,6 @@ class LossBreakdown:
     beta: float
     con_weight: float
     total: float
-
-    @classmethod
-    def build(cls_, cls_value: float, mi_value: float, con_value: float,
-              beta: float, con_weight: float) -> "LossBreakdown":
-        total = cls_value + beta * mi_value + con_weight * con_value
-        return cls_(cls_value, mi_value, con_value, beta, con_weight, total)
 
 
 @dataclass
@@ -116,7 +107,6 @@ class TrainResult:
     mi_trace: list[tuple[int, float]]  # (epoch, converged estimate)
     best_epoch: int
     best_val: float
-    higher_is_better: bool
 
     def history_rows(self) -> list[dict]:
         return [
@@ -232,11 +222,10 @@ def outer_step(
     else:
         mi_loss = T.constant(0.0)
 
-    con_weight = config.effective_con_weight()
+    con_weight = config.con_weight if config.use_con else 0.0
     total = cls_loss + config.beta * mi_loss + con_weight * con_loss
     total.backward()
-    total_value = float(total.data)
-    if not np.isfinite(total_value):
+    if not np.isfinite(float(total.data)):
         raise FloatingPointError(
             f"outer step diverged: cls={float(cls_loss.data)} "
             f"mi={float(mi_loss.data)} con={float(con_loss.data)}"
@@ -246,10 +235,9 @@ def outer_step(
     if config.debug_freeze_checks:
         _assert_unchanged(model.phi2_params(), phi2_before, "statistics-head")
 
-    return LossBreakdown.build(
-        float(cls_loss.data), float(mi_loss.data), float(con_loss.data),
-        config.beta, con_weight,
-    )
+    cls_value, mi_value, con_value = (float(t.data) for t in (cls_loss, mi_loss, con_loss))
+    return LossBreakdown(cls_value, mi_value, con_value, config.beta, con_weight,
+                         cls_value + config.beta * mi_value + con_weight * con_value)
 
 
 def _param_norms(model: GibModel, params: list[Tensor]) -> str:
@@ -259,12 +247,6 @@ def _param_norms(model: GibModel, params: list[Tensor]) -> str:
         f"{name}={float(np.linalg.norm(p.data)):.4g}"
         for name, p in model.named_params() if id(p) in wanted
     )
-
-
-def _label_scale(dataset: Dataset) -> tuple[float, float]:
-    """Mean and std of the training labels (std floored away from zero)."""
-    values = np.array([float(dataset.graphs[i].label) for i in dataset.splits["train"]])
-    return float(values.mean()), float(max(values.std(), 1e-8))
 
 
 def evaluate_split(model: GibModel, dataset: Dataset, split: str, threshold: float) -> dict:
@@ -305,56 +287,79 @@ def evaluate_split(model: GibModel, dataset: Dataset, split: str, threshold: flo
     return out
 
 
-def _val_metric(metrics: dict, continuous: bool) -> tuple[float, bool]:
-    """Returns (value, higher_is_better)."""
-    if not continuous:
-        return metrics["accuracy"], True
-    if "property_bias" in metrics:
-        return metrics["property_bias"], False
-    return metrics["mse"], False
+def build_model(model_class: type, dataset: Dataset, config: TrainConfig,
+                rng: np.random.Generator) -> Predictor:
+    """A model for ``dataset``'s features and labels, sized by ``config``."""
+    return model_class(dataset.graphs[0].features.shape[1], dataset.num_classes, rng,
+                       hidden=config.hidden, gcn_layers=config.gcn_layers,
+                       mlp_hidden=config.mlp_hidden)
 
 
-def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
-    """Run the full bi-level optimization and return the best-validation model."""
+def fit(
+    model: Predictor,
+    dataset: Dataset,
+    config: TrainConfig,
+    shuffle_rng: np.random.Generator,
+    step: Callable[[int, int, list[Graph]], None],
+    validate: Callable[[int], float],
+) -> tuple[int, float]:
+    """The epoch loop of every model: checks config and splits, standardizes
+    continuous labels, then each epoch calls ``step`` on each shuffled
+    minibatch and ``validate`` for a value (higher is better for classes,
+    lower for continuous labels). Stops after ``patience`` stale epochs and
+    restores the best-validation parameters; returns (best epoch, value)."""
     config.validate()
     dataset.validate_splits()
     for split in ("train", "val"):
         if not dataset.splits.get(split):
             raise ConfigError(f"dataset needs a nonempty {split!r} split")
-    if config.use_mi and len(dataset.splits["train"]) < 2:
+    if dataset.continuous:
+        model.fit_label_scale([dataset.graphs[i].label for i in dataset.splits["train"]])
+    train_graphs = dataset.subset("train")
+    best_val = None
+    best_epoch = 0
+    best_state: list[np.ndarray] = []
+    stale = 0
+    for epoch in range(1, config.outer_steps + 1):
+        order = shuffle_rng.permutation(len(train_graphs)).tolist()
+        for batch_index, batch_ids in enumerate(_batches(order, config.batch_size)):
+            step(epoch, batch_index, [train_graphs[i] for i in batch_ids])
+        value = validate(epoch)
+        if best_val is None or (value < best_val if dataset.continuous else value > best_val):
+            best_val, best_epoch, stale = value, epoch, 0
+            best_state = [p.data.copy() for _, p in model.named_params()]
+        else:
+            stale += 1
+            if stale >= config.patience:
+                break
+
+    for (_, live), saved in zip(model.named_params(), best_state):
+        live.data[...] = saved
+    return best_epoch, float(best_val)
+
+
+def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
+    """Run the full bi-level optimization and return the best-validation model."""
+    n_train = len(dataset.splits.get("train", ()))
+    if config.use_mi and n_train < 2:
         raise ConfigError(
             "the mutual-information estimate needs at least 2 graphs in the 'train' "
-            f"split, got {len(dataset.splits['train'])}"
+            f"split, got {n_train}"
         )
 
     ss = np.random.SeedSequence(config.seed)
     init_rng, phi2_rng, shuffle_rng, inner_rng = (
         np.random.default_rng(child) for child in ss.spawn(4)
     )
-    feature_dim = dataset.graphs[0].features.shape[1]
-    model = GibModel(
-        feature_dim,
-        dataset.num_classes,
-        init_rng,
-        hidden=config.hidden,
-        gcn_layers=config.gcn_layers,
-        mlp_hidden=config.mlp_hidden,
-    )
-    if dataset.continuous:
-        model.label_mean, model.label_std = _label_scale(dataset)
+    model = build_model(GibModel, dataset, config, init_rng)
     outer_opt = make_optimizer(config.optimizer, model.outer_params(), config.lr_outer)
 
     train_graphs = dataset.subset("train")
-    train_indices = list(range(len(train_graphs)))
     history: list[EpochRecord] = []
     mi_trace: list[tuple[int, float]] = []
-    best_val = None
-    best_epoch = 0
-    best_state: list[tuple[str, np.ndarray]] = []
-    higher_is_better = dataset.num_classes is not None
-    stale = 0
+    epoch_losses: list[LossBreakdown] = []
 
-    def inner_phase(graphs: list[Graph], where: str) -> None:
+    def inner_phase(graphs: list[Graph], epoch: int, where: str) -> None:
         outer_before = _snapshot(model.outer_params()) if config.debug_freeze_checks else None
         try:
             mi_estimate = run_inner_phase(model, graphs, config, phi2_rng, inner_rng)
@@ -367,28 +372,27 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
             _assert_unchanged(model.outer_params(), outer_before, "generator/classifier")
         mi_trace.append((epoch, mi_estimate))
 
-    for epoch in range(1, config.outer_steps + 1):
-        if config.use_mi and not config.per_batch_inner:
-            inner_phase(train_graphs, f"epoch {epoch}")
+    def step(epoch: int, batch_index: int, batch: list[Graph]) -> None:
+        # the per-epoch inner phase draws only on phi2_rng and inner_rng, so
+        # running it after the epoch's shuffle leaves every draw unchanged
+        if config.use_mi and config.per_batch_inner:
+            inner_phase(batch, epoch, f"epoch {epoch}, batch {batch_index}")
+        elif config.use_mi and batch_index == 0:
+            inner_phase(train_graphs, epoch, f"epoch {epoch}")
+        try:
+            epoch_losses.append(outer_step(model, outer_opt, batch, config))
+        except FloatingPointError as err:
+            raise FloatingPointError(
+                f"epoch {epoch}, batch {batch_index}: {err}; "
+                f"outer-parameter norms {_param_norms(model, model.outer_params())}"
+            ) from err
 
-        order = [train_indices[i] for i in shuffle_rng.permutation(len(train_indices))]
-        epoch_losses: list[LossBreakdown] = []
-        for batch_index, batch_ids in enumerate(_batches(order, config.batch_size)):
-            batch = [train_graphs[i] for i in batch_ids]
-            if config.use_mi and config.per_batch_inner:
-                inner_phase(batch, f"epoch {epoch}, batch {batch_index}")
-            try:
-                breakdown = outer_step(model, outer_opt, batch, config)
-            except FloatingPointError as err:
-                raise FloatingPointError(
-                    f"epoch {epoch}, batch {batch_index}: {err}; "
-                    f"outer-parameter norms {_param_norms(model, model.outer_params())}"
-                ) from err
-            epoch_losses.append(breakdown)
-
+    def validate(epoch: int) -> float:
         val_stats = evaluate_split(model, dataset, "val", config.threshold)
-        val_value, higher_is_better = _val_metric(val_stats, dataset.continuous)
-        record = EpochRecord(
+        # continuous labels: the property bias where motif masks exist, else the MSE
+        val_value = val_stats["mse"] if dataset.continuous else val_stats["accuracy"]
+        val_value = val_stats.get("property_bias", val_value)
+        history.append(EpochRecord(
             epoch=epoch,
             cls=float(np.mean([b.cls for b in epoch_losses])),
             mi=float(np.mean([b.mi for b in epoch_losses])),
@@ -396,34 +400,17 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
             total=float(np.mean([b.total for b in epoch_losses])),
             val_metric=val_value,
             degenerate_rate=val_stats["degenerate_rate"],
-        )
-        history.append(record)
+        ))
+        epoch_losses.clear()
+        return val_value
 
-        improved = (
-            best_val is None
-            or (higher_is_better and val_value > best_val)
-            or (not higher_is_better and val_value < best_val)
-        )
-        if improved:
-            best_val = val_value
-            best_epoch = epoch
-            best_state = [(name, p.data.copy()) for name, p in model.named_params()]
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
-
-    for (_, live), (_, saved) in zip(model.named_params(), best_state):
-        live.data[...] = saved
-
+    best_epoch, best_val = fit(model, dataset, config, shuffle_rng, step, validate)
     return TrainResult(
         model=model,
         history=history,
         mi_trace=mi_trace,
         best_epoch=best_epoch,
-        best_val=float(best_val),
-        higher_is_better=higher_is_better,
+        best_val=best_val,
     )
 
 

@@ -1,8 +1,12 @@
 """Experiment drivers: baselines, line-graph datasets, scoring pipelines."""
 
+import hashlib
+import importlib
+
 import numpy as np
 import pytest
 
+from gib.batch import GraphBatch
 from gib.experiments import (
     build_line_dataset,
     run_denoising,
@@ -18,7 +22,7 @@ from gib.graphs import (
     gen_planted_motif_dataset,
     random_splits,
 )
-from gib.train import TrainConfig
+from gib.train import TrainConfig, train
 
 
 def small_config(**over):
@@ -64,6 +68,103 @@ class TestBaselines:
     def test_unknown_kind_rejected(self, motif_ds):
         with pytest.raises(ConfigError):
             train_baseline(motif_ds, small_config(), kind="sumpool")
+
+
+def pin_dataset(continuous):
+    """30 planted-motif graphs; 21 train graphs make batches of 8, 8 and 5."""
+    ds = gen_planted_motif_dataset(MotifConfig(
+        num_graphs=30, background_nodes=(8, 12), seed=5,
+        motif_kinds=("clique",) if continuous else ("clique", "cycle"),
+        motif_sizes=(4, 5, 6) if continuous else None,
+        label_rule="size" if continuous else "kind",
+        property_noise=0.3 if continuous else 0.0,
+    ))
+    ds.splits = random_splits(30, (0.7, 0.15, 0.15), seed=5)
+    return ds
+
+
+# (best_epoch, best_val, sha256 of the parameter bytes, label_mean, label_std):
+# the baselines' outputs, bitwise. The class runs stop early (best epoch 1,
+# patience 2); the continuous ones run all 4 epochs.
+BASELINE_PINS = {
+    ("attention", False): (
+        1, 0.5, "e5f2eba97a35c9d3d25782c5d57911c36efae4741e7c33e96e1e51a2a5be4194", 0.0, 1.0),
+    ("meanpool", False): (
+        1, 0.75, "314b2d7eb7ef828e840d4d584406a068d8807b4ac232d117f878d295186cfba2", 0.0, 1.0),
+    ("attention", True): (
+        4, 1.0021250907191035,
+        "1775e2bd51cf652ab7eb8f2797079ab451d7db12feab045cea364b3d67d3c7a8",
+        5.0765440731080265, 0.6456759715830854),
+    ("meanpool", True): (
+        4, 1.0517874821178934,
+        "e6104de7d35cc4c1f90943a69fafdf6bd0a01663716e3953b7d3342ce2583a4d",
+        5.0765440731080265, 0.6456759715830854),
+}
+
+
+@pytest.mark.parametrize("kind,continuous", list(BASELINE_PINS))
+def test_baseline_pinned_bitwise(kind, continuous):
+    config = TrainConfig(outer_steps=4, patience=2, batch_size=8, seed=3)
+    result = train_baseline(pin_dataset(continuous), config, kind)
+    digest = hashlib.sha256(b"".join(p.data.tobytes() for p in result.model.params()))
+    got = (result.best_epoch, result.best_val, digest.hexdigest(),
+           result.model.label_mean, result.model.label_std)
+    assert got == BASELINE_PINS[kind, continuous]
+
+
+class TestSharedLoop:
+    @pytest.mark.parametrize("split", ["train", "val"])
+    @pytest.mark.parametrize("continuous", [False, True])
+    @pytest.mark.parametrize("kind", ["attention", "meanpool"])
+    def test_empty_split_rejected_by_name(self, kind, continuous, split):
+        ds = pin_dataset(continuous)
+        ds.splits["test"] += ds.splits[split]
+        ds.splits[split] = []
+        with pytest.raises(ConfigError, match=f"nonempty '{split}' split"):
+            train_baseline(ds, small_config(), kind)
+
+    def test_only_gib_epochs_reach_evaluate_split(self, motif_ds, monkeypatch):
+        # the benchmark's epoch clock stops at each evaluate_split exit, so a
+        # baseline epoch that went through it would count as a GIB epoch
+        train_module = importlib.import_module("gib.train")
+        real_evaluate = train_module.evaluate_split
+        splits = []
+
+        def counting(model, dataset, split, threshold):
+            splits.append(split)
+            return real_evaluate(model, dataset, split, threshold)
+
+        monkeypatch.setattr(train_module, "evaluate_split", counting)
+        for kind in ("attention", "meanpool"):
+            train_baseline(motif_ds, small_config(), kind)
+        assert splits == []
+        result = train(motif_ds, small_config())
+        assert len(result.history) == 3 and splits == ["val"] * 3
+
+    @pytest.mark.parametrize("kind", ["attention", "meanpool"])
+    def test_divergence_names_epoch_and_batch(self, kind, monkeypatch):
+        experiments = importlib.import_module("gib.experiments")
+        models, batch_sizes = [], []
+
+        def recording(model_class):
+            def build(*args, **kwargs):
+                models.append(model_class(*args, **kwargs))
+                return models[-1]
+            return build
+
+        def poisoning(graphs):
+            batch_sizes.append(len(graphs))
+            if len(batch_sizes) == 5:  # batches of 8, 8 and 5: epoch 2, batch 1
+                models[0].classifier.weights[0].data[0, 0] = np.nan
+            return GraphBatch(graphs)
+
+        for name in ("AttentionClassifier", "MeanPoolClassifier"):
+            monkeypatch.setattr(experiments, name, recording(getattr(experiments, name)))
+        monkeypatch.setattr(experiments, "GraphBatch", poisoning)
+        with pytest.raises(FloatingPointError) as info:
+            train_baseline(pin_dataset(False), small_config(), kind)
+        assert batch_sizes == [8, 8, 5, 8, 8]
+        assert str(info.value) == f"epoch 2, batch 1: baseline {kind} diverged"
 
 
 class TestLineDataset:
