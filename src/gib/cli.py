@@ -16,7 +16,7 @@ import datetime
 import json
 import os
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,12 +24,7 @@ from . import __version__
 from .case_study import CaseStudyConfig, run_case_study, write_trace_csv
 from .checkpoint import save_params
 from .config import flatten, load_config, to_train_config
-from .experiments import (
-    DenoisingRun,
-    InterpretationRun,
-    run_denoising,
-    run_interpretation,
-)
+from .experiments import run_denoising, run_interpretation
 from .graphs import (
     ConfigError,
     Dataset,
@@ -45,7 +40,7 @@ from .graphs import (
 )
 from .metrics import format_table, mean_std, write_table_csv
 from .subgraph import dump_selections
-from .train import evaluate_split, train, write_metrics_csv, write_mi_trace_csv
+from .train import TrainConfig, evaluate_split, train, write_metrics_csv, write_mi_trace_csv
 
 
 def _write_manifest(out_dir: str, command: str, args: argparse.Namespace,
@@ -82,12 +77,12 @@ def _splits(config: dict, n: int, seed: int) -> dict[str, list[int]]:
     return random_splits(n, ratios, seed)
 
 
-def _load_dataset(args: argparse.Namespace, config: dict,
-                  continuous: Optional[bool] = None, with_masks: bool = False) -> Dataset:
-    dataset = load_tu_dataset(args.data, args.name, continuous=continuous)
+def _load_dataset(args: argparse.Namespace, config: dict, with_masks: bool = False) -> Dataset:
+    dataset = load_tu_dataset(args.data, args.name)
     if with_masks:
-        dataset.masks = load_mask_sidecar(args.data, args.name)
+        dataset.masks = load_mask_sidecar(args.data, args.name, len(dataset.graphs))
     dataset.splits = _splits(config, len(dataset.graphs), args.seed)
+    dataset.subset("test")  # an empty test split fails before --out exists
     print(f"loaded {dataset.name}: {len(dataset.graphs)} graphs, "
           f"{'continuous labels' if dataset.continuous else f'{dataset.num_classes} classes'}")
     return dataset
@@ -180,49 +175,51 @@ def _aggregate(rows_per_seed: list[list], fields: list[str]) -> list[list[str]]:
     return table
 
 
-def cmd_denoise(args: argparse.Namespace) -> int:
+def _seed_sweep(args: argparse.Namespace, command: str,
+                drive: Callable[[Dataset, TrainConfig], list], fields: list[str],
+                extra_outputs: tuple[str, ...] = (), continuous: bool = False) -> list[list]:
+    """Run ``drive`` on the masked dataset once per seed, each with its own
+    splits, and write the mean +- std table; returns each seed's rows."""
     config = load_config(args.config)
     train_cfg = to_train_config(config, args.seed)
     dataset = _load_dataset(args, config, with_masks=True)
+    if continuous and not dataset.continuous:
+        raise ConfigError(f"{command} needs a continuous-property dataset "
+                          f"({dataset.name} has {dataset.num_classes} classes)")
     os.makedirs(args.out, exist_ok=True)
-    _write_manifest(args.out, "denoise", args, config, dataset,
-                    ["denoise_table.csv", "denoise_table.txt", "manifest.json"])
+    stem = os.path.join(args.out, f"{command}_table")
+    _write_manifest(args.out, command, args, config, dataset,
+                    [f"{command}_table.csv", f"{command}_table.txt", *extra_outputs,
+                     "manifest.json"])
 
-    seeds = [args.seed + i for i in range(args.seeds)]
-    rows_per_seed: list[list[DenoisingRun]] = []
-    for seed in seeds:
+    rows_per_seed = []
+    for seed in range(args.seed, args.seed + args.seeds):
         dataset.splits = _splits(config, len(dataset.graphs), seed)
-        rows_per_seed.append(run_denoising(dataset, dataclasses.replace(train_cfg, seed=seed)))
+        rows_per_seed.append(drive(dataset, dataclasses.replace(train_cfg, seed=seed)))
         print(f"seed {seed}: " + "; ".join(
-            f"{r.method} recall={r.recall:.3f} acc={r.accuracy:.3f}"
-            if r.structure_capable else f"{r.method} acc={r.accuracy:.3f}"
+            r.method + "".join(f" {f}={getattr(r, f):.3f}" for f in fields
+                               if not np.isnan(getattr(r, f)))
             for r in rows_per_seed[-1]
         ))
 
-    headers = ["method", "recall", "precision", "accuracy"]
-    table = _aggregate(rows_per_seed, ["recall", "precision", "accuracy"])
+    headers = ["method", *fields]
+    table = _aggregate(rows_per_seed, fields)
     text = format_table(headers, table)
     print(text)
-    write_table_csv(os.path.join(args.out, "denoise_table.csv"), headers, table)
-    with open(os.path.join(args.out, "denoise_table.txt"), "w") as fh:
+    write_table_csv(stem + ".csv", headers, table)
+    with open(stem + ".txt", "w") as fh:
         fh.write(text + "\n")
+    return rows_per_seed
+
+
+def cmd_denoise(args: argparse.Namespace) -> int:
+    # the driver is looked up at call time, so it can be replaced in gib.cli
+    _seed_sweep(args, "denoise", lambda ds, cfg: run_denoising(ds, cfg),
+                ["recall", "precision", "accuracy"])
     return 0
 
 
 def cmd_interpret(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    train_cfg = to_train_config(config, args.seed)
-    dataset = _load_dataset(args, config, with_masks=True)
-    if not dataset.continuous:
-        raise ConfigError(
-            "interpretation needs a continuous-property dataset "
-            f"({dataset.name} has {dataset.num_classes} classes)"
-        )
-    os.makedirs(args.out, exist_ok=True)
-    _write_manifest(args.out, "interpret", args, config, dataset,
-                    ["interpret_table.csv", "interpret_table.txt",
-                     "subgraphs.jsonl", "manifest.json"])
-
     methods: list[str] = []
     if not args.no_baselines:
         methods += ["att05", "att07"]
@@ -234,28 +231,11 @@ def cmd_interpret(args: argparse.Namespace) -> int:
         methods.append("gib_no_mi")
     else:
         methods += ["gib_no_con", "gib_no_mi", "gib"]
-
-    seeds = [args.seed + i for i in range(args.seeds)]
-    rows_per_seed: list[list[InterpretationRun]] = []
-    for seed in seeds:
-        dataset.splits = _splits(config, len(dataset.graphs), seed)
-        rows_per_seed.append(
-            run_interpretation(dataset, dataclasses.replace(train_cfg, seed=seed), tuple(methods))
-        )
-        print(f"seed {seed}: " + "; ".join(
-            f"{r.method} bias={r.bias_mean:.3f}" for r in rows_per_seed[-1]
-        ))
-
-    headers = ["method", "bias_mean", "bias_std", "components_per_graph", "degenerate_rate"]
-    table = _aggregate(rows_per_seed,
-                       ["bias_mean", "bias_std", "components_per_graph", "degenerate_rate"])
-    text = format_table(headers, table)
-    print(text)
-    write_table_csv(os.path.join(args.out, "interpret_table.csv"), headers, table)
-    with open(os.path.join(args.out, "interpret_table.txt"), "w") as fh:
-        fh.write(text + "\n")
-    dump_selections(os.path.join(args.out, "subgraphs.jsonl"),
-                    rows_per_seed[0][-1].records)
+    rows_per_seed = _seed_sweep(
+        args, "interpret", lambda ds, cfg: run_interpretation(ds, cfg, tuple(methods)),
+        ["bias_mean", "bias_std", "components_per_graph", "degenerate_rate"],
+        ("subgraphs.jsonl",), continuous=True)
+    dump_selections(os.path.join(args.out, "subgraphs.jsonl"), rows_per_seed[0][-1].records)
     return 0
 
 

@@ -1,14 +1,15 @@
 """Experiment drivers: classification, denoising, and interpretation runs.
 
-These wire datasets, training, and metrics into the protocols reported by
-the command-line tools. Each driver is a pure function of (dataset, config,
+Every driver follows one protocol: :func:`select_and_score` trains each
+method once and selects a subgraph on every test graph, and the driver only
+scores the selections. Each driver is a pure function of (dataset, config,
 seed) so seed sweeps are embarrassingly parallel and reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .metrics import (
     motif_property_bias,
     node_recall,
 )
-from .models import AttentionClassifier, MeanPoolClassifier
+from .models import AttentionClassifier, MeanPoolClassifier, Predictor
 from .nn import topk_subgraph_from_scores
 from .optim import make_optimizer
 from .subgraph import SubgraphSelection, discretize, selection_record
@@ -71,6 +72,75 @@ def train_baseline(dataset: Dataset, config: TrainConfig, kind: str) -> Baseline
     return BaselineResult(model=model, best_epoch=best_epoch, best_val=best_val)
 
 
+# -- one protocol: train each method, select a subgraph on every test graph -----
+
+
+R = TypeVar("R")
+
+
+class Method(NamedTuple):
+    label: str  # row label in every results table
+    keep: Optional[float] = None  # node share an attention baseline keeps (top-k)
+    losses: Optional[tuple[bool, bool]] = None  # (use_con, use_mi) of a GIB variant
+
+
+METHODS = {
+    "gcn": Method("GCN"),
+    "att05": Method("GCN+Att05", keep=0.5),
+    "att07": Method("GCN+Att07", keep=0.7),
+    "gib": Method("GCN+GIB", losses=(True, True)),
+    "gib_no_con": Method("GCN+GIB w/o con", losses=(False, True)),
+    "gib_no_mi": Method("GCN+GIB w/o mi", losses=(True, False)),
+    "gib_plain": Method("GCN+subgraph (no con, no mi)", losses=(False, False)),
+}
+
+
+def select_and_score(
+    dataset: Dataset, config: TrainConfig, methods: Sequence[str], task: str,
+    score: Callable[[str, Predictor, Optional[list[SubgraphSelection]], list], R],
+    allow_gcn: bool = False,
+) -> list[R]:
+    """Train each method once, select a subgraph on every test graph and
+    return ``score(row label, model, test selections, soft S)`` per method.
+
+    Checks every method name, the masks and the test split before any
+    training. The attention baselines share one trained model and select
+    top-k nodes; GIB variants discretize their assignment S and also pass
+    it; ``gcn`` (only with ``allow_gcn``) selects nothing and passes None.
+    The selections are arguments, not locals, so none outlives its score.
+    """
+    for name in methods:
+        if name not in METHODS or (name == "gcn" and not allow_gcn):
+            raise ConfigError(f"unknown {task} method {name!r}")
+    if dataset.masks is None:
+        raise ConfigError(f"{task} needs ground-truth masks")
+    test_graphs = dataset.subset("test")
+    attention = None
+    rows = []
+    for name in methods:
+        label, keep, losses = METHODS[name]
+        if keep is not None:
+            if attention is None:
+                attention = train_baseline(dataset, config, kind="attention").model
+            masks = [topk_subgraph_from_scores(g, attention.node_scores(g), keep)
+                     for g in test_graphs]
+            rows.append(score(label, attention, [
+                SubgraphSelection(m, g.adjacency * np.outer(m, m), threshold=keep)
+                for m, g in zip(masks, test_graphs)
+            ], [None] * len(masks)))
+        elif losses is not None:
+            use_con, use_mi = losses
+            model = train(dataset, replace(config, use_con=use_con, use_mi=use_mi)).model
+            soft = [model.assignment_matrix(g) for g in test_graphs]
+            rows.append(score(label, model, [
+                discretize(s, g, config.threshold) for s, g in zip(soft, test_graphs)
+            ], soft))
+        else:
+            rows.append(score(label, train_baseline(dataset, config, kind="meanpool").model,
+                              None, None))
+    return rows
+
+
 # -- denoising ---------------------------------------------------------------------
 
 
@@ -82,7 +152,13 @@ def build_line_dataset(noisy: Dataset) -> Dataset:
     """
     if noisy.masks is None:
         raise ConfigError("denoising needs ground-truth real-edge masks")
+    if len(noisy.masks) != len(noisy.graphs):
+        raise ConfigError(f"{len(noisy.masks)} real-edge masks for {len(noisy.graphs)} graphs")
     pairs = [to_line_graph(g) for g in noisy.graphs]
+    for gi, (pair, mask) in enumerate(zip(pairs, noisy.masks)):
+        if mask and not 0 <= min(mask) <= max(mask) < pair.line.n:
+            raise ConfigError(f"graph {gi} of {noisy.name}: real-edge mask spans "
+                              f"{min(mask)}..{max(mask)}, but the graph has {pair.line.n} edges")
     return Dataset(
         graphs=[p.line for p in pairs],
         num_classes=noisy.num_classes,
@@ -102,60 +178,28 @@ class DenoisingRun:
     empty_rate: float = 0.0
 
 
-def _edge_metrics_for_masks(
-    line_dataset: Dataset, split: str, keep_masks: list[np.ndarray]
-) -> tuple[float, float, float]:
-    recalls, precisions, empties = [], [], 0
-    for mask, gi in zip(keep_masks, line_dataset.splits[split]):
-        real = np.zeros(line_dataset.graphs[gi].n, dtype=bool)
-        real[line_dataset.masks[gi]] = True
-        scores = edge_scores(mask, real)
-        recalls.append(scores["recall"])
-        precisions.append(scores["precision"])
-        empties += int(scores["empty_selection"])
-    return float(np.mean(recalls)), float(np.mean(precisions)), empties / len(keep_masks)
-
-
 def run_denoising(
     noisy: Dataset, config: TrainConfig, methods: tuple[str, ...] = ("gcn", "att05", "att07", "gib")
 ) -> list[DenoisingRun]:
     """Train each method on the line graphs and score edge recovery on test."""
     line_ds = build_line_dataset(noisy)
-    test_ids = line_ds.splits["test"]
-    test_graphs = [line_ds.graphs[i] for i in test_ids]
+    test_graphs = line_ds.subset("test")
     labels = [int(g.label) for g in test_graphs]
-    runs: list[DenoisingRun] = []
+    real = [np.isin(np.arange(g.n), line_ds.masks[gi])
+            for g, gi in zip(test_graphs, line_ds.splits["test"])]
 
-    att_result: Optional[BaselineResult] = None
-    for method in methods:
-        if method == "gcn":
-            base = train_baseline(line_ds, config, kind="meanpool")
-            acc = accuracy(base.model.predict_all(test_graphs), labels)
-            runs.append(DenoisingRun("GCN", float("nan"), float("nan"), acc, structure_capable=False))
-        elif method in ("att05", "att07"):
-            if att_result is None:
-                att_result = train_baseline(line_ds, config, kind="attention")
-            keep = 0.5 if method == "att05" else 0.7
-            masks = [
-                topk_subgraph_from_scores(g, att_result.model.node_scores(g), keep)
-                for g in test_graphs
-            ]
-            recall, precision, empty = _edge_metrics_for_masks(line_ds, "test", masks)
-            acc = accuracy(att_result.model.predict_all(test_graphs), labels)
-            runs.append(DenoisingRun(f"GCN+Att{int(keep*10):02d}", recall, precision, acc,
-                                     empty_rate=empty))
-        elif method == "gib":
-            result = train(line_ds, config)
-            masks = []
-            for g in test_graphs:
-                sel = discretize(result.model.assignment_matrix(g), g, config.threshold)
-                masks.append(sel.node_mask)
-            recall, precision, empty = _edge_metrics_for_masks(line_ds, "test", masks)
-            acc = accuracy(result.model.predict_all(test_graphs), labels)
-            runs.append(DenoisingRun("GCN+GIB", recall, precision, acc, empty_rate=empty))
-        else:
-            raise ConfigError(f"unknown denoising method {method!r}")
-    return runs
+    def score(label, model, selections, _) -> DenoisingRun:
+        acc = accuracy(model.predict_all(test_graphs), labels)
+        if selections is None:
+            return DenoisingRun(label, float("nan"), float("nan"), acc, structure_capable=False)
+        scores = [edge_scores(sel.node_mask, r) for sel, r in zip(selections, real)]
+        return DenoisingRun(
+            label, float(np.mean([s["recall"] for s in scores])),
+            float(np.mean([s["precision"] for s in scores])), acc,
+            empty_rate=sum(s["empty_selection"] for s in scores) / len(scores),
+        )
+
+    return select_and_score(line_ds, config, methods, "denoising", score, allow_gcn=True)
 
 
 # -- interpretation ------------------------------------------------------------------
@@ -171,24 +215,6 @@ class InterpretationRun:
     records: list[dict]
 
 
-def _score_selections(
-    dataset: Dataset, split: str, selections: list[SubgraphSelection], soft: list[Optional[np.ndarray]]
-) -> tuple[list[float], float, float, list[dict]]:
-    biases, comp_counts, records = [], [], []
-    degenerate = 0
-    for sel, s, gi in zip(selections, soft, dataset.splits[split]):
-        graph = dataset.graphs[gi]
-        motif = dataset.masks[gi]
-        biases.append(motif_property_bias(motif, graph, sel))
-        if sel.empty or sel.node_mask.all():
-            degenerate += 1
-        if not sel.empty:
-            comp_counts.append(count_components(sel))
-        records.append(selection_record(gi, graph, sel, soft=s))
-    comps = float(np.mean(comp_counts)) if comp_counts else float("nan")
-    return biases, comps, degenerate / len(selections), records
-
-
 def run_interpretation(
     dataset: Dataset,
     config: TrainConfig,
@@ -198,52 +224,23 @@ def run_interpretation(
     full model on a continuous-property dataset."""
     if not dataset.continuous:
         raise ConfigError("interpretation needs a continuous-property dataset")
-    if dataset.masks is None:
-        raise ConfigError("interpretation needs ground-truth motif masks")
-    test_ids = dataset.splits["test"]
-    test_graphs = [dataset.graphs[i] for i in test_ids]
-    runs: list[InterpretationRun] = []
 
-    att_result: Optional[BaselineResult] = None
-    for method in methods:
-        if method in ("att05", "att07"):
-            if att_result is None:
-                att_result = train_baseline(dataset, config, kind="attention")
-            keep = 0.5 if method == "att05" else 0.7
-            selections, soft = [], []
-            for g in test_graphs:
-                mask = topk_subgraph_from_scores(g, att_result.model.node_scores(g), keep)
-                induced = g.adjacency * np.outer(mask, mask)
-                selections.append(SubgraphSelection(mask, induced, threshold=keep))
-                soft.append(None)
-            label = f"GCN+Att{int(keep*10):02d}"
-        elif method in ("gib", "gib_no_con", "gib_no_mi", "gib_plain"):
-            variant = replace(
-                config,
-                use_con=method not in ("gib_no_con", "gib_plain"),
-                use_mi=method not in ("gib_no_mi", "gib_plain"),
-            )
-            result = train(dataset, variant)
-            selections, soft = [], []
-            for g in test_graphs:
-                s = result.model.assignment_matrix(g)
-                selections.append(discretize(s, g, config.threshold))
-                soft.append(s)
-            label = {
-                "gib": "GCN+GIB",
-                "gib_no_con": "GCN+GIB w/o con",
-                "gib_no_mi": "GCN+GIB w/o mi",
-                "gib_plain": "GCN+subgraph (no con, no mi)",
-            }[method]
-        else:
-            raise ConfigError(f"unknown interpretation method {method!r}")
-
-        biases, comps, degenerate, records = _score_selections(dataset, "test", selections, soft)
-        bias_mean, bias_std = mean_std(biases)
-        runs.append(
-            InterpretationRun(label, bias_mean, bias_std, comps, degenerate, records)
+    def score(label, _, selections, soft) -> InterpretationRun:
+        biases, comp_counts, records = [], [], []
+        for sel, s, gi in zip(selections, soft, dataset.splits["test"]):
+            graph = dataset.graphs[gi]
+            biases.append(motif_property_bias(dataset.masks[gi], graph, sel))
+            if not sel.empty:
+                comp_counts.append(count_components(sel))
+            records.append(selection_record(gi, graph, sel, soft=s))
+        degenerate = sum(1 for sel in selections if sel.empty or sel.node_mask.all())
+        return InterpretationRun(
+            label, *mean_std(biases),
+            float(np.mean(comp_counts)) if comp_counts else float("nan"),
+            degenerate / len(selections), records,
         )
-    return runs
+
+    return select_and_score(dataset, config, methods, "interpretation", score)
 
 
 # -- motif recovery (classification + explanation quality) ----------------------------
@@ -260,29 +257,13 @@ def run_motif_recovery(
     dataset: Dataset, config: TrainConfig, methods: tuple[str, ...] = ("att05", "gib")
 ) -> list[MotifRecoveryRun]:
     """Classification accuracy plus recall of planted-motif nodes on test."""
-    if dataset.masks is None:
-        raise ConfigError("motif recovery needs ground-truth motif masks")
-    test_ids = dataset.splits["test"]
-    test_graphs = [dataset.graphs[i] for i in test_ids]
+    test_graphs = dataset.subset("test")
     labels = [int(g.label) for g in test_graphs]
-    runs: list[MotifRecoveryRun] = []
-    for method in methods:
-        if method == "att05":
-            base = train_baseline(dataset, config, kind="attention")
-            recalls = []
-            for g, gi in zip(test_graphs, test_ids):
-                mask = topk_subgraph_from_scores(g, base.model.node_scores(g), 0.5)
-                recalls.append(node_recall(dataset.masks[gi], np.nonzero(mask)[0].tolist()))
-            acc = accuracy(base.model.predict_all(test_graphs), labels)
-            runs.append(MotifRecoveryRun("GCN+Att05", acc, float(np.mean(recalls))))
-        elif method == "gib":
-            result = train(dataset, config)
-            recalls = []
-            for g, gi in zip(test_graphs, test_ids):
-                sel = discretize(result.model.assignment_matrix(g), g, config.threshold)
-                recalls.append(node_recall(dataset.masks[gi], sel.node_indices()))
-            acc = accuracy(result.model.predict_all(test_graphs), labels)
-            runs.append(MotifRecoveryRun("GCN+GIB", acc, float(np.mean(recalls))))
-        else:
-            raise ConfigError(f"unknown motif-recovery method {method!r}")
-    return runs
+
+    def score(label, model, selections, _) -> MotifRecoveryRun:
+        recalls = [node_recall(dataset.masks[gi], sel.node_indices())
+                   for sel, gi in zip(selections, dataset.splits["test"])]
+        acc = accuracy(model.predict_all(test_graphs), labels)
+        return MotifRecoveryRun(label, acc, float(np.mean(recalls)))
+
+    return select_and_score(dataset, config, methods, "motif-recovery", score)

@@ -143,6 +143,9 @@ class Dataset:
         return self.num_classes is None
 
     def subset(self, split: str) -> list[Graph]:
+        """The graphs of a split; a missing or empty split is rejected by name."""
+        if not self.splits.get(split):
+            raise ConfigError(f"dataset needs a nonempty {split!r} split")
         return [self.graphs[i] for i in self.splits[split]]
 
     def validate_splits(self) -> None:
@@ -167,11 +170,11 @@ class LineGraphPair:
 # -- TU Dortmund format -------------------------------------------------------
 
 
-def _read_lines(path: str) -> list[str]:
+def _read_lines(path: str, keep_empty: bool = False) -> list[str]:
     if not os.path.exists(path):
         raise FileNotFoundError(f"missing dataset file: {path}")
     with open(path) as fh:
-        return [line.strip() for line in fh if line.strip()]
+        return [line.strip() for line in fh if keep_empty or line.strip()]
 
 
 def load_tu_dataset(path: str, name: str, continuous: Optional[bool] = None) -> Dataset:
@@ -313,8 +316,12 @@ def save_tu_dataset(
                 fm.write(",".join(str(i) for i in idx) + "\n")
 
 
-def load_mask_sidecar(path: str, name: str) -> list[list[int]]:
-    lines = _read_lines(os.path.join(path, name + "_mask.txt"))
+def load_mask_sidecar(path: str, name: str, num_graphs: int) -> list[list[int]]:
+    """Read ``<name>_mask.txt``: one index list per graph, empty lines included."""
+    file = os.path.join(path, name + "_mask.txt")
+    lines = _read_lines(file, keep_empty=True)
+    if len(lines) != num_graphs:
+        raise ConfigError(f"{file} has {len(lines)} mask lines for {num_graphs} graphs")
     return [[int(s) for s in line.split(",") if s] for line in lines]
 
 

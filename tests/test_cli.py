@@ -13,7 +13,7 @@ from gib.case_study import CaseStudyConfig
 from gib.cli import main
 from gib.config import SCHEMA, load_config, to_train_config
 import gib.cli
-from gib.graphs import kfold_splits, load_mask_sidecar, load_tu_dataset
+from gib.graphs import kfold_splits, load_mask_sidecar, load_tu_dataset, random_splits
 from gib.subgraph import parse_selections
 from gib.train import TrainConfig
 
@@ -93,6 +93,18 @@ class TestTrainCommand:
         assert not os.path.exists(str(tmp_path / "r" / "checkpoint.bin"))
         assert not os.path.exists(str(tmp_path / "r"))  # no directory, no manifest
 
+    @pytest.mark.parametrize("command", ["train", "denoise", "interpret"])
+    def test_empty_test_split_fails_before_out(self, tmp_path, motif_dir, command, capsys):
+        cfg = str(tmp_path / "notest.ini")
+        with open(cfg, "w") as fh:
+            fh.write(FAST_TRAIN.replace("split_train = 0.7", "split_train = 0.9")
+                     .replace("split_test = 0.2", "split_test = 0.0"))
+        code = main([command, "--config", cfg, "--data", motif_dir,
+                     "--name", "TOY", "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert "nonempty 'test' split" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "r"))
+
     def test_missing_dataset_fails_nonzero(self, tmp_path, config_file):
         code = main(["train", "--config", config_file, "--data", str(tmp_path),
                      "--name", "GHOST", "--out", str(tmp_path / "r")])
@@ -105,7 +117,7 @@ class TestGenNoise:
         assert main(["gen-noise", "--data", motif_dir, "--name", "TOY",
                      "--fraction", "0.3", "--seed", "1", "--out", out]) == 0
         noisy = load_tu_dataset(out, "TOY_NOISY")
-        masks = load_mask_sidecar(out, "TOY_NOISY")
+        masks = load_mask_sidecar(out, "TOY_NOISY", len(noisy.graphs))
         clean = load_tu_dataset(motif_dir, "TOY")
         assert len(noisy.graphs) == len(clean.graphs)
         for g_clean, g_noisy, mask in zip(clean.graphs, noisy.graphs, masks):
@@ -176,6 +188,19 @@ class TestDenoiseCommand:
         assert code == 1
 
 
+    @pytest.mark.parametrize("missing", [1, 4])
+    def test_short_mask_sidecar_named(self, tmp_path, motif_dir, config_file, capsys, missing):
+        sidecar = os.path.join(motif_dir, "TOY_mask.txt")
+        lines = open(sidecar).read().splitlines(keepends=True)
+        with open(sidecar, "w") as fh:
+            fh.writelines(lines[:-missing])
+        code = main(["denoise", "--config", config_file, "--data", motif_dir,
+                     "--name", "TOY", "--seed", "2", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert f"{sidecar} has {20 - missing} mask lines for 20 graphs" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "x"))
+
+
 class TestInterpretCommand:
     @pytest.fixture()
     def continuous_dir(self, tmp_path):
@@ -195,6 +220,18 @@ class TestInterpretCommand:
         assert methods == ["GCN+GIB w/o con", "GCN+GIB w/o mi", "GCN+GIB"]
         records = parse_selections(os.path.join(out, "subgraphs.jsonl"))
         assert records and all("node_mask" in r for r in records)
+
+    def test_seed_sweep_dumps_first_seed(self, tmp_path, continuous_dir, config_file):
+        out = str(tmp_path / "sweep")
+        code = main(["interpret", "--config", config_file, "--data", continuous_dir,
+                     "--name", "CONT", "--seed", "3", "--seeds", "2", "--out", out,
+                     "--no-baselines"])
+        assert code == 0
+        table = open(os.path.join(out, "interpret_table.csv")).read().splitlines()
+        assert "+-" in table[-1].split(",")[1]  # mean +- std over the seed sweep
+        records = parse_selections(os.path.join(out, "subgraphs.jsonl"))
+        first, second = (random_splits(20, (0.7, 0.1, 0.2), seed)["test"] for seed in (3, 4))
+        assert [r["graph_id"] for r in records] == first != second
 
     def test_double_ablation_gives_plain_run(self, tmp_path, continuous_dir, config_file):
         out = str(tmp_path / "interp2")

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -180,6 +181,21 @@ class TestLineDataset:
         with pytest.raises(ConfigError):
             build_line_dataset(bare)
 
+    def test_mask_index_beyond_edges_names_graph(self, noisy_ds):
+        masks = [list(m) for m in noisy_ds.masks]
+        masks[3] = masks[3] + [noisy_ds.graphs[3].num_edges]
+        bad = Dataset(noisy_ds.graphs, noisy_ds.num_classes, splits=noisy_ds.splits,
+                      masks=masks, name="noisy")
+        with pytest.raises(ConfigError, match=f"graph 3 of noisy: .* has "
+                                              f"{noisy_ds.graphs[3].num_edges} edges"):
+            build_line_dataset(bad)
+
+    def test_mask_count_must_match_graphs(self, noisy_ds):
+        short = Dataset(noisy_ds.graphs, noisy_ds.num_classes, splits=noisy_ds.splits,
+                        masks=noisy_ds.masks[:-1])
+        with pytest.raises(ConfigError, match="23 real-edge masks for 24 graphs"):
+            build_line_dataset(short)
+
 
 class TestDenoising:
     def test_all_methods_report(self, noisy_ds):
@@ -232,3 +248,97 @@ class TestMotifRecovery:
         for r in runs:
             assert 0.0 <= r.accuracy <= 1.0
             assert 0.0 <= r.motif_recall <= 1.0
+
+
+def pin_noisy_dataset():
+    """pin_dataset(False) with 30% noise edges and real-edge masks."""
+    base = pin_dataset(False)
+    rng = np.random.default_rng(6)
+    graphs, masks = [], []
+    for g in base.graphs:
+        noisy, mask = add_noise_edges(g, 0.3, int(rng.integers(2**32)))
+        graphs.append(noisy)
+        masks.append(np.nonzero(mask)[0].tolist())
+    return Dataset(graphs, base.num_classes, splits=dict(base.splits), masks=masks, name="noisy")
+
+
+# sha256 of repr of each driver's astuple rows, recorded before the drivers
+# shared one selection step: the refactor left every row bitwise equal
+DRIVER_PINS = {
+    "denoising": "659912f2d026a6c502e048396fc26a469172661e3a3bfcaa32baad282644e70b",
+    "interpretation": "1ba14e116131344fa3c27a3eece320a9c23a119200d27f9365b37ad36469fb62",
+    "motif_recovery": "573c49da654a7f7db443eb5d68e64cb7412490c2d33309f20940be4a1efd5452",
+}
+
+
+def test_drivers_pinned_bitwise():
+    config = small_config()
+    rows = {
+        "denoising": run_denoising(pin_noisy_dataset(), config),
+        "interpretation": run_interpretation(
+            pin_dataset(True), config,
+            ("att05", "att07", "gib_no_con", "gib_no_mi", "gib", "gib_plain")),
+        "motif_recovery": run_motif_recovery(pin_dataset(False), config),
+    }
+    got = {name: hashlib.sha256(repr([astuple(r) for r in runs]).encode()).hexdigest()
+           for name, runs in rows.items()}
+    assert got == DRIVER_PINS
+
+
+@pytest.fixture()
+def training_calls(monkeypatch):
+    """Counts every baseline and GIB training the drivers start."""
+    experiments = importlib.import_module("gib.experiments")
+    calls = []
+
+    def counting(name):
+        real = getattr(experiments, name)
+
+        def wrapper(dataset, config, *args, **kwargs):
+            calls.append((name, config))
+            return real(dataset, config, *args, **kwargs)
+        return wrapper
+
+    for name in ("train_baseline", "train"):
+        monkeypatch.setattr(experiments, name, counting(name))
+    return calls
+
+
+class TestSelectionStep:
+    def test_unknown_method_rejected_before_training(self, noisy_ds, training_calls):
+        with pytest.raises(ConfigError, match="unknown denoising method 'gib_typo'"):
+            run_denoising(noisy_ds, small_config(), ("gcn", "gib_typo"))
+        assert training_calls == []
+
+    @pytest.mark.parametrize("driver", [run_interpretation, run_motif_recovery])
+    def test_gcn_selects_nothing_to_score(self, continuous_ds, driver, training_calls):
+        with pytest.raises(ConfigError, match="method 'gcn'"):
+            driver(continuous_ds, small_config(), ("att05", "gcn"))
+        assert training_calls == []
+
+    @pytest.mark.parametrize("driver,fixture", [
+        (run_denoising, "noisy_ds"), (run_interpretation, "continuous_ds"),
+        (run_motif_recovery, "motif_ds"),
+    ])
+    def test_empty_test_split_rejected_before_training(self, driver, fixture, request,
+                                                       training_calls):
+        ds = request.getfixturevalue(fixture)
+        splits = {**ds.splits, "train": ds.splits["train"] + ds.splits["test"], "test": []}
+        bare = Dataset(ds.graphs, ds.num_classes, splits=splits, masks=ds.masks)
+        with pytest.raises(ConfigError, match="nonempty 'test' split"):
+            driver(bare, small_config())
+        assert training_calls == []
+
+    def test_top_k_methods_share_one_baseline(self, continuous_ds, training_calls):
+        run_interpretation(continuous_ds, small_config(), ("att05", "att07"))
+        assert [name for name, _ in training_calls] == ["train_baseline"]
+
+    @pytest.mark.parametrize("driver,fixture", [
+        (run_denoising, "noisy_ds"), (run_interpretation, "continuous_ds"),
+        (run_motif_recovery, "motif_ds"),
+    ])
+    def test_gib_is_the_full_objective(self, driver, fixture, request, training_calls):
+        ds = request.getfixturevalue(fixture)
+        driver(ds, small_config(use_con=False, use_mi=False), ("gib",))
+        (name, config), = training_calls
+        assert name == "train" and config.use_con and config.use_mi

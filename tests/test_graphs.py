@@ -3,6 +3,7 @@
 import os
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -131,12 +132,27 @@ class TestTuLoader:
         ds = gen_planted_motif_dataset(MotifConfig(num_graphs=5, background_nodes=(6, 9), seed=4))
         save_tu_dataset(ds, str(tmp_path), "RT", masks=ds.masks)
         back = load_tu_dataset(str(tmp_path), "RT")
-        masks = load_mask_sidecar(str(tmp_path), "RT")
+        masks = load_mask_sidecar(str(tmp_path), "RT", 5)
         assert len(back.graphs) == 5 and back.num_classes == 2
         for a, b in zip(ds.graphs, back.graphs):
             np.testing.assert_array_equal(a.adjacency, b.adjacency)
             assert a.label == b.label
         assert masks == ds.masks
+
+    def test_mask_sidecar_keeps_empty_masks(self, tmp_path):
+        ds = gen_planted_motif_dataset(MotifConfig(num_graphs=3, background_nodes=(6, 9), seed=4))
+        masks = [[], [0, 2], []]
+        save_tu_dataset(ds, str(tmp_path), "RT", masks=masks)
+        assert load_mask_sidecar(str(tmp_path), "RT", 3) == masks
+
+    @pytest.mark.parametrize("missing", [1, 4])
+    def test_mask_sidecar_count_checked(self, tmp_path, missing):
+        ds = gen_planted_motif_dataset(MotifConfig(num_graphs=6, background_nodes=(6, 9), seed=4))
+        save_tu_dataset(ds, str(tmp_path), "RT", masks=ds.masks[:-missing])
+        path = os.path.join(str(tmp_path), "RT_mask.txt")
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"{path} has {6 - missing} mask lines for 6 graphs")):
+            load_mask_sidecar(str(tmp_path), "RT", 6)
 
 
 def random_graph(seed: int, n: int, p: float, d: int) -> Graph:
