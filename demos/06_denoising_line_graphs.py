@@ -34,10 +34,10 @@ noisy_ds = Dataset(graphs, base.num_classes, masks=masks, name="demo_noisy")
 noisy_ds.splits = random_splits(len(graphs), (0.70, 0.05, 0.25), seed=0)
 
 g0 = graphs[0]
-pair = to_line_graph(g0)
+line = to_line_graph(g0)
 print(f"example graph: {g0.n} nodes, {g0.num_edges} edges "
       f"({len(masks[0])} real + {g0.num_edges - len(masks[0])} injected)")
-print(f"its line graph: {pair.line.n} nodes (one per edge); selecting line "
+print(f"its line graph: {line.n} nodes (one per edge); selecting line "
       f"nodes = selecting edges\n")
 
 config = TrainConfig(beta=0.1, inner_steps=15, outer_steps=60, batch_size=32,

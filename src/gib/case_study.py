@@ -30,7 +30,6 @@ from .tensor import Tensor, zero_grads
 @dataclass
 class ToyPairSampler:
     sigma2: float
-    samples_per_epoch: int = 20000
 
     def __post_init__(self):
         if self.sigma2 <= 0:
@@ -53,7 +52,6 @@ def sample_pairs(
 @dataclass
 class MiOracleEstimate:
     value: float
-    sample_count: int
     standard_error: float
 
 
@@ -84,7 +82,6 @@ def mi_oracle(
     pointwise = log_cond - log_marg
     return MiOracleEstimate(
         value=float(pointwise.mean()),
-        sample_count=len(pointwise),
         standard_error=float(pointwise.std(ddof=1) / np.sqrt(len(pointwise))),
     )
 
@@ -167,13 +164,13 @@ def run_case_study(config: CaseStudyConfig) -> list[CaseStudyTraceRow]:
     """
     ss = np.random.SeedSequence(config.seed)
     init_rng, sample_rng, batch_rng = (np.random.default_rng(c) for c in ss.spawn(3))
-    statnet = Mlp([2, config.hidden, 1], init_rng, hidden_activation="tanh")
+    statnet = Mlp([2, config.hidden, 1], init_rng)
     sigma2 = config.sigma2_fixed if config.sigma2_fixed is not None else config.sigma2_init
     rho = Tensor(math.log(sigma2))
     outer_opt = make_optimizer("adam", [rho], config.lr_outer)
 
     if config.warmup_steps > 0:
-        sampler = ToyPairSampler(sigma2, config.samples_per_epoch)
+        sampler = ToyPairSampler(sigma2)
         x, y, _ = sample_pairs(sampler, config.samples_per_epoch, sample_rng)
         _inner_ascend(statnet, x, y, config.warmup_steps, config.lr_inner,
                       config.inner_batch, batch_rng, "warmup")
@@ -181,7 +178,7 @@ def run_case_study(config: CaseStudyConfig) -> list[CaseStudyTraceRow]:
     trace: list[CaseStudyTraceRow] = []
     for epoch in range(1, config.epochs + 1):
         sigma2 = float(np.exp(rho.data))
-        sampler = ToyPairSampler(sigma2, config.samples_per_epoch)
+        sampler = ToyPairSampler(sigma2)
         x, y, eps = sample_pairs(sampler, config.samples_per_epoch, sample_rng)
 
         _inner_ascend(statnet, x, y, config.inner_steps, config.lr_inner,
@@ -200,9 +197,3 @@ def run_case_study(config: CaseStudyConfig) -> list[CaseStudyTraceRow]:
             outer_opt.step()
     return trace
 
-
-def write_trace_csv(path: str, trace: list[CaseStudyTraceRow]) -> None:
-    with open(path, "w") as fh:
-        fh.write("epoch,mi_estimate,oracle_mi,sigma2\n")
-        for row in trace:
-            fh.write(f"{row.epoch},{row.mi_estimate!r},{row.oracle_mi!r},{row.sigma2!r}\n")

@@ -21,10 +21,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .case_study import CaseStudyConfig, run_case_study, write_trace_csv
+from .case_study import CaseStudyConfig, CaseStudyTraceRow, run_case_study
 from .checkpoint import save_params
 from .config import flatten, load_config, to_train_config
-from .experiments import run_denoising, run_interpretation
+from .experiments import check_masks, run_denoising, run_interpretation
 from .graphs import (
     ConfigError,
     Dataset,
@@ -38,9 +38,9 @@ from .graphs import (
     random_splits,
     save_tu_dataset,
 )
-from .metrics import format_table, mean_std, write_table_csv
+from .metrics import format_table, mean_std, write_csv
 from .subgraph import dump_selections
-from .train import TrainConfig, evaluate_split, train, write_metrics_csv, write_mi_trace_csv
+from .train import METRICS_COLUMNS, TrainConfig, evaluate_split, train
 
 
 def _write_manifest(out_dir: str, command: str, args: argparse.Namespace,
@@ -100,8 +100,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     _write_manifest(args.out, "train", args, config, dataset, outputs)
 
     result = train(dataset, train_cfg)
-    write_metrics_csv(os.path.join(args.out, "metrics.csv"), result)
-    write_mi_trace_csv(os.path.join(args.out, "mi_trace.csv"), result)
+    write_csv(os.path.join(args.out, "metrics.csv"), METRICS_COLUMNS,
+              [dataclasses.astuple(r) for r in result.history])
+    write_csv(os.path.join(args.out, "mi_trace.csv"), ("outer_step", "mi_estimate"),
+              result.mi_trace)
     save_params(
         os.path.join(args.out, "checkpoint.bin"),
         [(name, p.data) for name, p in result.model.named_params()],
@@ -177,15 +179,18 @@ def _aggregate(rows_per_seed: list[list], fields: list[str]) -> list[list[str]]:
 
 def _seed_sweep(args: argparse.Namespace, command: str,
                 drive: Callable[[Dataset, TrainConfig], list], fields: list[str],
-                extra_outputs: tuple[str, ...] = (), continuous: bool = False) -> list[list]:
+                mask_kind: str, extra_outputs: tuple[str, ...] = (),
+                continuous: bool = False) -> list[list]:
     """Run ``drive`` on the masked dataset once per seed, each with its own
-    splits, and write the mean +- std table; returns each seed's rows."""
+    splits, and write the mean +- std table; returns each seed's rows. The
+    masks (of ``mask_kind``, see ``check_masks``) are checked first."""
     config = load_config(args.config)
     train_cfg = to_train_config(config, args.seed)
     dataset = _load_dataset(args, config, with_masks=True)
     if continuous and not dataset.continuous:
         raise ConfigError(f"{command} needs a continuous-property dataset "
                           f"({dataset.name} has {dataset.num_classes} classes)")
+    check_masks(dataset, mask_kind)
     os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, f"{command}_table")
     _write_manifest(args.out, command, args, config, dataset,
@@ -206,7 +211,7 @@ def _seed_sweep(args: argparse.Namespace, command: str,
     table = _aggregate(rows_per_seed, fields)
     text = format_table(headers, table)
     print(text)
-    write_table_csv(stem + ".csv", headers, table)
+    write_csv(stem + ".csv", headers, table)
     with open(stem + ".txt", "w") as fh:
         fh.write(text + "\n")
     return rows_per_seed
@@ -215,7 +220,7 @@ def _seed_sweep(args: argparse.Namespace, command: str,
 def cmd_denoise(args: argparse.Namespace) -> int:
     # the driver is looked up at call time, so it can be replaced in gib.cli
     _seed_sweep(args, "denoise", lambda ds, cfg: run_denoising(ds, cfg),
-                ["recall", "precision", "accuracy"])
+                ["recall", "precision", "accuracy"], "real-edge")
     return 0
 
 
@@ -233,7 +238,7 @@ def cmd_interpret(args: argparse.Namespace) -> int:
         methods += ["gib_no_con", "gib_no_mi", "gib"]
     rows_per_seed = _seed_sweep(
         args, "interpret", lambda ds, cfg: run_interpretation(ds, cfg, tuple(methods)),
-        ["bias_mean", "bias_std", "components_per_graph", "degenerate_rate"],
+        ["bias_mean", "bias_std", "components_per_graph", "degenerate_rate"], "motif",
         ("subgraphs.jsonl",), continuous=True)
     dump_selections(os.path.join(args.out, "subgraphs.jsonl"), rows_per_seed[0][-1].records)
     return 0
@@ -249,7 +254,9 @@ def cmd_case_study(args: argparse.Namespace) -> int:
         section["epochs"] = args.epochs
     cs_config = CaseStudyConfig(**section, seed=args.seed, sigma2_fixed=args.sigma2_fixed)
     trace = run_case_study(cs_config)
-    write_trace_csv(os.path.join(args.out, "case_study_trace.csv"), trace)
+    write_csv(os.path.join(args.out, "case_study_trace.csv"),
+              [f.name for f in dataclasses.fields(CaseStudyTraceRow)],
+              [dataclasses.astuple(r) for r in trace])
     first, last = trace[0], trace[-1]
     print(f"epoch 1: estimate={first.mi_estimate:.4f} oracle={first.oracle_mi:.4f} "
           f"sigma2={first.sigma2:.4f}")

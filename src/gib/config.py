@@ -31,10 +31,9 @@ def _fields(config_class: type, leave_out: tuple[str, ...]) -> dict[str, tuple[t
 
 
 # section -> key -> (python type, default). Fields set from the command line
-# (the seed, the loss ablations, the case study's fixed channel) or only by
-# tests (the freeze checks) have no key.
+# (the seed, the loss ablations, the case study's fixed channel) have no key.
 SCHEMA: dict[str, dict[str, tuple[type, Any]]] = {
-    "train": _fields(TrainConfig, ("seed", "use_mi", "use_con", "debug_freeze_checks")),
+    "train": _fields(TrainConfig, ("seed", "use_mi", "use_con")),
     "data": {
         "split_train": (float, 0.7),
         "split_val": (float, 0.05),

@@ -103,17 +103,16 @@ def select_and_score(
     """Train each method once, select a subgraph on every test graph and
     return ``score(row label, model, test selections, soft S)`` per method.
 
-    Checks every method name, the masks and the test split before any
-    training. The attention baselines share one trained model and select
-    top-k nodes; GIB variants discretize their assignment S and also pass
-    it; ``gcn`` (only with ``allow_gcn``) selects nothing and passes None.
+    Checks every method name and the test split before any training (the
+    drivers check the masks with :func:`check_masks`). The attention
+    baselines share one trained model and select top-k nodes; GIB variants
+    discretize their assignment S and also pass it; ``gcn`` (only with
+    ``allow_gcn``) selects nothing and passes None.
     The selections are arguments, not locals, so none outlives its score.
     """
     for name in methods:
         if name not in METHODS or (name == "gcn" and not allow_gcn):
             raise ConfigError(f"unknown {task} method {name!r}")
-    if dataset.masks is None:
-        raise ConfigError(f"{task} needs ground-truth masks")
     test_graphs = dataset.subset("test")
     attention = None
     rows = []
@@ -141,6 +140,22 @@ def select_and_score(
     return rows
 
 
+def check_masks(dataset: Dataset, kind: str) -> None:
+    """One ground-truth mask per graph, each within its graph: a "real-edge"
+    mask indexes the canonical edges, a "motif" mask the nodes. A
+    ConfigError names the first graph at fault."""
+    if dataset.masks is None:
+        raise ConfigError(f"{dataset.name} needs ground-truth {kind} masks")
+    if len(dataset.masks) != len(dataset.graphs):
+        raise ConfigError(f"{len(dataset.masks)} {kind} masks for {len(dataset.graphs)} graphs")
+    unit = "edges" if kind == "real-edge" else "nodes"
+    for gi, (graph, mask) in enumerate(zip(dataset.graphs, dataset.masks)):
+        size = graph.num_edges if kind == "real-edge" else graph.n
+        if mask and not 0 <= min(mask) <= max(mask) < size:
+            raise ConfigError(f"graph {gi} of {dataset.name}: {kind} mask spans "
+                              f"{min(mask)}..{max(mask)}, but the graph has {size} {unit}")
+
+
 # -- denoising ---------------------------------------------------------------------
 
 
@@ -150,17 +165,9 @@ def build_line_dataset(noisy: Dataset) -> Dataset:
     Line node k of graph i corresponds to edge k in the canonical edge order,
     which is exactly what the real-edge masks index.
     """
-    if noisy.masks is None:
-        raise ConfigError("denoising needs ground-truth real-edge masks")
-    if len(noisy.masks) != len(noisy.graphs):
-        raise ConfigError(f"{len(noisy.masks)} real-edge masks for {len(noisy.graphs)} graphs")
-    pairs = [to_line_graph(g) for g in noisy.graphs]
-    for gi, (pair, mask) in enumerate(zip(pairs, noisy.masks)):
-        if mask and not 0 <= min(mask) <= max(mask) < pair.line.n:
-            raise ConfigError(f"graph {gi} of {noisy.name}: real-edge mask spans "
-                              f"{min(mask)}..{max(mask)}, but the graph has {pair.line.n} edges")
+    check_masks(noisy, "real-edge")
     return Dataset(
-        graphs=[p.line for p in pairs],
+        graphs=[to_line_graph(g) for g in noisy.graphs],
         num_classes=noisy.num_classes,
         splits=dict(noisy.splits),
         masks=[list(m) for m in noisy.masks],
@@ -224,6 +231,7 @@ def run_interpretation(
     full model on a continuous-property dataset."""
     if not dataset.continuous:
         raise ConfigError("interpretation needs a continuous-property dataset")
+    check_masks(dataset, "motif")
 
     def score(label, _, selections, soft) -> InterpretationRun:
         biases, comp_counts, records = [], [], []
@@ -257,6 +265,7 @@ def run_motif_recovery(
     dataset: Dataset, config: TrainConfig, methods: tuple[str, ...] = ("att05", "gib")
 ) -> list[MotifRecoveryRun]:
     """Classification accuracy plus recall of planted-motif nodes on test."""
+    check_masks(dataset, "motif")
     test_graphs = dataset.subset("test")
     labels = [int(g.label) for g in test_graphs]
 

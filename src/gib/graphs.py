@@ -158,15 +158,6 @@ class Dataset:
             raise ConfigError("splits do not cover all graphs")
 
 
-@dataclass
-class LineGraphPair:
-    """A graph and its line graph; line node k corresponds to edge_map[k]."""
-
-    original: Graph
-    line: Graph
-    edge_map: list[tuple[int, int]]
-
-
 # -- TU Dortmund format -------------------------------------------------------
 
 
@@ -375,9 +366,10 @@ def add_noise_edges(
 # -- line graph ----------------------------------------------------------------
 
 
-def to_line_graph(graph: Graph) -> LineGraphPair:
+def to_line_graph(graph: Graph) -> Graph:
     """Line graph: one node per edge, adjacent when edges share an endpoint.
 
+    Line node k is edge k of ``graph.edges()``, the canonical order.
     Line-node features are the sum of the two endpoint feature vectors
     (permutation-invariant in the endpoints); the label carries over.
     """
@@ -391,8 +383,7 @@ def to_line_graph(graph: Graph) -> LineGraphPair:
     adjacency = (incidence @ incidence.T > 0.0).astype(np.float64)
     np.fill_diagonal(adjacency, 0.0)
     features = graph.features[ends[:, 0]] + graph.features[ends[:, 1]]
-    line = Graph(adjacency, features, graph.label)
-    return LineGraphPair(original=graph, line=line, edge_map=edges)
+    return Graph(adjacency, features, graph.label)
 
 
 # -- planted motifs -------------------------------------------------------------

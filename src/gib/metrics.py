@@ -7,7 +7,7 @@ subgraph scores the full property value as its bias.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -130,8 +130,10 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
-def write_table_csv(path: str, headers: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A header line, then one line per row: floats by ``repr``, which keeps
+    every bit, anything else by ``str``."""
     with open(path, "w") as fh:
-        fh.write(",".join(headers) + "\n")
+        fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(str(c) for c in row) + "\n")
+            fh.write(",".join(repr(c) if isinstance(c, float) else str(c) for c in row) + "\n")

@@ -43,7 +43,7 @@ class StatisticsNetwork:
         hidden: int = 16,
     ):
         self.encoder = shared_encoder
-        self.head = Mlp([2 * embed_dim, hidden, 1], rng, hidden_activation="tanh")
+        self.head = Mlp([2 * embed_dim, hidden, 1], rng)
         self.embed_dim = embed_dim
 
     def graph_embedding(self, graph: Graph) -> Tensor:
@@ -55,17 +55,13 @@ class StatisticsNetwork:
         batch = graph.as_batch
         return batch.mean(self.encoder.forward(batch))
 
-    def statistic(self, graph_emb: Tensor, sub_emb: Tensor) -> Tensor:
-        """The scalar score of one pair of embeddings."""
-        return T.pick(self.head.forward(T.concat_cols([graph_emb, sub_emb])), 0, 0)
-
     def head_params(self) -> list[Tensor]:
         return self.head.params()
 
     def reinitialize_head(self, rng: np.random.Generator) -> None:
         """Fresh head draw; the bi-level loop does this before each inner run."""
         hidden = self.head.weights[0].shape[1]
-        self.head = Mlp([2 * self.embed_dim, hidden, 1], rng, hidden_activation="tanh")
+        self.head = Mlp([2 * self.embed_dim, hidden, 1], rng)
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         return self.head.named_params("statnet.head")

@@ -32,6 +32,7 @@ class Predictor:
 
     def __init__(self, num_classes: Optional[int]):
         self.num_classes = num_classes
+        self.out_width = num_classes if num_classes is not None else 1
         self.label_scale = constant([[0.0, 1.0]])
 
     @property
@@ -96,27 +97,20 @@ class GibModel(Predictor):
         self.generator = SubgraphGenerator(
             feature_dim, hidden, rng, gcn_layers=gcn_layers, mlp_hidden=mlp_hidden
         )
-        out_width = num_classes if num_classes is not None else 1
-        self.classifier = Mlp([hidden, mlp_hidden, out_width], rng, hidden_activation="tanh")
+        self.classifier = Mlp([hidden, mlp_hidden, self.out_width], rng)
         self.statnet = StatisticsNetwork(self.generator.encoder, hidden, rng, hidden=mlp_hidden)
         self.hidden = hidden
 
     # parameter groups ------------------------------------------------------
-
-    def theta_params(self) -> list[Tensor]:
-        """Generator parameters (encoder + assignment MLP)."""
-        return self.generator.encoder_params() + self.generator.mlp_params()
-
-    def phi1_params(self) -> list[Tensor]:
-        """Classifier parameters."""
-        return self.classifier.params()
 
     def phi2_params(self) -> list[Tensor]:
         """Statistics-network head parameters."""
         return self.statnet.head_params()
 
     def outer_params(self) -> list[Tensor]:
-        return self.theta_params() + self.phi1_params()
+        """Generator (encoder + assignment MLP) and classifier parameters."""
+        generator = self.generator
+        return generator.encoder.params() + generator.assign_mlp.params() + self.classifier.params()
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         return (
@@ -169,8 +163,7 @@ class AttentionClassifier(Predictor):
         widths = [feature_dim] + [hidden] * gcn_layers
         self.encoder = GcnEncoder(widths, rng)
         self.attention = AttentionHead(hidden, mlp_hidden, rng)
-        out_width = num_classes if num_classes is not None else 1
-        self.classifier = Mlp([hidden, mlp_hidden, out_width], rng, hidden_activation="tanh")
+        self.classifier = Mlp([hidden, mlp_hidden, self.out_width], rng)
 
     def forward(self, batch: GraphBatch) -> tuple[Tensor, Tensor]:
         """Returns (B output rows, attention scores 1 x N)."""
@@ -209,8 +202,7 @@ class MeanPoolClassifier(Predictor):
         super().__init__(num_classes)
         widths = [feature_dim] + [hidden] * gcn_layers
         self.encoder = GcnEncoder(widths, rng)
-        out_width = num_classes if num_classes is not None else 1
-        self.classifier = Mlp([hidden, mlp_hidden, out_width], rng, hidden_activation="tanh")
+        self.classifier = Mlp([hidden, mlp_hidden, self.out_width], rng)
 
     def outputs(self, batch: GraphBatch) -> Tensor:
         return self.classifier.forward(batch.mean(self.encoder.forward(batch)))

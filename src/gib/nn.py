@@ -33,16 +33,15 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 class GcnLayer:
     """One graph-convolution layer: relu(norm_adj @ X @ W), per graph of a batch."""
 
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, activation: str = "relu"):
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         self.weight = Tensor(glorot(rng, d_in, d_out))
-        self.activation = T.check_activation(activation)
 
     def forward(self, batch: GraphBatch, x: Tensor) -> Tensor:
         return self.transform(T.segment_matmul(batch.propagation, x, batch.segments))
 
     def transform(self, propagated: Tensor) -> Tensor:
-        """The layer after propagation: activation(propagated @ W)."""
-        return T.dense(propagated, self.weight, None, self.activation)
+        """The layer after propagation: relu(propagated @ W)."""
+        return T.dense(propagated, self.weight, None, "relu")
 
     def params(self) -> list[Tensor]:
         return [self.weight]
@@ -80,33 +79,22 @@ class GcnEncoder:
 
 
 class Mlp:
-    """Affine stack with per-layer activations (last one usually identity)."""
+    """Affine stack: tanh after every hidden layer, none after the last."""
 
-    def __init__(
-        self,
-        widths: Sequence[int],
-        rng: np.random.Generator,
-        hidden_activation: str = "tanh",
-        final_activation: str = "identity",
-    ):
+    def __init__(self, widths: Sequence[int], rng: np.random.Generator):
         if len(widths) < 2:
             raise ShapeMismatch("an Mlp needs at least an input and an output width")
-        T.check_activation(hidden_activation)
-        T.check_activation(final_activation)
         self.weights: list[Tensor] = []
         self.biases: list[Tensor] = []
-        self.activations: list[str] = []
         for i in range(len(widths) - 1):
             self.weights.append(Tensor(glorot(rng, widths[i], widths[i + 1])))
             self.biases.append(Tensor(np.zeros((1, widths[i + 1]))))
-            last = i == len(widths) - 2
-            self.activations.append(final_activation if last else hidden_activation)
 
     def forward(self, x: Tensor) -> Tensor:
         h = x
-        for w, b, act in zip(self.weights, self.biases, self.activations):
-            h = T.dense(h, w, b, act)
-        return h
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            h = T.dense(h, w, b, "tanh")
+        return T.dense(h, self.weights[-1], self.biases[-1], "identity")
 
     def params(self) -> list[Tensor]:
         out: list[Tensor] = []

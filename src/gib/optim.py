@@ -41,19 +41,13 @@ class Adam:
     value and its moments.
     """
 
-    def __init__(
-        self,
-        params: list[Tensor],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: list[Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         bounds = list(accumulate((p.data.size for p in params), initial=0))
         self._spans = list(zip(bounds[:-1], bounds[1:]))
@@ -66,8 +60,8 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
+        b1t = 1.0 - self.BETA1**self.t
+        b2t = 1.0 - self.BETA2**self.t
         g, m, v, step, tmp = self._grad, self.m, self.v, self._step, self._scratch
         skipped = []
         for p, (start, end) in zip(self.params, self._spans):
@@ -76,18 +70,18 @@ class Adam:
                 g[start:end] = 0.0
             else:
                 g[start:end] = np.ravel(p.grad)
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=tmp)
+        m *= self.BETA1
+        np.multiply(g, 1.0 - self.BETA1, out=tmp)
         m += tmp
-        v *= self.beta2
+        v *= self.BETA2
         np.square(g, out=tmp)
-        tmp *= 1.0 - self.beta2
+        tmp *= 1.0 - self.BETA2
         v += tmp
         np.divide(m, b1t, out=step)
         step *= self.lr
         np.divide(v, b2t, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += self.eps
+        tmp += self.EPS
         step /= tmp
         for start, end, m_kept, v_kept in skipped:
             m[start:end] = m_kept

@@ -38,19 +38,13 @@ class SubgraphGenerator:
     ):
         widths = [feature_dim] + [hidden] * gcn_layers
         self.encoder = GcnEncoder(widths, rng)
-        self.assign_mlp = Mlp([hidden, mlp_hidden, 2], rng, hidden_activation="tanh")
+        self.assign_mlp = Mlp([hidden, mlp_hidden, 2], rng)
 
     def assignment(self, batch: GraphBatch) -> tuple[Tensor, Tensor]:
         """Returns (S, node embeddings), stacked over the batch. Rows of S sum to 1."""
         x = self.encoder.forward(batch)
         s = T.row_softmax(self.assign_mlp.forward(x))
         return s, x
-
-    def encoder_params(self) -> list[Tensor]:
-        return self.encoder.params()
-
-    def mlp_params(self) -> list[Tensor]:
-        return self.assign_mlp.params()
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         return self.encoder.named_params("generator.encoder") + self.assign_mlp.named_params(

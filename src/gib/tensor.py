@@ -80,7 +80,7 @@ class Tensor:
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeMismatch(f"item() needs a scalar, got shape {self.data.shape}")
-        return float(self.data)
+        return self.data.item()
 
     def __float__(self) -> float:
         return self.item()
@@ -323,29 +323,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-ACTIVATIONS = ("identity", "relu", "tanh")
-
-
-def check_activation(name: str) -> str:
-    """``name`` if :func:`dense` knows it; a ValueError naming it otherwise."""
-    if name not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {name!r}, expected one of {ACTIVATIONS}")
-    return name
-
-
 def dense(x: Tensor, w: Tensor, b: Optional[Tensor], activation: str) -> Tensor:
     """``activation(x @ w + b)`` as one node: a whole affine layer.
 
     The product goes into a fresh array and the bias and activation are
     applied to it in place, so the layer keeps one N x d_out array on the
     tape, not three. ``b`` is a 1 x d_out row or ``None``; ``activation`` is
-    one of :data:`ACTIVATIONS`. Value and gradients are bitwise those of the
-    ``matmul``, ``add`` and activation chain: the backward forms the
-    pre-activation gradient once and runs the chain's numpy expressions in
-    the chain's order (relu's mask is read off the output, which is positive
-    exactly where the pre-activation is).
+    ``"identity"``, ``"relu"`` or ``"tanh"``. Value and gradients are
+    bitwise those of the ``matmul``, ``add`` and activation chain: the
+    backward forms the pre-activation gradient once and runs the chain's
+    numpy expressions in the chain's order (relu's mask is read off the
+    output, which is positive exactly where the pre-activation is).
     """
-    check_activation(activation)
+    if activation not in ("identity", "relu", "tanh"):
+        raise ValueError(f"dense: unknown activation {activation!r}")
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
         raise ShapeMismatch(f"dense: input {x.data.shape} does not fit weight {w.data.shape}")
     if b is not None and b.data.shape != (1, w.data.shape[1]):
@@ -389,36 +380,6 @@ def transpose(a: Tensor) -> Tensor:
 
     def grad_fn(g: np.ndarray) -> None:
         a._accumulate(g.T)
-
-    out.grad_fn = grad_fn
-    return out
-
-
-def row(a: Tensor, i: int) -> Tensor:
-    """Row ``i`` of a matrix as a 1 x d tensor."""
-    if a.data.ndim != 2:
-        raise ShapeMismatch(f"row: expected a matrix, got {a.data.shape}")
-    out = Tensor(a.data[i : i + 1, :].copy(), (a,), op="row")
-
-    def grad_fn(g: np.ndarray) -> None:
-        buf = np.zeros_like(a.data)
-        buf[i : i + 1, :] = g
-        a._accumulate(buf)
-
-    out.grad_fn = grad_fn
-    return out
-
-
-def pick(a: Tensor, i: int, j: int) -> Tensor:
-    """Single entry of a matrix as a scalar tensor."""
-    if a.data.ndim != 2:
-        raise ShapeMismatch(f"pick: expected a matrix, got {a.data.shape}")
-    out = Tensor(a.data[i, j], (a,), op="pick")
-
-    def grad_fn(g: np.ndarray) -> None:
-        buf = np.zeros_like(a.data)
-        buf[i, j] = g
-        a._accumulate(buf)
 
     out.grad_fn = grad_fn
     return out

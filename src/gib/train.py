@@ -57,7 +57,6 @@ class TrainConfig:
     per_batch_inner: bool = False
     full_pairing: bool = False
     inner_batch_size: Optional[int] = None
-    debug_freeze_checks: bool = False
 
     def validate(self) -> None:
         if self.beta < 0:
@@ -89,6 +88,11 @@ class LossBreakdown:
     total: float
 
 
+# metrics.csv's header: one column per EpochRecord field, in field order
+METRICS_COLUMNS = ("outer_step", "loss_cls", "loss_mi", "loss_con", "loss_total",
+                   "val_metric", "degenerate_rate")
+
+
 @dataclass
 class EpochRecord:
     epoch: int
@@ -107,20 +111,6 @@ class TrainResult:
     mi_trace: list[tuple[int, float]]  # (epoch, converged estimate)
     best_epoch: int
     best_val: float
-
-    def history_rows(self) -> list[dict]:
-        return [
-            {
-                "outer_step": r.epoch,
-                "loss_cls": r.cls,
-                "loss_mi": r.mi,
-                "loss_con": r.con,
-                "loss_total": r.total,
-                "val_metric": r.val_metric,
-                "degenerate_rate": r.degenerate_rate,
-            }
-            for r in self.history
-        ]
 
 
 def output_loss(
@@ -144,16 +134,6 @@ def classification_loss(
 ) -> Tensor:
     """Cross entropy for class labels, squared error for continuous ones."""
     return output_loss(classifier.forward(sub_emb), [label], num_classes)
-
-
-def _snapshot(params: list[Tensor]) -> list[np.ndarray]:
-    return [p.data.copy() for p in params]
-
-
-def _assert_unchanged(params: list[Tensor], before: list[np.ndarray], what: str) -> None:
-    for p, b in zip(params, before):
-        if not np.array_equal(p.data, b):
-            raise AssertionError(f"{what} parameters changed during a frozen phase")
 
 
 def _batches(indices: list[int], batch_size: int) -> list[list[int]]:
@@ -207,9 +187,6 @@ def outer_step(
     config: TrainConfig,
 ) -> LossBreakdown:
     """One minimization step on generator + classifier; the head is frozen."""
-    if config.debug_freeze_checks:
-        phi2_before = _snapshot(model.phi2_params())
-
     zero_grads(model.outer_params() + model.phi2_params())
     batch = GraphBatch(graphs)
     s, x, sub_embs = model.forward(batch)
@@ -232,9 +209,6 @@ def outer_step(
         )
     outer_optimizer.step()
 
-    if config.debug_freeze_checks:
-        _assert_unchanged(model.phi2_params(), phi2_before, "statistics-head")
-
     cls_value, mi_value, con_value = (float(t.data) for t in (cls_loss, mi_loss, con_loss))
     return LossBreakdown(cls_value, mi_value, con_value, config.beta, con_weight,
                          cls_value + config.beta * mi_value + con_weight * con_value)
@@ -256,9 +230,6 @@ def evaluate_split(model: GibModel, dataset: Dataset, split: str, threshold: flo
     sq_err = 0.0
     degenerate = 0
     bias_terms: list[float] = []
-    mask_lookup = None
-    if dataset.masks is not None:
-        mask_lookup = {i: dataset.masks[i] for i in dataset.splits[split]}
     preds: list[float | int] = []
     assignments: list[np.ndarray] = []
     for batch in batches(graphs):
@@ -273,8 +244,8 @@ def evaluate_split(model: GibModel, dataset: Dataset, split: str, threshold: flo
         sel = discretize(s_graph, graph, threshold)
         if sel.empty or sel.node_mask.all():
             degenerate += 1
-        if mask_lookup is not None and dataset.continuous:
-            bias_terms.append(motif_property_bias(mask_lookup[gi], graph, sel))
+        if dataset.masks is not None and dataset.continuous:
+            bias_terms.append(motif_property_bias(dataset.masks[gi], graph, sel))
     out = {"degenerate_rate": degenerate / len(graphs)}
     if dataset.continuous:
         out["mse"] = sq_err / len(graphs)
@@ -356,7 +327,6 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     epoch_losses: list[LossBreakdown] = []
 
     def inner_phase(graphs: list[Graph], epoch: int, where: str) -> None:
-        outer_before = _snapshot(model.outer_params()) if config.debug_freeze_checks else None
         try:
             mi_estimate = run_inner_phase(model, graphs, config, phi2_rng, inner_rng)
         except FloatingPointError as err:
@@ -364,8 +334,6 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
                 f"{where}: {err}; statistics-head parameter norms "
                 f"{_param_norms(model, model.phi2_params())}"
             ) from err
-        if outer_before is not None:
-            _assert_unchanged(model.outer_params(), outer_before, "generator/classifier")
         mi_trace.append((epoch, mi_estimate))
 
     def step(epoch: int, batch_index: int, batch: list[Graph]) -> None:
@@ -409,20 +377,3 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
         best_val=best_val,
     )
 
-
-def write_metrics_csv(path: str, result: TrainResult) -> None:
-    rows = result.history_rows()
-    columns = ["outer_step", "loss_cls", "loss_mi", "loss_con", "loss_total",
-               "val_metric", "degenerate_rate"]
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                              for c in columns) + "\n")
-
-
-def write_mi_trace_csv(path: str, result: TrainResult) -> None:
-    with open(path, "w") as fh:
-        fh.write("outer_step,mi_estimate\n")
-        for epoch, value in result.mi_trace:
-            fh.write(f"{epoch},{value!r}\n")

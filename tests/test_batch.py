@@ -19,7 +19,7 @@ from gib.batch import GraphBatch, batches
 from gib.gradcheck import max_relative_error
 from gib.graphs import Graph, normalized_adjacency
 from gib.models import AttentionClassifier, GibModel, MeanPoolClassifier
-from gib.subgraph import connectivity_loss
+from gib.subgraph import connectivity_loss, discretize
 from gib.tensor import ShapeMismatch, Tensor
 from gib.train import classification_loss, output_loss
 
@@ -291,6 +291,30 @@ class TestNodePermutation:
         np.testing.assert_allclose(graph_embs_p.data, graph_embs.data, atol=MATCH_TOL)
         assert float(cls_p.data) == pytest.approx(float(cls.data), abs=MATCH_TOL)
         assert float(con_p.data) == pytest.approx(float(con.data), abs=MATCH_TOL)
+
+    @PROPERTY
+    @given(sizes=GRAPH_SIZES, seed=SEEDS,
+           model_class=st.sampled_from([GibModel, AttentionClassifier, MeanPoolClassifier]))
+    def test_relabelling_every_graph_keeps_predictions_and_selections(self, sizes, seed,
+                                                                      model_class):
+        graphs = random_graphs(seed, sizes, continuous=True)
+        r = np.random.default_rng(seed)
+        perms = [r.permutation(g.n) for g in graphs]
+        relabelled = [Graph(g.adjacency[np.ix_(p, p)], g.features[p], g.label)
+                      for g, p in zip(graphs, perms)]
+        model = model_class(3, None, np.random.default_rng(seed % 1000), hidden=4, mlp_hidden=4)
+        np.testing.assert_allclose(model.predict_all(relabelled), model.predict_all(graphs),
+                                   rtol=0.0, atol=MATCH_TOL)
+        if model_class is not GibModel:
+            return
+        # node p[i] of a graph is node i of its relabelling; a node within
+        # 1e-9 of the threshold may fall on either side
+        for g, g_p, p in zip(graphs, relabelled, perms):
+            s = model.assignment_matrix(g)
+            kept = discretize(s, g, 0.5).node_mask[p]
+            kept_p = discretize(model.assignment_matrix(g_p), g_p, 0.5).node_mask
+            clear = np.abs(s[p, 0] - 0.5) > 1e-9
+            np.testing.assert_array_equal(kept_p[clear], kept[clear])
 
 
 class TestAllocator:

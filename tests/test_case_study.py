@@ -1,19 +1,21 @@
 """Two-variable toy channel: sampler, closed-form oracle, bi-level descent."""
 
 import math
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 
 from gib.case_study import (
     CaseStudyConfig,
+    CaseStudyTraceRow,
     ToyPairSampler,
     dv_estimate,
     mi_oracle,
     run_case_study,
     sample_pairs,
-    write_trace_csv,
 )
+from gib.metrics import write_csv
 from gib.nn import Mlp
 
 
@@ -95,7 +97,7 @@ class TestRunCaseStudy:
         trace = run_case_study(cfg)
         assert len(trace) == 3
         path = str(tmp_path / "trace.csv")
-        write_trace_csv(path, trace)
+        write_csv(path, [f.name for f in fields(CaseStudyTraceRow)], [astuple(r) for r in trace])
         lines = open(path).read().splitlines()
         assert lines[0] == "epoch,mi_estimate,oracle_mi,sigma2"
         assert len(lines) == 4

@@ -1,6 +1,7 @@
 """Command-line workflows: artifact emission, determinism, error paths."""
 
 import configparser
+import hashlib
 import json
 import os
 import re
@@ -187,6 +188,25 @@ class TestDenoiseCommand:
                      "--name", "TOY", "--seed", "2", "--out", str(tmp_path / "x")])
         assert code == 1
 
+    def test_real_edge_mask_beyond_edges_fails_before_out(self, tmp_path, motif_dir,
+                                                          config_file, capsys):
+        noisy_dir = str(tmp_path / "noisy")
+        main(["gen-noise", "--data", motif_dir, "--name", "TOY",
+              "--fraction", "0.3", "--seed", "1", "--out", noisy_dir])
+        edges = load_tu_dataset(noisy_dir, "TOY_NOISY").graphs[2].num_edges
+        sidecar = os.path.join(noisy_dir, "TOY_NOISY_mask.txt")
+        lines = open(sidecar).read().splitlines()
+        first = lines[2].split(",")[0]
+        lines[2] += f",{edges}"
+        with open(sidecar, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        out = str(tmp_path / "x")
+        code = main(["denoise", "--config", config_file, "--data", noisy_dir,
+                     "--name", "TOY_NOISY", "--seed", "2", "--out", out])
+        assert code == 1
+        assert (f"graph 2 of TOY_NOISY: real-edge mask spans {first}..{edges}, "
+                f"but the graph has {edges} edges") in capsys.readouterr().err
+        assert not os.path.exists(out)  # no directory, no manifest
 
     @pytest.mark.parametrize("missing", [1, 4])
     def test_short_mask_sidecar_named(self, tmp_path, motif_dir, config_file, capsys, missing):
@@ -242,6 +262,22 @@ class TestInterpretCommand:
         table = open(os.path.join(out, "interpret_table.csv")).read().splitlines()
         assert len(table) == 2 and "no con, no mi" in table[1]
 
+    def test_motif_mask_beyond_nodes_fails_before_out(self, tmp_path, continuous_dir,
+                                                      config_file, capsys):
+        sidecar = os.path.join(continuous_dir, "CONT_mask.txt")
+        lines = [line + ",999" for line in open(sidecar).read().splitlines()]
+        with open(sidecar, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        first = lines[0].split(",")[0]
+        nodes = load_tu_dataset(continuous_dir, "CONT").graphs[0].n
+        out = str(tmp_path / "x")
+        code = main(["interpret", "--config", config_file, "--data", continuous_dir,
+                     "--name", "CONT", "--seed", "3", "--out", out, "--no-baselines"])
+        assert code == 1
+        assert (f"graph 0 of CONT: motif mask spans {first}..999, "
+                f"but the graph has {nodes} nodes") in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_categorical_dataset_rejected(self, tmp_path, motif_dir, config_file):
         code = main(["interpret", "--config", config_file, "--data", motif_dir,
                      "--name", "TOY", "--seed", "3",
@@ -283,6 +319,35 @@ class TestCaseStudyCommand:
                      "--sigma2-fixed", "1.0", "--epochs", "1"]) == 0
         lines = open(os.path.join(out, "case_study_trace.csv")).read().splitlines()
         assert len(lines) == 2 and lines[1].split(",")[3] == "1.0"
+
+
+# sha256 of each CSV file of the tiny runs below, recorded before the four
+# CSV writers became one (gib.metrics.write_csv): every byte stayed the same
+CSV_PINS = {
+    "train/metrics.csv": "e45e49f07ba42d7525ce7912ba9ef54c86467d1c28a32418ecdfe43a5fb29681",
+    "train/mi_trace.csv": "d744e37693f8fb1b180279f1cf6258e17dabc38cce1abee4d7856f0515f6abe5",
+    "denoise/denoise_table.csv": "be78c12aca4da0758f018ed87b8c1622be3ddbe52edf65aa55c5a474db5299e0",
+    "case/case_study_trace.csv": "e2e9f3fcb21f9e61d84b9cd3c9128d72846f3e45cdc87514b4e5e39aff21980b",
+}
+
+
+def test_csv_outputs_pinned_bitwise(tmp_path, motif_dir, config_file):
+    noisy_dir = str(tmp_path / "noisy")
+    cs_config = str(tmp_path / "cs.ini")
+    with open(cs_config, "w") as fh:
+        fh.write("[case_study]\nepochs = 2\ninner_steps = 5\nsamples_per_epoch = 1000\n")
+    for argv in (
+        ["gen-noise", "--data", motif_dir, "--name", "TOY", "--fraction", "0.3",
+         "--seed", "1", "--out", noisy_dir],
+        ["train", "--config", config_file, "--data", motif_dir, "--name", "TOY",
+         "--seed", "7", "--out", str(tmp_path / "train")],
+        ["denoise", "--config", config_file, "--data", noisy_dir, "--name", "TOY_NOISY",
+         "--seed", "2", "--out", str(tmp_path / "denoise")],
+        ["case-study", "--config", cs_config, "--seed", "1", "--out", str(tmp_path / "case")],
+    ):
+        assert main(argv) == 0
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in CSV_PINS}
+    assert got == CSV_PINS
 
 
 class TestConfigDefaults:

@@ -329,6 +329,19 @@ class TestSelectionStep:
             driver(bare, small_config())
         assert training_calls == []
 
+    @pytest.mark.parametrize("driver,fixture", [
+        (run_interpretation, "continuous_ds"), (run_motif_recovery, "motif_ds"),
+    ])
+    def test_motif_mask_beyond_nodes_rejected_before_training(self, driver, fixture, request,
+                                                              training_calls):
+        ds = request.getfixturevalue(fixture)
+        masks = [list(m) + [999] for m in ds.masks]
+        bad = Dataset(ds.graphs, ds.num_classes, splits=ds.splits, masks=masks, name="bad")
+        with pytest.raises(ConfigError, match=r"graph 0 of bad: motif mask spans \d+\.\.999, "
+                                              f"but the graph has {ds.graphs[0].n} nodes"):
+            driver(bad, small_config())
+        assert training_calls == []
+
     def test_top_k_methods_share_one_baseline(self, continuous_ds, training_calls):
         run_interpretation(continuous_ds, small_config(), ("att05", "att07"))
         assert [name for name, _ in training_calls] == ["train_baseline"]

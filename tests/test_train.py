@@ -4,6 +4,7 @@ import importlib
 import math
 import os
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -19,22 +20,46 @@ from gib.graphs import (
     gen_planted_motif_dataset,
     random_splits,
 )
+from gib.metrics import write_csv
 from gib.models import GibModel
 from gib.nn import Mlp
 from gib.optim import make_optimizer
 from gib.tensor import Tensor
 from gib.train import (
+    METRICS_COLUMNS,
     TrainConfig,
     classification_loss,
     evaluate_split,
     outer_step,
     train,
-    write_metrics_csv,
 )
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def check_phase_freezes(monkeypatch) -> dict[str, int]:
+    """Wrap both phases of ``train``: the inner phase must leave the generator
+    and classifier as they were, the outer step the statistics head. Returns
+    the count of checked calls per phase."""
+    module = importlib.import_module("gib.train")  # gib.train is the function
+    calls = {"inner": 0, "outer": 0}
+
+    def frozen(phase, name, group):
+        def checked(model, *args):
+            before = [p.data.copy() for p in group(model)]
+            out = phase(model, *args)
+            assert all(np.array_equal(p.data, b) for p, b in zip(group(model), before)), name
+            calls[name] += 1
+            return out
+        return checked
+
+    monkeypatch.setattr(module, "run_inner_phase",
+                        frozen(module.run_inner_phase, "inner", GibModel.outer_params))
+    monkeypatch.setattr(module, "outer_step",
+                        frozen(module.outer_step, "outer", GibModel.phi2_params))
+    return calls
 
 
 def tiny_dataset(seed=1, n=24, continuous=False):
@@ -146,7 +171,7 @@ class TestOuterStep:
 
     def test_statistics_head_untouched(self):
         ds = tiny_dataset()
-        config = TrainConfig(batch_size=8, seed=0, debug_freeze_checks=True)
+        config = TrainConfig(batch_size=8, seed=0)
         model = GibModel(ds.graphs[0].features.shape[1], ds.num_classes, rng(0))
         opt = make_optimizer("adam", model.outer_params(), 1e-3)
         before = [p.data.copy() for p in model.phi2_params()]
@@ -188,11 +213,16 @@ class TestTrain:
         assert [r.total for r in h1] == [r.total for r in h2]
         assert [r.val_metric for r in h1] == [r.val_metric for r in h2]
 
-    def test_freeze_contracts_hold_in_debug_mode(self):
+    def test_freeze_contracts_hold_in_debug_mode(self, monkeypatch):
+        calls = check_phase_freezes(monkeypatch)
         ds = tiny_dataset()
-        config = TrainConfig(outer_steps=2, inner_steps=3, batch_size=8, seed=3,
-                             debug_freeze_checks=True)
-        train(ds, config)  # raises AssertionError on any phase violation
+        for per_batch_inner in (False, True):
+            config = TrainConfig(outer_steps=2, inner_steps=3, batch_size=8, seed=3,
+                                 per_batch_inner=per_batch_inner)
+            train(ds, config)  # raises AssertionError on any phase violation
+        # 17 training graphs make batches of 8 and 9: per epoch, one inner
+        # phase or one per batch, and two outer steps
+        assert calls == {"inner": 2 + 4, "outer": 4 + 4}
 
     def test_loss_decreases_in_trend_without_regularizers(self):
         ds = tiny_dataset(n=40)
@@ -222,24 +252,24 @@ class TestTrain:
         pred = result.model.predict(ds.graphs[0])
         assert np.isfinite(pred)
 
-    def test_per_batch_inner_mode(self):
+    def test_per_batch_inner_mode(self, monkeypatch):
+        calls = check_phase_freezes(monkeypatch)
         ds = tiny_dataset()
         config = TrainConfig(outer_steps=2, inner_steps=2, batch_size=8, seed=6,
-                             per_batch_inner=True, debug_freeze_checks=True)
+                             per_batch_inner=True)
         result = train(ds, config)
+        assert calls["inner"] == calls["outer"] == len(result.mi_trace)
         # one inner run per outer batch instead of one per epoch
         assert len(result.mi_trace) > len(result.history)
 
     def test_single_step_smoke_emits_all_artifacts(self, tmp_path):
-        from gib.train import write_mi_trace_csv
-
         ds = tiny_dataset(n=8)
         ds.splits = random_splits(8, (0.7, 0.15, 0.15), seed=0)
         config = TrainConfig(outer_steps=1, inner_steps=1, batch_size=4, seed=0)
         result = train(ds, config)
         assert len(result.history) == 1 and len(result.mi_trace) == 1
-        write_metrics_csv(str(tmp_path / "m.csv"), result)
-        write_mi_trace_csv(str(tmp_path / "t.csv"), result)
+        write_csv(str(tmp_path / "m.csv"), METRICS_COLUMNS, [astuple(r) for r in result.history])
+        write_csv(str(tmp_path / "t.csv"), ("outer_step", "mi_estimate"), result.mi_trace)
         save_params(str(tmp_path / "c.bin"),
                     [(n, p.data) for n, p in result.model.named_params()])
         for name in ("m.csv", "t.csv", "c.bin"):
@@ -341,7 +371,7 @@ class TestTrain:
         config = TrainConfig(outer_steps=3, inner_steps=2, batch_size=8, seed=7)
         result = train(ds, config)
         path = str(tmp_path / "metrics.csv")
-        write_metrics_csv(path, result)
+        write_csv(path, METRICS_COLUMNS, [astuple(r) for r in result.history])
         lines = open(path).read().splitlines()
         assert lines[0].startswith("outer_step,loss_cls,loss_mi,loss_con,loss_total")
         assert len(lines) == len(result.history) + 1
