@@ -11,6 +11,10 @@ fresh pairs, trains the statistics MLP for a fixed number of inner steps,
 then takes one outer step on log(sigma^2) to push the estimate down; the
 noise samples are held fixed within the epoch so the outer gradient flows
 through y = x + exp(rho/2) * eps.
+
+The estimator and its ascent loop are GIB's own (``mi.dv_bound``,
+``mi.inner_maximize``). GIB draws a fresh head every epoch; this head
+persists across epochs and gets a warmup at the initial noise level.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ from typing import Optional
 
 import numpy as np
 
+from . import mi
 from . import tensor as T
+from .graphs import ConfigError
 from .nn import Mlp
 from .optim import make_optimizer
 from .tensor import Tensor, zero_grads
@@ -89,20 +95,15 @@ def mi_oracle(
 def dv_estimate(
     statnet: Mlp, x: np.ndarray, y: np.ndarray, y_tensor: Optional[Tensor] = None
 ) -> Tensor:
-    """The batched estimator on (x, y) pairs with the cyclic mismatch.
+    """``mi.dv_bound`` on rows [x_i, y_i] against mismatched rows [x_{i+1}, y_i].
 
     Pass ``y_tensor`` to keep the y side differentiable (the outer step on
     the noise scale needs it); otherwise both sides enter as constants.
     """
-    n = x.shape[0]
-    if n < 2:
-        raise ValueError("estimator needs at least 2 pairs")
-    x_col = T.constant(x.reshape(-1, 1))
     y_col = y_tensor if y_tensor is not None else T.constant(y.reshape(-1, 1))
-    joint = statnet.forward(T.concat_cols([x_col, y_col]))
-    x_shift = T.constant(np.roll(x, -1).reshape(-1, 1))
-    marginal = statnet.forward(T.concat_cols([x_shift, y_col]))
-    return T.tmean(joint) - (T.logsumexp(marginal) - math.log(n))
+    joint_in = T.concat_cols([T.constant(x.reshape(-1, 1)), y_col])
+    marginal_in = T.concat_cols([T.constant(np.roll(x, -1).reshape(-1, 1)), y_col])
+    return mi.dv_bound(statnet, joint_in, marginal_in).value
 
 
 @dataclass
@@ -119,6 +120,16 @@ class CaseStudyConfig:
     inner_batch: int = 4096  # minibatch per inner step; logging uses all samples
     warmup_steps: int = 300  # estimator pre-training before the first epoch
 
+    def validate(self) -> None:
+        for key in ("sigma2_init", "lr_inner", "lr_outer", "sigma2_fixed"):
+            value = getattr(self, key)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{key} must be positive, got {value}")
+        for key, least in (("epochs", 1), ("inner_steps", 1), ("hidden", 1),
+                           ("samples_per_epoch", 2), ("inner_batch", 2), ("warmup_steps", 0)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
+
 
 @dataclass
 class CaseStudyTraceRow:
@@ -133,25 +144,16 @@ def _inner_ascend(
     x: np.ndarray,
     y: np.ndarray,
     steps: int,
-    lr: float,
-    batch: int,
+    config: CaseStudyConfig,
     rng: np.random.Generator,
     where: str,
 ) -> None:
-    optimizer = make_optimizer("adam", statnet.params(), lr)
-    n = x.shape[0]
-    for _ in range(steps):
-        if batch < n:
-            idx = rng.choice(n, size=batch, replace=False)
-            xb, yb = x[idx], y[idx]
-        else:
-            xb, yb = x, y
-        loss = -dv_estimate(statnet, xb, yb)
-        optimizer.zero_grad()
-        loss.backward()
-        if not np.isfinite(float(loss.data)):
-            raise FloatingPointError(f"estimator diverged during {where}")
-        optimizer.step()
+    """``mi.inner_maximize`` on the (x, y) pairs; a divergence names ``where``."""
+    try:
+        mi.inner_maximize(statnet, x[:, None], y[:, None], steps, config.lr_inner,
+                          batch_size=config.inner_batch, rng=rng, shift_left=True)
+    except FloatingPointError as err:
+        raise FloatingPointError(f"{where}: {err}") from err
 
 
 def run_case_study(config: CaseStudyConfig) -> list[CaseStudyTraceRow]:
@@ -162,6 +164,7 @@ def run_case_study(config: CaseStudyConfig) -> list[CaseStudyTraceRow]:
     supremum; the per-epoch trace value is evaluated on the epoch's full
     sample set.
     """
+    config.validate()
     ss = np.random.SeedSequence(config.seed)
     init_rng, sample_rng, batch_rng = (np.random.default_rng(c) for c in ss.spawn(3))
     statnet = Mlp([2, config.hidden, 1], init_rng)
@@ -172,8 +175,7 @@ def run_case_study(config: CaseStudyConfig) -> list[CaseStudyTraceRow]:
     if config.warmup_steps > 0:
         sampler = ToyPairSampler(sigma2)
         x, y, _ = sample_pairs(sampler, config.samples_per_epoch, sample_rng)
-        _inner_ascend(statnet, x, y, config.warmup_steps, config.lr_inner,
-                      config.inner_batch, batch_rng, "warmup")
+        _inner_ascend(statnet, x, y, config.warmup_steps, config, batch_rng, "warmup")
 
     trace: list[CaseStudyTraceRow] = []
     for epoch in range(1, config.epochs + 1):
@@ -181,8 +183,8 @@ def run_case_study(config: CaseStudyConfig) -> list[CaseStudyTraceRow]:
         sampler = ToyPairSampler(sigma2)
         x, y, eps = sample_pairs(sampler, config.samples_per_epoch, sample_rng)
 
-        _inner_ascend(statnet, x, y, config.inner_steps, config.lr_inner,
-                      config.inner_batch, batch_rng, f"epoch {epoch} (sigma2={sigma2:.4g})")
+        _inner_ascend(statnet, x, y, config.inner_steps, config, batch_rng,
+                      f"epoch {epoch} (sigma2={sigma2:.4g})")
         estimate_value = float(dv_estimate(statnet, x, y).data)
 
         oracle = mi_oracle(sampler, samples=(x, y))

@@ -246,13 +246,14 @@ def cmd_interpret(args: argparse.Namespace) -> int:
 
 def cmd_case_study(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
-    _write_manifest(args.out, "case-study", args, config, None,
-                    ["case_study_trace.csv", "manifest.json"])
     section = dict(config["case_study"])
     if args.epochs is not None:
         section["epochs"] = args.epochs
     cs_config = CaseStudyConfig(**section, seed=args.seed, sigma2_fixed=args.sigma2_fixed)
+    cs_config.validate()
+    os.makedirs(args.out, exist_ok=True)
+    _write_manifest(args.out, "case-study", args, config, None,
+                    ["case_study_trace.csv", "manifest.json"])
     trace = run_case_study(cs_config)
     write_csv(os.path.join(args.out, "case_study_trace.csv"),
               [f.name for f in dataclasses.fields(CaseStudyTraceRow)],

@@ -62,7 +62,10 @@ def load_config(path: Optional[str] = None) -> dict[str, dict[str, Any]]:
         return resolved
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.optionxform = str  # keep key case
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as err:
+        raise ConfigError(f"malformed config file {path!r}: {err}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     for section in parser.sections():

@@ -11,6 +11,10 @@ rises toward the true mutual information as the head is trained to maximize
 it. Mismatched pairs come from the cyclic shift pair(i) = i+1 mod N by
 default, a linear-cost realization of "any j != i"; the full mismatched
 double sum is available for small batches.
+
+One DV bound (``dv_bound``) and one head-ascent loop (``inner_maximize``)
+serve two callers: GIB, with mismatched rows [g_i, s_{i+1}], and the toy
+``case_study``, with rows [x_{i+1}, y_i] (``shift_left``, as np.roll(x, -1)).
 """
 
 from __future__ import annotations
@@ -55,9 +59,6 @@ class StatisticsNetwork:
         batch = graph.as_batch
         return batch.mean(self.encoder.forward(batch))
 
-    def head_params(self) -> list[Tensor]:
-        return self.head.params()
-
     def reinitialize_head(self, rng: np.random.Generator) -> None:
         """Fresh head draw; the bi-level loop does this before each inner run."""
         hidden = self.head.weights[0].shape[1]
@@ -75,34 +76,30 @@ class MiBatchEstimate:
     marginal_term: Tensor
     value: Tensor
 
-    def __float__(self) -> float:
-        return float(self.value.data)
 
+def _marginal_pairs(
+    n: int, full_pairing: bool, shift_left: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """(left index, right index) of every mismatched pair, row-major.
 
-def _marginal_pairs(n: int, full_pairing: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(graph index, subgraph index) of every mismatched pair, row-major.
-
-    The cyclic shift pairs graph i with subgraph i+1 mod n; full pairing
-    lists every (i, j) with j != i.
+    The cyclic shift pairs left i with right i+1 mod n, or with
+    ``shift_left`` left i+1 mod n with right i; full pairing lists every
+    (i, j) with j != i.
     """
     if full_pairing:
         return np.nonzero(~np.eye(n, dtype=bool))
     i = np.arange(n)
-    return i, (i + 1) % n
+    return ((i + 1) % n, i) if shift_left else (i, (i + 1) % n)
 
 
-def _dv_estimate(
-    statnet: StatisticsNetwork, joint_in: Tensor, marginal_in: Tensor
-) -> MiBatchEstimate:
-    """mean f(joint rows) - log mean exp f(marginal rows)."""
-    joint_term = T.tmean(statnet.head.forward(joint_in))
-    scores = statnet.head.forward(marginal_in)
+def dv_bound(head: Mlp, joint_in: Tensor, marginal_in: Tensor) -> MiBatchEstimate:
+    """mean f(joint rows) - log mean exp f(marginal rows), over at least 2 pairs."""
+    if joint_in.shape[0] < 2:
+        raise ValueError(f"DV bound needs at least 2 pairs, got {joint_in.shape[0]}")
+    joint_term = T.tmean(head.forward(joint_in))
+    scores = head.forward(marginal_in)
     marginal_term = T.logsumexp(scores) - math.log(scores.shape[0])
-    return MiBatchEstimate(
-        joint_term=joint_term,
-        marginal_term=marginal_term,
-        value=joint_term - marginal_term,
-    )
+    return MiBatchEstimate(joint_term, marginal_term, joint_term - marginal_term)
 
 
 def mi_batch_loss(
@@ -124,58 +121,55 @@ def mi_batch_loss(
     n = g.shape[0]
     if n != s.shape[0]:
         raise ValueError(f"batch sides disagree: {n} graphs vs {s.shape[0]} subgraphs")
-    if n < 2:
-        raise ValueError("mutual-information batch needs at least 2 graphs")
     gi, si = _marginal_pairs(n, full_pairing)
     eye = np.eye(n)
     marginal_in = T.concat_cols([T.constant(eye[gi]) @ g, T.constant(eye[si]) @ s])
-    return _dv_estimate(statnet, T.concat_cols([g, s]), marginal_in)
+    return dv_bound(statnet.head, T.concat_cols([g, s]), marginal_in)
 
 
 def _dv_inputs(
-    g: np.ndarray, s: np.ndarray, gi: np.ndarray, si: np.ndarray
+    left: np.ndarray, right: np.ndarray, li: np.ndarray, ri: np.ndarray
 ) -> tuple[Tensor, Tensor]:
-    """Constant joint rows [g_i, s_i] and mismatched rows [g_gi, s_si]."""
-    return T.constant(np.hstack([g, s])), T.constant(np.hstack([g[gi], s[si]]))
+    """Constant joint rows [l_i, r_i] and mismatched rows [l_li, r_ri]."""
+    return T.constant(np.hstack([left, right])), T.constant(np.hstack([left[li], right[ri]]))
 
 
 def inner_maximize(
-    statnet: StatisticsNetwork,
-    graph_embs: np.ndarray,
-    sub_embs: np.ndarray,
+    head: Mlp,
+    left: np.ndarray,
+    right: np.ndarray,
     steps: int,
     lr: float,
     optimizer_kind: str = "adam",
     batch_size: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
     full_pairing: bool = False,
+    shift_left: bool = False,
 ) -> list[float]:
     """Train the head to maximize the batched estimate; everything else frozen.
 
-    The embeddings come in as plain arrays (already detached from the
-    generator), so the joint and marginal inputs are built as plain arrays
-    too, once for all steps unless each step draws a minibatch, and the only
-    live parameters on the tape are the head's. Returns the per-step
-    estimate trace.
+    The two sides (row i of each describes one matched pair) come in as
+    plain arrays, already detached from whatever produced them, so the joint
+    and marginal inputs are built as plain arrays too, once for all steps
+    unless each step draws a minibatch, and the only live parameters on the
+    tape are the head's. Returns the per-step estimate trace.
     """
     if steps < 1:
         raise ValueError(f"inner loop needs at least 1 step, got {steps}")
-    n = graph_embs.shape[0]
-    if n < 2:
-        raise ValueError("inner loop needs at least 2 cached pairs")
+    n = left.shape[0]
     minibatched = batch_size is not None and batch_size < n
     if minibatched and rng is None:
         raise ValueError("minibatched inner loop needs an rng")
-    gi, si = _marginal_pairs(batch_size if minibatched else n, full_pairing)
-    optimizer = make_optimizer(optimizer_kind, statnet.head_params(), lr)
+    li, ri = _marginal_pairs(batch_size if minibatched else n, full_pairing, shift_left)
+    optimizer = make_optimizer(optimizer_kind, head.params(), lr)
     if not minibatched:
-        joint_in, marginal_in = _dv_inputs(graph_embs, sub_embs, gi, si)
+        joint_in, marginal_in = _dv_inputs(left, right, li, ri)
     trace: list[float] = []
     for step in range(steps):
         if minibatched:
             idx = rng.choice(n, size=batch_size, replace=False)
-            joint_in, marginal_in = _dv_inputs(graph_embs[idx], sub_embs[idx], gi, si)
-        estimate = _dv_estimate(statnet, joint_in, marginal_in)
+            joint_in, marginal_in = _dv_inputs(left[idx], right[idx], li, ri)
+        estimate = dv_bound(head, joint_in, marginal_in)
         loss = -estimate.value
         optimizer.zero_grad()
         loss.backward()

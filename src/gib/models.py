@@ -105,7 +105,7 @@ class GibModel(Predictor):
 
     def phi2_params(self) -> list[Tensor]:
         """Statistics-network head parameters."""
-        return self.statnet.head_params()
+        return self.statnet.head.params()
 
     def outer_params(self) -> list[Tensor]:
         """Generator (encoder + assignment MLP) and classifier parameters."""

@@ -61,6 +61,13 @@ class TrainConfig:
     def validate(self) -> None:
         if self.beta < 0:
             raise ConfigError(f"beta must be nonnegative, got {self.beta}")
+        if self.con_weight < 0:
+            raise ConfigError(f"con_weight must be nonnegative, got {self.con_weight}")
+        if self.optimizer not in ("adam", "sgd"):
+            raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
+        for key in ("hidden", "gcn_layers", "mlp_hidden", "patience"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.inner_steps < 1:
             raise ConfigError(f"inner_steps must be >= 1, got {self.inner_steps}")
         if self.outer_steps < 1:
@@ -167,7 +174,7 @@ def run_inner_phase(
     model.statnet.reinitialize_head(phi2_rng)
     graph_embs, sub_embs = _cached_embeddings(model, graphs)
     trace = inner_maximize(
-        model.statnet,
+        model.statnet.head,
         graph_embs,
         sub_embs,
         steps=config.inner_steps,

@@ -6,6 +6,7 @@ from dataclasses import astuple, fields
 import numpy as np
 import pytest
 
+from gib import tensor as T
 from gib.case_study import (
     CaseStudyConfig,
     CaseStudyTraceRow,
@@ -15,7 +16,9 @@ from gib.case_study import (
     run_case_study,
     sample_pairs,
 )
+from gib.graphs import ConfigError
 from gib.metrics import write_csv
+from gib.mi import dv_bound
 from gib.nn import Mlp
 
 
@@ -89,6 +92,15 @@ class TestDvEstimate:
         with pytest.raises(ValueError):
             dv_estimate(net, np.array([1.0]), np.array([1.0]))
 
+    def test_is_the_shared_dv_bound(self):
+        """The case study's estimate is mi.dv_bound on [x, y] against
+        [x_{i+1}, y], to the byte."""
+        net = Mlp([2, 8, 1], rng(18))
+        x, y, _ = sample_pairs(ToyPairSampler(0.5), 257, rng(19))
+        shared = dv_bound(net, T.constant(np.column_stack([x, y])),
+                          T.constant(np.column_stack([np.roll(x, -1), y]))).value
+        assert dv_estimate(net, x, y).data.tobytes() == shared.data.tobytes()
+
 
 class TestRunCaseStudy:
     def test_trace_shape_and_csv(self, tmp_path):
@@ -122,6 +134,28 @@ class TestRunCaseStudy:
                               warmup_steps=100, seed=17)
         trace = run_case_study(cfg)
         assert trace[-1].sigma2 > trace[0].sigma2
+
+    def test_divergence_names_the_phase_and_step(self, monkeypatch):
+        def poisoned_mlp(widths, init_rng):
+            net = Mlp(widths, init_rng)
+            net.weights[0].data[...] = np.nan
+            return net
+
+        monkeypatch.setattr("gib.case_study.Mlp", poisoned_mlp)
+        cfg = CaseStudyConfig(epochs=1, inner_steps=2, samples_per_epoch=100,
+                              warmup_steps=3, seed=22)
+        with pytest.raises(FloatingPointError) as err:
+            run_case_study(cfg)
+        assert str(err.value).startswith("warmup: inner step 0: estimator diverged")
+
+    @pytest.mark.parametrize("key,value", [
+        ("sigma2_init", 0.0), ("lr_inner", -1.0), ("lr_outer", 0.0), ("sigma2_fixed", 0.0),
+        ("epochs", 0), ("inner_steps", 0), ("hidden", 0), ("samples_per_epoch", 1),
+        ("inner_batch", 1), ("warmup_steps", -1),
+    ])
+    def test_invalid_config_rejected_by_name(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            run_case_study(CaseStudyConfig(**{key: value}))
 
     def test_trace_pinned_bitwise(self):
         # recorded with every leaf on the tape and zero-filled gradient

@@ -94,6 +94,19 @@ class TestTrainCommand:
         assert not os.path.exists(str(tmp_path / "r" / "checkpoint.bin"))
         assert not os.path.exists(str(tmp_path / "r"))  # no directory, no manifest
 
+    @pytest.mark.parametrize("line", ["optimizer = foo", "hidden = 0", "gcn_layers = 0",
+                                      "mlp_hidden = 0", "patience = 0", "con_weight = -1"])
+    def test_invalid_train_value_rejected_by_name(self, tmp_path, motif_dir, capsys, line):
+        cfg = str(tmp_path / "bad.ini")
+        with open(cfg, "w") as fh:
+            fh.write(FAST_TRAIN.replace("patience = 5\n", "")
+                     .replace("[data]\n", f"{line}\n[data]\n"))
+        code = main(["train", "--config", cfg, "--data", motif_dir,
+                     "--name", "TOY", "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert line.split(" = ")[0] in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "r"))  # no directory, no manifest
+
     @pytest.mark.parametrize("command", ["train", "denoise", "interpret"])
     def test_empty_test_split_fails_before_out(self, tmp_path, motif_dir, command, capsys):
         cfg = str(tmp_path / "notest.ini")
@@ -309,6 +322,38 @@ class TestCaseStudyCommand:
             assert main(["case-study", "--config", cfg, "--seed", "9", "--out", out]) == 0
             blobs.append(open(os.path.join(out, "case_study_trace.csv"), "rb").read())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("line", ["sigma2_init = 0", "lr_inner = -1", "lr_outer = 0",
+                                      "epochs = 0", "inner_steps = 0", "hidden = 0",
+                                      "samples_per_epoch = 1", "inner_batch = 1",
+                                      "warmup_steps = -1"])
+    def test_invalid_value_rejected_by_name(self, tmp_path, capsys, line):
+        cfg = str(tmp_path / "cs.ini")
+        with open(cfg, "w") as fh:
+            fh.write(f"[case_study]\n{line}\n")
+        code = main(["case-study", "--config", cfg, "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert line.split(" = ")[0] in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "r"))  # no directory, no manifest
+
+    def test_nonpositive_fixed_channel_rejected_by_name(self, tmp_path, capsys):
+        code = main(["case-study", "--sigma2-fixed", "0", "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert "sigma2_fixed" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "r"))
+
+    @pytest.mark.parametrize("text", ["[case_study]\nepochs = 2\nepochs = 3\n",
+                                      "epochs = 2\n[case_study]\n"])
+    def test_malformed_config_file_named(self, tmp_path, capsys, text):
+        cfg = str(tmp_path / "malformed.ini")
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        code = main(["case-study", "--config", cfg, "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed config file") and cfg in err
+        assert "Traceback" not in err
+        assert not os.path.exists(str(tmp_path / "r"))
 
     def test_sigma2_fixed_single_epoch(self, tmp_path):
         cfg = str(tmp_path / "cs.ini")

@@ -5,7 +5,7 @@ import pytest
 
 from gib.gradcheck import assert_gradients_match
 from gib.graphs import Graph
-from gib.mi import StatisticsNetwork, inner_maximize, mi_batch_loss
+from gib.mi import StatisticsNetwork, _marginal_pairs, inner_maximize, mi_batch_loss
 from gib.nn import GcnEncoder
 from gib.tensor import Tensor
 
@@ -34,7 +34,7 @@ class TestBatchLoss:
     def test_constant_statistic_gives_exactly_zero(self):
         r = rng(1)
         statnet = make_statnet(r)
-        for p in statnet.head_params():
+        for p in statnet.head.params():
             p.data[...] = 0.0
         g, s = random_pairs(r, statnet, 5)
         estimate = mi_batch_loss(statnet, g, s)
@@ -78,7 +78,7 @@ class TestBatchLoss:
     def test_gradients_flow_to_head_and_embeddings(self):
         r = rng(6)
         statnet = make_statnet(r)
-        head_arrays = [p.data.copy() for p in statnet.head_params()]
+        head_arrays = [p.data.copy() for p in statnet.head.params()]
         emb_arrays = [r.normal(size=(1, statnet.embed_dim)) for _ in range(6)]
 
         def build(ts):
@@ -91,11 +91,19 @@ class TestBatchLoss:
         assert_gradients_match(build, head_arrays + emb_arrays)
 
 
+class TestMarginalPairs:
+    def test_cyclic_shift_directions(self):
+        i = np.arange(5)
+        for shift_left, expected in ((False, (i, (i + 1) % 5)), (True, ((i + 1) % 5, i))):
+            left, right = _marginal_pairs(5, False, shift_left=shift_left)
+            assert np.array_equal(left, expected[0]) and np.array_equal(right, expected[1])
+
+
 class TestStatistic:
     def test_zero_head_scores_zero(self):
         r = rng(7)
         statnet = make_statnet(r)
-        for p in statnet.head_params():
+        for p in statnet.head.params():
             p.data[...] = 0.0
         pair = np.hstack([r.normal(size=(1, 4)), r.normal(size=(1, 4))])
         assert statnet.head.forward(Tensor(pair)).item() == 0.0
@@ -123,7 +131,7 @@ class TestInnerMaximize:
         r = rng(10)
         statnet = make_statnet(r)
         with pytest.raises(ValueError, match="at least 1"):
-            inner_maximize(statnet, np.zeros((4, 4)), np.zeros((4, 4)), steps=0, lr=1e-3)
+            inner_maximize(statnet.head, np.zeros((4, 4)), np.zeros((4, 4)), steps=0, lr=1e-3)
 
     def test_estimate_trends_upward(self):
         r = rng(11)
@@ -131,7 +139,7 @@ class TestInnerMaximize:
         # correlated pairs: sub embedding = graph embedding + small noise
         g = r.normal(size=(64, 4))
         s = g + 0.1 * r.normal(size=(64, 4))
-        trace = inner_maximize(statnet, g, s, steps=100, lr=1e-2)
+        trace = inner_maximize(statnet.head, g, s, steps=100, lr=1e-2)
         head = int(len(trace) * 0.2)
         assert np.mean(trace[-head:]) >= np.mean(trace[:head])
 
@@ -141,7 +149,7 @@ class TestInnerMaximize:
         encoder_before = [w.data.copy() for w in statnet.encoder.params()]
         g = r.normal(size=(16, 4))
         s = r.normal(size=(16, 4))
-        inner_maximize(statnet, g, s, steps=20, lr=1e-2)
+        inner_maximize(statnet.head, g, s, steps=20, lr=1e-2)
         for w, before in zip(statnet.encoder.params(), encoder_before):
             assert np.array_equal(w.data, before)
 
@@ -153,15 +161,15 @@ class TestInnerMaximize:
         statnet = make_statnet(r)
         g = r.normal(size=(4096, 4))
         s = r.normal(size=(4096, 4))
-        trace = inner_maximize(statnet, g, s, steps=250, lr=5e-3)
+        trace = inner_maximize(statnet.head, g, s, steps=250, lr=5e-3)
         assert abs(np.mean(trace[-20:])) <= 0.05
 
     def test_head_reinitialization_draws_fresh_values(self):
         r = rng(14)
         statnet = make_statnet(r)
-        before = [p.data.copy() for p in statnet.head_params()]
+        before = [p.data.copy() for p in statnet.head.params()]
         statnet.reinitialize_head(np.random.default_rng(99))
-        after = statnet.head_params()
+        after = statnet.head.params()
         assert any(not np.array_equal(b, a.data) for b, a in zip(before, after))
         assert [a.data.shape for a in after] == [b.shape for b in before]
 
@@ -187,6 +195,6 @@ class TestInnerTracePinned:
         statnet = StatisticsNetwork(GcnEncoder([3, 4], r), 4, r, hidden=6)
         g = r.normal(size=(6, 4))
         s = r.normal(size=(6, 4))
-        trace = inner_maximize(statnet, g, s, steps=4, lr=1e-2, batch_size=batch_size,
+        trace = inner_maximize(statnet.head, g, s, steps=4, lr=1e-2, batch_size=batch_size,
                                rng=np.random.default_rng(7), full_pairing=full_pairing)
         assert trace == self.TRACES[(full_pairing, batch_size)]
