@@ -252,6 +252,8 @@ def cmd_case_study(args: argparse.Namespace) -> int:
     cs_config = CaseStudyConfig(**section, seed=args.seed, sigma2_fixed=args.sigma2_fixed)
     cs_config.validate()
     os.makedirs(args.out, exist_ok=True)
+    # the manifest records the values the run uses, command-line overrides included
+    config["case_study"] = {k: v for k, v in dataclasses.asdict(cs_config).items() if k != "seed"}
     _write_manifest(args.out, "case-study", args, config, None,
                     ["case_study_trace.csv", "manifest.json"])
     trace = run_case_study(cs_config)

@@ -79,7 +79,8 @@ class GcnEncoder:
 
 
 class Mlp:
-    """Affine stack: tanh after every hidden layer, none after the last."""
+    """Affine stack: tanh after every hidden layer, none after the last; one
+    tape node (:func:`gib.tensor.mlp`) per forward."""
 
     def __init__(self, widths: Sequence[int], rng: np.random.Generator):
         if len(widths) < 2:
@@ -91,10 +92,7 @@ class Mlp:
             self.biases.append(Tensor(np.zeros((1, widths[i + 1]))))
 
     def forward(self, x: Tensor) -> Tensor:
-        h = x
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = T.dense(h, w, b, "tanh")
-        return T.dense(h, self.weights[-1], self.biases[-1], "identity")
+        return T.mlp(x, self.weights, self.biases)
 
     def params(self) -> list[Tensor]:
         out: list[Tensor] = []

@@ -12,6 +12,7 @@ edges cut between the two sides.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -62,6 +63,13 @@ def subgraph_embedding(assignment: Tensor, node_embeddings: Tensor, batch: Graph
     return T.constant(batch.sum_pool) @ ((assignment @ _SIDES[0]) * node_embeddings)
 
 
+@functools.lru_cache(maxsize=64)
+def _one_graph(n: int) -> tuple[T.Segments, Tensor]:
+    """The segments and pooling row of one n-node graph. Both are constants,
+    shared by every call, as ``_SIDES`` is."""
+    return T.Segments((0, n)), T.constant(np.ones((1, n)))
+
+
 def connectivity_loss(assignment: Tensor, adjacency: np.ndarray | GraphBatch) -> Tensor:
     """|| row_normalize(S^T A S) - I_2 ||_F, averaged over the graphs.
 
@@ -72,17 +80,14 @@ def connectivity_loss(assignment: Tensor, adjacency: np.ndarray | GraphBatch) ->
     penalizes collapsing every node to one side.
     """
     if isinstance(adjacency, GraphBatch):
-        blocks, segments, pool = adjacency.adjacency, adjacency.segments, adjacency.sum_pool
+        blocks, segments = adjacency.adjacency, adjacency.segments
+        pool = T.constant(adjacency.sum_pool)
     else:
         blocks = [np.asarray(adjacency, dtype=np.float64)]
-        n = blocks[0].shape[0]
-        segments, pool = T.Segments((0, n)), np.ones((1, n))
+        segments, pool = _one_graph(blocks[0].shape[0])
     a_s = T.segment_matmul(blocks, assignment, segments)
     # row a of graph b's S^T A S is the pooled (S e_a) * (A S)
-    quad_rows = [
-        T.row_l1_normalize(T.constant(pool) @ ((assignment @ side) * a_s))
-        for side in _SIDES
-    ]
+    quad_rows = [T.row_l1_normalize(pool @ ((assignment @ side) * a_s)) for side in _SIDES]
     return T.tmean(T.row_norms(T.concat_cols(quad_rows) - _IDENTITY))
 
 

@@ -13,6 +13,16 @@ Design points:
   * An affine layer with its activation, ``act(x @ w + b)``, is one node
     (:func:`dense`) that keeps one output array on the tape; it is bitwise
     the same as the ``matmul``, ``add`` and activation chain.
+  * A whole MLP, tanh after each hidden layer and none after the last, is
+    one node (:func:`mlp`) built from the same per-layer helpers as
+    :func:`dense`, and as bitwise the same as the chain.
+  * The k = 1 rule: where a width-1 layer follows a tanh layer, its input
+    gradient ``d @ w.T`` (N x 1 times 1 x h) is built as the broadcast
+    ``d * w.T`` plus 0.0. BLAS starts each entry of a product from +0.0 and
+    adds the k terms, so a k = 1 entry is ``0.0 + d_i * w_j``; adding 0.0
+    changes no value but -0.0, which becomes +0.0, and so the broadcast
+    form is bitwise the BLAS one. :func:`mlp` folds it into the tanh
+    gradient over blocks of ``MLP_BLOCK_ROWS`` rows.
   * Dense arrays only; the graphs handled here have tens of nodes.
   * Segment ops (one graph per range of rows) take :class:`Segments`, whose
     spans are checked once, when they are built (with a batch), not on
@@ -323,34 +333,51 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def dense(x: Tensor, w: Tensor, b: Optional[Tensor], activation: str) -> Tensor:
-    """``activation(x @ w + b)`` as one node: a whole affine layer.
-
-    The product goes into a fresh array and the bias and activation are
-    applied to it in place, so the layer keeps one N x d_out array on the
-    tape, not three. ``b`` is a 1 x d_out row or ``None``; ``activation`` is
-    ``"identity"``, ``"relu"`` or ``"tanh"``. Value and gradients are
-    bitwise those of the ``matmul``, ``add`` and activation chain: the
-    backward forms the pre-activation gradient once and runs the chain's
-    numpy expressions in the chain's order (relu's mask is read off the
-    output, which is positive exactly where the pre-activation is).
-    """
-    if activation not in ("identity", "relu", "tanh"):
-        raise ValueError(f"dense: unknown activation {activation!r}")
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
-        raise ShapeMismatch(f"dense: input {x.data.shape} does not fit weight {w.data.shape}")
+def _affine(x: np.ndarray, w: Tensor, b: Optional[Tensor], activation: str, op: str) -> np.ndarray:
+    """``activation(x @ w + b)`` once the shapes are checked: the product goes
+    into a fresh array and the bias and activation are applied to it in place."""
+    if x.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.data.shape[0]:
+        raise ShapeMismatch(f"{op}: input {x.shape} does not fit weight {w.data.shape}")
     if b is not None and b.data.shape != (1, w.data.shape[1]):
         raise ShapeMismatch(
-            f"dense: bias {b.data.shape} does not fit weight {w.data.shape}, "
+            f"{op}: bias {b.data.shape} does not fit weight {w.data.shape}, "
             f"expected (1, {w.data.shape[1]})"
         )
-    y = x.data @ w.data
+    y = x @ w.data
     if b is not None:
         y += b.data
     if activation == "tanh":
         np.tanh(y, out=y)
     elif activation == "relu":
         np.maximum(y, 0.0, out=y)
+    return y
+
+
+def _affine_param_grads(d: np.ndarray, x: np.ndarray, w: Tensor, b: Optional[Tensor]) -> None:
+    """Accumulate the gradients of ``w`` and ``b`` in ``act(x @ w + b)`` from
+    ``d``, the gradient of the pre-activation; ``x`` is the input array."""
+    if b is not None and b.requires_grad:
+        # _unbroadcast's column sum without its shape bookkeeping; a one-row d
+        # passes as it is, as there
+        b._accumulate(d if d.shape[0] == 1 else np.add.reduce(d, axis=0, keepdims=True))
+    if w.requires_grad:
+        w._accumulate(x.T @ d)
+
+
+def dense(x: Tensor, w: Tensor, b: Optional[Tensor], activation: str) -> Tensor:
+    """``activation(x @ w + b)`` as one node: a whole affine layer.
+
+    The layer keeps one N x d_out array on the tape, not three. ``b`` is a
+    1 x d_out row or ``None``; ``activation`` is ``"identity"``, ``"relu"``
+    or ``"tanh"``. Value and gradients are bitwise those of the ``matmul``,
+    ``add`` and activation chain: the backward forms the pre-activation
+    gradient once and runs the chain's numpy expressions in the chain's
+    order (relu's mask is read off the output, which is positive exactly
+    where the pre-activation is).
+    """
+    if activation not in ("identity", "relu", "tanh"):
+        raise ValueError(f"dense: unknown activation {activation!r}")
+    y = _affine(x.data, w, b, activation, "dense")
     out = Tensor(y, (x, w) if b is None else (x, w, b), op="dense")
 
     def grad_fn(g: np.ndarray) -> None:
@@ -360,14 +387,63 @@ def dense(x: Tensor, w: Tensor, b: Optional[Tensor], activation: str) -> Tensor:
             d = g * (y > 0.0)  # subgradient at 0 is 0
         else:
             d = g
-        if b is not None and b.requires_grad:
-            # _unbroadcast's column sum without its shape bookkeeping; a
-            # one-row d passes as it is, as there
-            b._accumulate(d if d.shape[0] == 1 else np.add.reduce(d, axis=0, keepdims=True))
+        _affine_param_grads(d, x.data, w, b)
         if x.requires_grad:
             x._accumulate(d @ w.data.T)
-        if w.requires_grad:
-            w._accumulate(x.data.T @ d)
+
+    out.grad_fn = grad_fn
+    return out
+
+
+# Rows per block when a width-1 layer's input gradient is folded into the
+# tanh gradient below it (_tanh_grad_k1): each block's arrays stay in cache.
+MLP_BLOCK_ROWS = 512
+
+
+def _tanh_grad_k1(y: np.ndarray, d: np.ndarray, w_row: np.ndarray) -> np.ndarray:
+    """``_tanh_grad(y, d @ w_row)`` for a one-column ``d``, by the k = 1 rule
+    (see the module docstring) and block by block: the N x h product never
+    exists."""
+    out = np.empty_like(y)
+    for start in range(0, y.shape[0], MLP_BLOCK_ROWS):
+        rows = slice(start, start + MLP_BLOCK_ROWS)
+        o, y_rows = out[rows], y[rows]
+        p = d[rows] * w_row
+        p += 0.0
+        np.multiply(y_rows, y_rows, out=o)
+        np.subtract(1.0, o, out=o)
+        o *= p
+    return out
+
+
+def mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor]) -> Tensor:
+    """A whole MLP as one node: tanh after every hidden layer, none after the last.
+
+    Each layer runs :func:`dense`'s arithmetic in its order, and only the
+    output is kept on the tape. Value and gradients are bitwise those of one
+    ``dense`` per layer; where a width-1 layer follows a hidden one, its
+    input gradient is folded into the tanh gradient (:func:`_tanh_grad_k1`).
+    """
+    if not weights or len(weights) != len(biases):
+        raise ShapeMismatch(f"mlp: {len(weights)} weights for {len(biases)} biases")
+    last = len(weights) - 1
+    acts = [x.data]  # the input of each layer, then the output
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        acts.append(_affine(acts[i], w, b, "tanh" if i < last else "identity", "mlp"))
+    out = Tensor(acts[-1], (x, *weights, *biases), op="mlp")
+
+    def grad_fn(g: np.ndarray) -> None:
+        d = g
+        for i in range(last, -1, -1):
+            w = weights[i]
+            _affine_param_grads(d, acts[i], w, biases[i])
+            if i == 0:
+                if x.requires_grad:
+                    x._accumulate(d @ w.data.T)
+            elif w.data.shape[1] == 1:
+                d = _tanh_grad_k1(acts[i], d, w.data.T)
+            else:
+                d = _tanh_grad(acts[i], d @ w.data.T)
 
     out.grad_fn = grad_fn
     return out
@@ -492,17 +568,22 @@ def row_l1_normalize(a: Tensor) -> Tensor:
     """
     if a.data.ndim != 2:
         raise ShapeMismatch(f"row_l1_normalize: expected a matrix, got {a.data.shape}")
-    if np.any(a.data < 0.0):
+    x = a.data
+    # ndarray methods and ufunc calls, not their np.* wrappers: on the 1 x 2
+    # inputs of the connectivity loss the wrappers cost more than the work
+    if (x < 0.0).any():
         raise ValueError("row_l1_normalize: input must be nonnegative")
-    s = a.data.sum(axis=1, keepdims=True)
+    s = np.add.reduce(x, axis=1, keepdims=True)
     nonzero = s != 0.0
-    safe = np.where(nonzero, s, 1.0)
-    y = np.where(nonzero, a.data / safe, 0.0)
+    every_row = bool(nonzero.all())  # no zero row: the masks select everything
+    safe = s if every_row else np.where(nonzero, s, 1.0)
+    y = x / safe if every_row else np.where(nonzero, x / safe, 0.0)
     out = Tensor(y, (a,), op="row_l1_normalize")
 
     def grad_fn(g: np.ndarray) -> None:
-        dot = (g * y).sum(axis=1, keepdims=True)
-        a._accumulate(np.where(nonzero, (g - dot) / safe, 0.0))
+        dot = np.add.reduce(g * y, axis=1, keepdims=True)
+        d = (g - dot) / safe
+        a._accumulate(d if every_row else np.where(nonzero, d, 0.0))
 
     out.grad_fn = grad_fn
     return out

@@ -365,6 +365,18 @@ class TestCaseStudyCommand:
         lines = open(os.path.join(out, "case_study_trace.csv")).read().splitlines()
         assert len(lines) == 2 and lines[1].split(",")[3] == "1.0"
 
+    def test_manifest_records_command_line_overrides(self, tmp_path):
+        cfg = str(tmp_path / "cs.ini")
+        with open(cfg, "w") as fh:
+            fh.write("[case_study]\nepochs = 3\ninner_steps = 5\nsamples_per_epoch = 1000\n")
+        out = str(tmp_path / "fixed")
+        assert main(["case-study", "--config", cfg, "--seed", "2", "--out", out,
+                     "--epochs", "1", "--sigma2-fixed", "0.5"]) == 0
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        assert manifest["config"]["case_study.epochs"] == 1
+        assert manifest["config"]["case_study.sigma2_fixed"] == 0.5
+        assert manifest["config"]["case_study.inner_steps"] == 5
+
 
 # sha256 of each CSV file of the tiny runs below, recorded before the four
 # CSV writers became one (gib.metrics.write_csv): every byte stayed the same

@@ -330,6 +330,93 @@ class TestDense:
             T.dense(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3))), None, "sigmoid")
 
 
+def _mlp_chain(x, weights, biases):
+    """The oracle for T.mlp: one matmul, add and (but for the last layer) tanh per layer."""
+    h = x
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        h = h @ w + b
+        if i < len(weights) - 1:
+            h = T.tanh(h)
+    return h
+
+
+BLOCK = T.MLP_BLOCK_ROWS
+
+
+class TestMlpNode:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        rows=st.sampled_from((1, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5)),
+        widths=st.lists(st.integers(1, 4), min_size=1, max_size=3),  # input and hidden
+        d_out=st.sampled_from((1, 2, 3)),
+        x_needs_grad=st.booleans(),
+        x_reused=st.booleans(),
+        signed_zeros=st.booleans(),  # entries in {-1, -0.0, 0.0, 1}: exact zeros everywhere
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal_to_primitive_chain(
+        self, rows, widths, d_out, x_needs_grad, x_reused, signed_zeros, seed
+    ):
+        r = np.random.default_rng(seed)
+
+        def draw(*shape):
+            if not signed_zeros:
+                return r.normal(size=shape)
+            v = r.integers(-1, 2, size=shape).astype(float)
+            return np.where((v == 0.0) & (r.random(shape) < 0.5), -0.0, v)
+
+        dims = widths + [d_out]
+        xa = draw(rows, dims[0])
+        was = [draw(a, b) for a, b in zip(dims, dims[1:])]
+        bas = [draw(1, b) for b in dims[1:]]
+        upstream, other = draw(rows, d_out), r.normal(size=xa.shape)
+
+        def run(layer):
+            x = Tensor(xa) if x_needs_grad else T.constant(xa)
+            ws, bs = [Tensor(a) for a in was], [Tensor(a) for a in bas]
+            out = layer(x, ws, bs)
+            loss = T.tsum(out * T.constant(upstream))
+            if x_reused:
+                loss = loss + T.tsum(T.tanh(x) * T.constant(other))
+            loss.backward()
+            return out, [out.data] + [t.grad for t in [x, *ws, *bs]]
+
+        out, got = run(T.mlp)
+        assert out.op == "mlp"
+        for g, w in zip(got, run(_mlp_chain)[1]):
+            if w is None:
+                assert g is None
+            else:
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_one_tape_node(self):
+        ws = [Tensor(np.ones((2, 4))), Tensor(np.ones((4, 1)))]
+        bs = [Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 1)))]
+        ops = [t.op for t in T.tsum(T.mlp(T.constant(np.ones((3, 2))), ws, bs)).tape()]
+        assert ops == ["leaf"] * 4 + ["mlp", "sum"]
+
+    @pytest.mark.parametrize("d_out", [1, 3])
+    def test_gradients_against_finite_differences(self, monkeypatch, d_out):
+        # two-row blocks, so that five rows take three blocks, the last one short
+        monkeypatch.setattr(T, "MLP_BLOCK_ROWS", 2)
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            x = _rand(rng, 5, 3)
+            params = [_rand(rng, 3, 4), _rand(rng, 1, 4), _rand(rng, 4, 1), _rand(rng, 1, 1),
+                      _rand(rng, 1, d_out), _rand(rng, 1, d_out)]
+            weights = T.constant(_rand(rng, 5, d_out))
+            assert_gradients_match(
+                lambda ts: T.tsum(T.mlp(ts[0], ts[1::2], ts[2::2]) * weights), [x] + params
+            )
+
+    def test_layer_count_and_bias_shape_checked(self):
+        w = Tensor(np.zeros((2, 3)))
+        with pytest.raises(ShapeMismatch, match="2 weights for 1 biases"):
+            T.mlp(Tensor(np.zeros((1, 2))), [w, w], [Tensor(np.zeros((1, 3)))])
+        with pytest.raises(ShapeMismatch, match=r"mlp: bias \(1, 2\)"):
+            T.mlp(Tensor(np.zeros((1, 2))), [w], [Tensor(np.zeros((1, 2)))])
+
+
 def _rand(rng, *shape):
     return rng.normal(size=shape)
 
@@ -502,6 +589,24 @@ class TestRowOpProperties:
         y_old, grad_old = _axis_row_softmax(x, g)
         np.testing.assert_allclose(y, y_old, rtol=0, atol=WIDE_ROW_TOL)
         np.testing.assert_allclose(grad, grad_old, rtol=0, atol=WIDE_ROW_TOL)
+
+    @PROPERTY
+    @given(data=st.data(), rows=st.integers(1, 6), cols=st.integers(1, 3))
+    def test_row_l1_normalize_bitwise_masked_form(self, data, rows, cols):
+        # zero rows (of +-0.0) are drawn often, so both paths run
+        x = data.draw(arrays(np.float64, (rows, cols),
+                             elements=st.sampled_from((0.0, -0.0, 0.5, 1e-300, 3.0, 40.0))))
+        g = data.draw(arrays(np.float64, (rows, cols), elements=ENTRIES))
+        leaf = Tensor(x)
+        y = T.row_l1_normalize(leaf)
+        T.tsum(y * T.constant(g)).backward()
+        s = x.sum(axis=1, keepdims=True)
+        safe = np.where(s != 0.0, s, 1.0)
+        y_old = np.where(s != 0.0, x / safe, 0.0)
+        dot = (g * y_old).sum(axis=1, keepdims=True)
+        grad_old = np.where(s != 0.0, (g - dot) / safe, 0.0)
+        assert y.data.tobytes() == y_old.tobytes()
+        assert leaf.grad.tobytes() == grad_old.tobytes()
 
     @PROPERTY
     @given(rows=st.integers(1, 4), cols=st.integers(1, 5), seed=SEEDS)
