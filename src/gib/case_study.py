@@ -123,8 +123,8 @@ class CaseStudyConfig:
     def validate(self) -> None:
         for key in ("sigma2_init", "lr_inner", "lr_outer", "sigma2_fixed"):
             value = getattr(self, key)
-            if value is not None and not value > 0:
-                raise ConfigError(f"{key} must be positive, got {value}")
+            if value is not None and not 0 < value < math.inf:
+                raise ConfigError(f"{key} must be positive and finite, got {value}")
         for key, least in (("epochs", 1), ("inner_steps", 1), ("hidden", 1),
                            ("samples_per_epoch", 2), ("inner_batch", 2), ("warmup_steps", 0)):
             if getattr(self, key) < least:

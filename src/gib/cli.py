@@ -345,7 +345,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args.out_name = args.name + "_NOISY"
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, IOError, ValueError) as err:
+    except (ConfigError, FileNotFoundError, IOError, ValueError, FloatingPointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

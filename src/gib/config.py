@@ -21,12 +21,11 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no":
 
 def _fields(config_class: type, leave_out: tuple[str, ...]) -> dict[str, tuple[type, Any]]:
     """key -> (type, default) for the fields of a config dataclass, in field
-    order, typed by each default. A ``None`` default is 0 in a file."""
+    order, typed by each default."""
     out = {}
     for field in dataclasses.fields(config_class):
         if field.name not in leave_out:
-            default = 0 if field.default is None else field.default
-            out[field.name] = (type(default), default)
+            out[field.name] = (type(field.default), field.default)
     return out
 
 
@@ -85,8 +84,6 @@ def flatten(config: dict[str, dict[str, Any]]) -> dict[str, Any]:
 
 def to_train_config(config: dict[str, dict[str, Any]], seed: int) -> TrainConfig:
     """The [train] section as a validated :class:`TrainConfig`."""
-    section = dict(config["train"])
-    section["inner_batch_size"] = section["inner_batch_size"] or None  # 0: the full cached set
-    train_config = TrainConfig(**section, seed=seed)
+    train_config = TrainConfig(**config["train"], seed=seed)
     train_config.validate()
     return train_config

@@ -168,17 +168,16 @@ def _read_lines(path: str, keep_empty: bool = False) -> list[str]:
         return [line.strip() for line in fh if keep_empty or line.strip()]
 
 
-def load_tu_dataset(path: str, name: str, continuous: Optional[bool] = None) -> Dataset:
+def load_tu_dataset(path: str, name: str) -> Dataset:
     """Load a dataset in the TU benchmark text format.
 
     Expects ``<name>_A.txt`` (1-indexed comma-separated edge list over global
     node ids), ``<name>_graph_indicator.txt``, ``<name>_graph_labels.txt``
     and, optionally, ``<name>_node_labels.txt``. Node labels become one-hot
     features; without them every node gets a single all-ones feature. Integer
-    graph labels are remapped to contiguous 0-based ids; non-integer labels
-    mark the dataset as continuous. Pass ``continuous`` to override the
-    detection (a property that happens to take integral values would
-    otherwise be read as categorical).
+    graph labels are remapped to contiguous 0-based ids; decimal-formatted
+    labels (a ``.`` or an exponent, as ``save_tu_dataset`` writes them) mark
+    the dataset as continuous, even where every value is integral.
     """
     prefix = os.path.join(path, name)
     indicator = [int(s) for s in _read_lines(prefix + "_graph_indicator.txt")]
@@ -196,12 +195,20 @@ def load_tu_dataset(path: str, name: str, continuous: Optional[bool] = None) -> 
         raise GraphFormatError(
             f"{name}_graph_labels.txt has {len(label_lines)} lines, expected {n_graphs}"
         )
-    raw_labels = [float(s) for s in label_lines]
-    if continuous is None:
-        # decimal-formatted labels mark a continuous property; bare integers
-        # mark classes (a zero-noise property would otherwise be ambiguous)
-        continuous = any("." in s or "e" in s.lower() for s in label_lines)
-    if continuous:
+    raw_labels = []
+    for lineno, text in enumerate(label_lines, start=1):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise GraphFormatError(
+                f"{name}_graph_labels.txt line {lineno}: label {text!r} is not a finite number"
+            )
+        raw_labels.append(value)
+    # decimal-formatted labels mark a continuous property; bare integers
+    # mark classes (a zero-noise property would otherwise be ambiguous)
+    if any("." in s or "e" in s.lower() for s in label_lines):
         labels: list[float | int] = raw_labels
         num_classes = None
     else:
@@ -340,8 +347,8 @@ def add_noise_edges(
     Returns the noisy graph and a boolean mask over its canonical edge order
     marking which edges are original. Original edges are never removed.
     """
-    if fraction < 0:
-        raise ConfigError(f"noise fraction must be nonnegative, got {fraction}")
+    if not 0 <= fraction < math.inf:
+        raise ConfigError(f"noise fraction must be finite and nonnegative, got {fraction}")
     n_new = math.ceil(fraction * graph.num_edges)
     adjacency = graph.adjacency.copy()
     if n_new > 0:
@@ -434,6 +441,10 @@ class MotifConfig:
             raise ConfigError(f"unknown feature_mode {self.feature_mode!r}")
         if self.label_rule not in ("kind", "size"):
             raise ConfigError(f"unknown label_rule {self.label_rule!r}")
+        if not 0 <= self.property_noise < math.inf:
+            raise ConfigError(
+                f"property_noise must be finite and nonnegative, got {self.property_noise}"
+            )
 
 
 def _motif_adjacency(kind: str, k: int) -> np.ndarray:

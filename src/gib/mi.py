@@ -8,13 +8,14 @@ MLP head maps their concatenation to the score. Over a batch, the estimate
     mean_i f(G_i, sub_i) - log mean_i exp f(G_i, sub_{pair(i)})
 
 rises toward the true mutual information as the head is trained to maximize
-it. Mismatched pairs come from the cyclic shift pair(i) = i+1 mod N by
-default, a linear-cost realization of "any j != i"; the full mismatched
-double sum is available for small batches.
+it. Mismatched pairs come from the cyclic shift pair(i) = i+1 mod N, a
+linear-cost realization of "any j != i".
 
 One DV bound (``dv_bound``) and one head-ascent loop (``inner_maximize``)
-serve two callers: GIB, with mismatched rows [g_i, s_{i+1}], and the toy
-``case_study``, with rows [x_{i+1}, y_i] (``shift_left``, as np.roll(x, -1)).
+serve two callers. GIB runs the loop once per epoch, with a fresh head, on
+its whole cached training set and mismatched rows [g_i, s_{i+1}]. The toy
+``case_study`` draws a minibatch per step (``batch_size``, ``rng``) and uses
+rows [x_{i+1}, y_i] (``shift_left``, as np.roll(x, -1)).
 """
 
 from __future__ import annotations
@@ -77,17 +78,10 @@ class MiBatchEstimate:
     value: Tensor
 
 
-def _marginal_pairs(
-    n: int, full_pairing: bool, shift_left: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """(left index, right index) of every mismatched pair, row-major.
-
-    The cyclic shift pairs left i with right i+1 mod n, or with
-    ``shift_left`` left i+1 mod n with right i; full pairing lists every
-    (i, j) with j != i.
-    """
-    if full_pairing:
-        return np.nonzero(~np.eye(n, dtype=bool))
+def _marginal_pairs(n: int, shift_left: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(left index, right index) of the n mismatched pairs of a cyclic shift:
+    left i with right i+1 mod n, or with ``shift_left`` left i+1 mod n with
+    right i."""
     i = np.arange(n)
     return ((i + 1) % n, i) if shift_left else (i, (i + 1) % n)
 
@@ -106,22 +100,19 @@ def mi_batch_loss(
     statnet: StatisticsNetwork,
     graph_embs: Tensor | Sequence[Tensor],
     sub_embs: Tensor | Sequence[Tensor],
-    full_pairing: bool = False,
 ) -> MiBatchEstimate:
     """The batched estimator over matched and mismatched embedding pairs.
 
     The two sides are B x d matrices (or lists of 1 x d rows) whose row i
-    describes the same graph. With ``full_pairing`` the marginal term
-    averages over all B(B-1) mismatched pairs instead of the cyclic shift.
-    Mismatched rows are gathered by constant selection matrices, so the
-    estimate stays differentiable in both sides.
+    describes the same graph. Mismatched rows are gathered by constant
+    selection matrices, so the estimate stays differentiable in both sides.
     """
     g = graph_embs if isinstance(graph_embs, Tensor) else T.concat_rows(graph_embs)
     s = sub_embs if isinstance(sub_embs, Tensor) else T.concat_rows(sub_embs)
     n = g.shape[0]
     if n != s.shape[0]:
         raise ValueError(f"batch sides disagree: {n} graphs vs {s.shape[0]} subgraphs")
-    gi, si = _marginal_pairs(n, full_pairing)
+    gi, si = _marginal_pairs(n)
     eye = np.eye(n)
     marginal_in = T.concat_cols([T.constant(eye[gi]) @ g, T.constant(eye[si]) @ s])
     return dv_bound(statnet.head, T.concat_cols([g, s]), marginal_in)
@@ -143,7 +134,6 @@ def inner_maximize(
     optimizer_kind: str = "adam",
     batch_size: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
-    full_pairing: bool = False,
     shift_left: bool = False,
 ) -> list[float]:
     """Train the head to maximize the batched estimate; everything else frozen.
@@ -160,7 +150,7 @@ def inner_maximize(
     minibatched = batch_size is not None and batch_size < n
     if minibatched and rng is None:
         raise ValueError("minibatched inner loop needs an rng")
-    li, ri = _marginal_pairs(batch_size if minibatched else n, full_pairing, shift_left)
+    li, ri = _marginal_pairs(batch_size if minibatched else n, shift_left)
     optimizer = make_optimizer(optimizer_kind, head.params(), lr)
     if not minibatched:
         joint_in, marginal_in = _dv_inputs(left, right, li, ri)

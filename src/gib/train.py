@@ -1,16 +1,15 @@
 """The bi-level training loop, on the epoch loop every model shares.
 
-Each outer step (an epoch over minibatches by default) first re-initializes
-the statistics head and trains it alone for T ascent steps on embeddings
-cached from the current generator; with the head then frozen, the generator
-and classifier take gradient steps on
+Each epoch first re-initializes the statistics head and trains it alone for
+T ascent steps on embeddings of the whole training split, cached from the
+current generator; with the head then frozen, the generator and classifier
+take one gradient step per minibatch on
 
     classification loss + beta * MI estimate + connectivity loss.
 
-Phases own disjoint parameter groups: the inner loop touches only the head,
-the outer loop only the generator and classifier. ``per_batch_inner`` runs a
-fresh inner loop before every outer minibatch instead of once per epoch,
-which is the literal alternation at a much higher cost.
+One inner phase per epoch is how every shipped result reads the paper's
+alternation. Phases own disjoint parameter groups: the inner loop touches
+only the head, the outer loop only the generator and classifier.
 
 Each minibatch is one :class:`GraphBatch` and one tape: the shared encoder
 runs once per batch, and its node embeddings feed the subgraph embeddings,
@@ -19,6 +18,7 @@ the graph embeddings and every loss term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -54,11 +54,11 @@ class TrainConfig:
     threshold: float = 0.5
     use_mi: bool = True
     use_con: bool = True
-    per_batch_inner: bool = False
-    full_pairing: bool = False
-    inner_batch_size: Optional[int] = None
 
     def validate(self) -> None:
+        for key in ("beta", "con_weight", "lr_inner", "lr_outer"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         if self.beta < 0:
             raise ConfigError(f"beta must be nonnegative, got {self.beta}")
         if self.con_weight < 0:
@@ -76,11 +76,6 @@ class TrainConfig:
             raise ConfigError("learning rates must be positive")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2 (mismatched pairs need company)")
-        if self.inner_batch_size is not None and self.inner_batch_size < 2:
-            raise ConfigError(
-                "inner_batch_size must be >= 2 (a cyclic shift of one pair pairs it "
-                f"with itself), got {self.inner_batch_size}"
-            )
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must be in (0, 1), got {self.threshold}")
 
@@ -168,7 +163,6 @@ def run_inner_phase(
     graphs: list[Graph],
     config: TrainConfig,
     phi2_rng: np.random.Generator,
-    inner_rng: np.random.Generator,
 ) -> float:
     """Fresh head, T ascent steps on cached embeddings; returns the final estimate."""
     model.statnet.reinitialize_head(phi2_rng)
@@ -180,9 +174,6 @@ def run_inner_phase(
         steps=config.inner_steps,
         lr=config.lr_inner,
         optimizer_kind=config.optimizer,
-        batch_size=config.inner_batch_size,
-        rng=inner_rng,
-        full_pairing=config.full_pairing,
     )
     return trace[-1]
 
@@ -201,7 +192,7 @@ def outer_step(
     cls_loss = output_loss(model.logits(sub_embs), labels, model.num_classes)
     con_loss = connectivity_loss(s, batch)
     if config.use_mi and len(batch) >= 2:
-        mi_est = mi_batch_loss(model.statnet, batch.mean(x), sub_embs, config.full_pairing)
+        mi_est = mi_batch_loss(model.statnet, batch.mean(x), sub_embs)
         mi_loss = mi_est.value
     else:
         mi_loss = T.constant(0.0)
@@ -322,9 +313,7 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
         )
 
     ss = np.random.SeedSequence(config.seed)
-    init_rng, phi2_rng, shuffle_rng, inner_rng = (
-        np.random.default_rng(child) for child in ss.spawn(4)
-    )
+    init_rng, phi2_rng, shuffle_rng = (np.random.default_rng(child) for child in ss.spawn(3))
     model = build_model(GibModel, dataset, config, init_rng)
     outer_opt = make_optimizer(config.optimizer, model.outer_params(), config.lr_outer)
 
@@ -333,23 +322,17 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     mi_trace: list[tuple[int, float]] = []
     epoch_losses: list[LossBreakdown] = []
 
-    def inner_phase(graphs: list[Graph], epoch: int, where: str) -> None:
-        try:
-            mi_estimate = run_inner_phase(model, graphs, config, phi2_rng, inner_rng)
-        except FloatingPointError as err:
-            raise FloatingPointError(
-                f"{where}: {err}; statistics-head parameter norms "
-                f"{_param_norms(model, model.phi2_params())}"
-            ) from err
-        mi_trace.append((epoch, mi_estimate))
-
     def step(epoch: int, batch_index: int, batch: list[Graph]) -> None:
-        # the per-epoch inner phase draws only on phi2_rng and inner_rng, so
-        # running it after the epoch's shuffle leaves every draw unchanged
-        if config.use_mi and config.per_batch_inner:
-            inner_phase(batch, epoch, f"epoch {epoch}, batch {batch_index}")
-        elif config.use_mi and batch_index == 0:
-            inner_phase(train_graphs, epoch, f"epoch {epoch}")
+        # the inner phase draws only on phi2_rng, so running it after the
+        # epoch's shuffle leaves every draw unchanged
+        if config.use_mi and batch_index == 0:
+            try:
+                mi_trace.append((epoch, run_inner_phase(model, train_graphs, config, phi2_rng)))
+            except FloatingPointError as err:
+                raise FloatingPointError(
+                    f"epoch {epoch}: {err}; statistics-head parameter norms "
+                    f"{_param_norms(model, model.phi2_params())}"
+                ) from err
         try:
             epoch_losses.append(outer_step(model, outer_opt, batch, config))
         except FloatingPointError as err:

@@ -151,7 +151,8 @@ class TestRunCaseStudy:
     @pytest.mark.parametrize("key,value", [
         ("sigma2_init", 0.0), ("lr_inner", -1.0), ("lr_outer", 0.0), ("sigma2_fixed", 0.0),
         ("epochs", 0), ("inner_steps", 0), ("hidden", 0), ("samples_per_epoch", 1),
-        ("inner_batch", 1), ("warmup_steps", -1),
+        ("inner_batch", 1), ("warmup_steps", -1), ("sigma2_init", float("nan")),
+        ("sigma2_fixed", float("inf")),
     ])
     def test_invalid_config_rejected_by_name(self, key, value):
         with pytest.raises(ConfigError, match=key):

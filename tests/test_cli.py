@@ -75,27 +75,23 @@ class TestTrainCommand:
         )
         assert result.returncode == 2
 
-    def test_bad_config_key_named(self, tmp_path, motif_dir):
-        cfg = str(tmp_path / "bad.ini")
-        with open(cfg, "w") as fh:
-            fh.write("[train]\nouter_stepz = 3\n")
-        code = main(["train", "--config", cfg, "--data", motif_dir,
-                     "--name", "TOY", "--out", str(tmp_path / "r")])
-        assert code == 1
-
-    def test_inner_batch_of_one_rejected_by_name(self, tmp_path, motif_dir, capsys):
-        cfg = str(tmp_path / "one.ini")
-        with open(cfg, "w") as fh:
-            fh.write(FAST_TRAIN.replace("[data]\n", "inner_batch_size = 1\n[data]\n"))
-        code = main(["train", "--config", cfg, "--data", motif_dir,
-                     "--name", "TOY", "--out", str(tmp_path / "r")])
-        assert code == 1
-        assert "inner_batch_size" in capsys.readouterr().err
-        assert not os.path.exists(str(tmp_path / "r" / "checkpoint.bin"))
-        assert not os.path.exists(str(tmp_path / "r"))  # no directory, no manifest
+    def test_bad_config_key_named(self, tmp_path, motif_dir, capsys):
+        # a typo, and the inner-loop keys of older config files
+        for line in ("outer_stepz = 3", "per_batch_inner = true", "full_pairing = true",
+                     "inner_batch_size = 8"):
+            cfg = str(tmp_path / "bad.ini")
+            with open(cfg, "w") as fh:
+                fh.write(f"[train]\n{line}\n")
+            code = main(["train", "--config", cfg, "--data", motif_dir,
+                         "--name", "TOY", "--out", str(tmp_path / "r")])
+            assert code == 1
+            assert f"unknown config key {line.split(' = ')[0]!r}" in capsys.readouterr().err
+            assert not os.path.exists(str(tmp_path / "r"))  # no directory, no manifest
 
     @pytest.mark.parametrize("line", ["optimizer = foo", "hidden = 0", "gcn_layers = 0",
-                                      "mlp_hidden = 0", "patience = 0", "con_weight = -1"])
+                                      "mlp_hidden = 0", "patience = 0", "con_weight = -1",
+                                      "beta = nan", "con_weight = nan", "lr_outer = nan",
+                                      "lr_inner = inf"])
     def test_invalid_train_value_rejected_by_name(self, tmp_path, motif_dir, capsys, line):
         cfg = str(tmp_path / "bad.ini")
         with open(cfg, "w") as fh:
@@ -106,6 +102,17 @@ class TestTrainCommand:
         assert code == 1
         assert line.split(" = ")[0] in capsys.readouterr().err
         assert not os.path.exists(str(tmp_path / "r"))  # no directory, no manifest
+
+    def test_divergence_exits_1_with_its_message(self, tmp_path, motif_dir, config_file,
+                                                 capsys, monkeypatch):
+        def diverging(dataset, config):
+            raise FloatingPointError("epoch 2, batch 0: outer step diverged: cls=nan")
+
+        monkeypatch.setattr(gib.cli, "train", diverging)
+        code = main(["train", "--config", config_file, "--data", motif_dir,
+                     "--name", "TOY", "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert "error: epoch 2, batch 0: outer step diverged" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train", "denoise", "interpret"])
     def test_empty_test_split_fails_before_out(self, tmp_path, motif_dir, command, capsys):
@@ -326,7 +333,8 @@ class TestCaseStudyCommand:
     @pytest.mark.parametrize("line", ["sigma2_init = 0", "lr_inner = -1", "lr_outer = 0",
                                       "epochs = 0", "inner_steps = 0", "hidden = 0",
                                       "samples_per_epoch = 1", "inner_batch = 1",
-                                      "warmup_steps = -1"])
+                                      "warmup_steps = -1", "lr_inner = inf",
+                                      "lr_outer = inf", "sigma2_init = inf"])
     def test_invalid_value_rejected_by_name(self, tmp_path, capsys, line):
         cfg = str(tmp_path / "cs.ini")
         with open(cfg, "w") as fh:

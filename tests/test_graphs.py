@@ -126,7 +126,16 @@ class TestTuLoader:
         assert load_tu_dataset(str(d), "CONT").continuous
         (d / "CONT_graph_labels.txt").write_text("4\n5\n")
         assert not load_tu_dataset(str(d), "CONT").continuous
-        assert load_tu_dataset(str(d), "CONT", continuous=True).continuous
+
+    @pytest.mark.parametrize("label", ["nan", "inf", "-inf", "1e999", "four"])
+    def test_non_finite_label_names_file_and_line(self, tmp_path, label):
+        d = tmp_path / "NAN"
+        d.mkdir()
+        (d / "NAN_A.txt").write_text("1, 2\n2, 1\n3, 4\n4, 3\n")
+        (d / "NAN_graph_indicator.txt").write_text("1\n1\n2\n2\n")
+        (d / "NAN_graph_labels.txt").write_text(f"4.5\n{label}\n")
+        with pytest.raises(GraphFormatError, match="NAN_graph_labels.txt line 2"):
+            load_tu_dataset(str(d), "NAN")
 
     def test_roundtrip_through_save(self, tmp_path):
         ds = gen_planted_motif_dataset(MotifConfig(num_graphs=5, background_nodes=(6, 9), seed=4))
@@ -257,6 +266,11 @@ class TestNoise:
         with pytest.raises(GenerationError, match="free"):
             add_noise_edges(k4, 0.5, seed=0)
 
+    @pytest.mark.parametrize("fraction", [-0.1, float("nan"), float("inf")])
+    def test_negative_or_non_finite_fraction_rejected(self, fraction):
+        with pytest.raises(ConfigError, match="noise fraction"):
+            add_noise_edges(path(5), fraction, seed=0)
+
 
 class TestLineGraph:
     def test_triangle_maps_to_triangle(self):
@@ -332,6 +346,12 @@ class TestMotifGenerator:
             gen_planted_motif_dataset(
                 MotifConfig(num_graphs=2, motif_size=30, background_nodes=(5, 8))
             ).graphs
+
+    @pytest.mark.parametrize("noise", [-0.5, float("nan"), float("inf")])
+    def test_negative_or_non_finite_property_noise_rejected(self, noise):
+        config = MotifConfig(num_graphs=2, label_rule="size", property_noise=noise)
+        with pytest.raises(ConfigError, match="property_noise"):
+            gen_planted_motif_dataset(config)
 
     def test_adjacency_invariants_hold(self):
         ds = gen_planted_motif_dataset(MotifConfig(num_graphs=30, seed=5))

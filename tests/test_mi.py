@@ -65,16 +65,6 @@ class TestBatchLoss:
         assert float(rot.joint_term.data) == pytest.approx(float(base.joint_term.data), abs=1e-12)
         assert float(rot.marginal_term.data) == pytest.approx(float(base.marginal_term.data), abs=1e-12)
 
-    def test_full_pairing_uses_all_mismatches(self):
-        r = rng(5)
-        statnet = make_statnet(r)
-        g, s = random_pairs(r, statnet, 4)
-        cyclic = mi_batch_loss(statnet, g, s, full_pairing=False)
-        full = mi_batch_loss(statnet, g, s, full_pairing=True)
-        # both are finite and share the joint term; marginals generally differ
-        assert float(full.joint_term.data) == float(cyclic.joint_term.data)
-        assert np.isfinite(float(full.value.data))
-
     def test_gradients_flow_to_head_and_embeddings(self):
         r = rng(6)
         statnet = make_statnet(r)
@@ -95,7 +85,7 @@ class TestMarginalPairs:
     def test_cyclic_shift_directions(self):
         i = np.arange(5)
         for shift_left, expected in ((False, (i, (i + 1) % 5)), (True, ((i + 1) % 5, i))):
-            left, right = _marginal_pairs(5, False, shift_left=shift_left)
+            left, right = _marginal_pairs(5, shift_left=shift_left)
             assert np.array_equal(left, expected[0]) and np.array_equal(right, expected[1])
 
 
@@ -179,22 +169,18 @@ class TestInnerTracePinned:
     the earlier loop that built every pair from 1 x d tensor rows."""
 
     TRACES = {
-        (False, None): [-0.2781801447256694, -0.2378497816987073,
-                        -0.20133446846770564, -0.16855655176233927],
-        (False, 4): [-0.4195435414000379, 0.016458531060942694,
-                     -0.06241117462707735, -0.005563240640748479],
-        (True, None): [-0.2771821604024665, -0.23443995559456396,
-                       -0.19545236940292385, -0.16033817056343028],
-        (True, 4): [-0.39334777232874063, 0.008696843641107427,
-                    -0.015312354870820943, -0.011742073196079256],
+        None: [-0.2781801447256694, -0.2378497816987073,
+               -0.20133446846770564, -0.16855655176233927],
+        4: [-0.4195435414000379, 0.016458531060942694,
+            -0.06241117462707735, -0.005563240640748479],
     }
 
-    @pytest.mark.parametrize("full_pairing,batch_size", sorted(TRACES, key=str))
-    def test_trace_is_exact(self, full_pairing, batch_size):
+    @pytest.mark.parametrize("batch_size", sorted(TRACES, key=str))
+    def test_trace_is_exact(self, batch_size):
         r = np.random.default_rng(2024)
         statnet = StatisticsNetwork(GcnEncoder([3, 4], r), 4, r, hidden=6)
         g = r.normal(size=(6, 4))
         s = r.normal(size=(6, 4))
         trace = inner_maximize(statnet.head, g, s, steps=4, lr=1e-2, batch_size=batch_size,
-                               rng=np.random.default_rng(7), full_pairing=full_pairing)
-        assert trace == self.TRACES[(full_pairing, batch_size)]
+                               rng=np.random.default_rng(7))
+        assert trace == self.TRACES[batch_size]

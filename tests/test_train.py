@@ -215,14 +215,11 @@ class TestTrain:
 
     def test_freeze_contracts_hold_in_debug_mode(self, monkeypatch):
         calls = check_phase_freezes(monkeypatch)
-        ds = tiny_dataset()
-        for per_batch_inner in (False, True):
-            config = TrainConfig(outer_steps=2, inner_steps=3, batch_size=8, seed=3,
-                                 per_batch_inner=per_batch_inner)
-            train(ds, config)  # raises AssertionError on any phase violation
+        config = TrainConfig(outer_steps=2, inner_steps=3, batch_size=8, seed=3)
+        train(tiny_dataset(), config)  # raises AssertionError on any phase violation
         # 17 training graphs make batches of 8 and 9: per epoch, one inner
-        # phase or one per batch, and two outer steps
-        assert calls == {"inner": 2 + 4, "outer": 4 + 4}
+        # phase and two outer steps
+        assert calls == {"inner": 2, "outer": 4}
 
     def test_loss_decreases_in_trend_without_regularizers(self):
         ds = tiny_dataset(n=40)
@@ -251,16 +248,6 @@ class TestTrain:
         assert result.model.label_mean == pytest.approx(np.mean(labels))
         pred = result.model.predict(ds.graphs[0])
         assert np.isfinite(pred)
-
-    def test_per_batch_inner_mode(self, monkeypatch):
-        calls = check_phase_freezes(monkeypatch)
-        ds = tiny_dataset()
-        config = TrainConfig(outer_steps=2, inner_steps=2, batch_size=8, seed=6,
-                             per_batch_inner=True)
-        result = train(ds, config)
-        assert calls["inner"] == calls["outer"] == len(result.mi_trace)
-        # one inner run per outer batch instead of one per epoch
-        assert len(result.mi_trace) > len(result.history)
 
     def test_single_step_smoke_emits_all_artifacts(self, tmp_path):
         ds = tiny_dataset(n=8)
@@ -308,16 +295,11 @@ class TestTrain:
         assert "classifier.layer0.weight=nan" in message
         assert re.search(r"generator\.encoder\.gcn0\.weight=\d", message)  # finite ones too
 
-    @pytest.mark.parametrize("per_batch_inner, where", [(False, "epoch 1"),
-                                                        (True, "epoch 1, batch 0")])
-    def test_inner_divergence_names_epoch_batch_and_head_norms(
-        self, monkeypatch, per_batch_inner, where
-    ):
+    def test_inner_divergence_names_epoch_and_head_norms(self, monkeypatch):
         ds = tiny_dataset()
         ds.splits = {"train": list(range(16)), "val": list(range(16, 20)),
                      "test": list(range(20, 24))}
-        config = TrainConfig(outer_steps=2, inner_steps=3, batch_size=8, seed=0,
-                             per_batch_inner=per_batch_inner)
+        config = TrainConfig(outer_steps=2, inner_steps=3, batch_size=8, seed=0)
         train_module = importlib.import_module("gib.train")
 
         def poisoned_model(*args, **kwargs):
@@ -331,7 +313,7 @@ class TestTrain:
         with pytest.raises(FloatingPointError) as info:
             train(ds, config)
         message = str(info.value)
-        assert message.startswith(f"{where}: inner step 0: estimator diverged")
+        assert message.startswith("epoch 1: inner step 0: estimator diverged")
         assert "statistics-head parameter norms statnet.head.layer0.weight=" in message
         assert re.search(r"statnet\.head\.layer1\.bias=\d", message)
         assert "generator." not in message  # the head's norms only
@@ -343,14 +325,6 @@ class TestTrain:
             TrainConfig(inner_steps=0).validate()
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=1).validate()
-
-    @pytest.mark.parametrize("size", [1, 0, -4])
-    def test_inner_batch_below_two_named(self, size):
-        # a cyclic shift of one pair pairs it with itself, so the MI term reads 0
-        with pytest.raises(ConfigError, match="inner_batch_size"):
-            TrainConfig(inner_batch_size=size).validate()
-        TrainConfig(inner_batch_size=2).validate()
-        TrainConfig(inner_batch_size=None).validate()
 
     @pytest.mark.parametrize("threshold", [1.5, 1.0, 0.0, -0.2, float("nan")])
     def test_threshold_outside_unit_interval_named(self, threshold):
