@@ -71,10 +71,17 @@ def _splits(config: dict, n: int, seed: int) -> dict[str, list[int]]:
     """Splits of n graphs from the [data] section: k-fold when ``folds`` > 0,
     otherwise seeded train/val/test ratios."""
     data_cfg = config["data"]
-    if data_cfg["folds"] > 0:
-        return kfold_splits(n, data_cfg["fold_index"], data_cfg["folds"], seed)
-    ratios = (data_cfg["split_train"], data_cfg["split_val"], data_cfg["split_test"])
-    return random_splits(n, ratios, seed)
+    folds = data_cfg["folds"]
+    if folds < 0 or folds == 1:
+        raise ConfigError(f"[data] folds must be 0 (ratio split) or at least 2, got {folds}")
+    if folds:
+        return kfold_splits(n, data_cfg["fold_index"], folds, seed)
+    keys = ("split_train", "split_val", "split_test")
+    for key in keys:
+        if not 0.0 <= data_cfg[key] <= 1.0:  # NaN fails too
+            raise ConfigError(f"[data] {key} must be a finite number in [0, 1], "
+                              f"got {data_cfg[key]}")
+    return random_splits(n, tuple(data_cfg[key] for key in keys), seed)
 
 
 def _load_dataset(args: argparse.Namespace, config: dict, with_masks: bool = False) -> Dataset:
@@ -82,7 +89,8 @@ def _load_dataset(args: argparse.Namespace, config: dict, with_masks: bool = Fal
     if with_masks:
         dataset.masks = load_mask_sidecar(args.data, args.name, len(dataset.graphs))
     dataset.splits = _splits(config, len(dataset.graphs), args.seed)
-    dataset.subset("test")  # an empty test split fails before --out exists
+    for split in ("train", "val", "test"):
+        dataset.subset(split)  # an empty split fails before --out exists
     print(f"loaded {dataset.name}: {len(dataset.graphs)} graphs, "
           f"{'continuous labels' if dataset.continuous else f'{dataset.num_classes} classes'}")
     return dataset

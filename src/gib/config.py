@@ -16,9 +16,6 @@ from .case_study import CaseStudyConfig
 from .graphs import ConfigError
 from .train import TrainConfig
 
-_BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
-
-
 def _fields(config_class: type, leave_out: tuple[str, ...]) -> dict[str, tuple[type, Any]]:
     """key -> (type, default) for the fields of a config dataclass, in field
     order, typed by each default."""
@@ -47,10 +44,8 @@ SCHEMA: dict[str, dict[str, tuple[type, Any]]] = {
 def _parse_value(raw: str, kind: type, where: str) -> Any:
     raw = raw.strip()
     try:
-        if kind is bool:
-            return _BOOL[raw.lower()]
         return kind(raw)
-    except (KeyError, ValueError):
+    except ValueError:
         raise ConfigError(f"cannot parse {where} = {raw!r} as {kind.__name__}") from None
 
 

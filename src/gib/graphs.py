@@ -168,6 +168,21 @@ def _read_lines(path: str, keep_empty: bool = False) -> list[str]:
         return [line.strip() for line in fh if keep_empty or line.strip()]
 
 
+def _parse_int(text: str, where: str, error: type[ValueError] = GraphFormatError) -> int:
+    """``int(text)``, or ``error`` naming ``where`` (a file and line)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise error(f"{where}: {text!r} is not an integer") from None
+
+
+def _read_ints(path: str) -> list[int]:
+    """One integer per nonempty line of ``path``; errors name the file and line."""
+    file = os.path.basename(path)
+    lines = enumerate(_read_lines(path, keep_empty=True), start=1)
+    return [_parse_int(s, f"{file} line {i}") for i, s in lines if s]
+
+
 def load_tu_dataset(path: str, name: str) -> Dataset:
     """Load a dataset in the TU benchmark text format.
 
@@ -180,7 +195,7 @@ def load_tu_dataset(path: str, name: str) -> Dataset:
     the dataset as continuous, even where every value is integral.
     """
     prefix = os.path.join(path, name)
-    indicator = [int(s) for s in _read_lines(prefix + "_graph_indicator.txt")]
+    indicator = _read_ints(prefix + "_graph_indicator.txt")
     n_nodes = len(indicator)
     n_graphs = max(indicator)
     sizes = [0] * n_graphs
@@ -188,6 +203,10 @@ def load_tu_dataset(path: str, name: str) -> Dataset:
         if not 1 <= g <= n_graphs:
             raise GraphFormatError(f"graph indicator {g} out of range")
         sizes[g - 1] += 1
+    if 0 in sizes:
+        raise GraphFormatError(
+            f"{name}_graph_indicator.txt: graph {sizes.index(0) + 1} owns no node"
+        )
     offsets = np.cumsum([0] + sizes[:-1])
 
     label_lines = _read_lines(prefix + "_graph_labels.txt")
@@ -243,7 +262,7 @@ def load_tu_dataset(path: str, name: str) -> Dataset:
 
     node_label_path = prefix + "_node_labels.txt"
     if os.path.exists(node_label_path):
-        node_labels = [int(s) for s in _read_lines(node_label_path)]
+        node_labels = _read_ints(node_label_path)
         if len(node_labels) != n_nodes:
             raise GraphFormatError(
                 f"{name}_node_labels.txt has {len(node_labels)} lines, expected {n_nodes}"
@@ -320,7 +339,8 @@ def load_mask_sidecar(path: str, name: str, num_graphs: int) -> list[list[int]]:
     lines = _read_lines(file, keep_empty=True)
     if len(lines) != num_graphs:
         raise ConfigError(f"{file} has {len(lines)} mask lines for {num_graphs} graphs")
-    return [[int(s) for s in line.split(",") if s] for line in lines]
+    return [[_parse_int(s, f"{file} line {i}", ConfigError) for s in line.split(",") if s]
+            for i, line in enumerate(lines, start=1)]
 
 
 def dataset_hash(dataset: Dataset) -> str:

@@ -77,9 +77,6 @@ class Predictor:
             out += self.decode(self.outputs(batch).data)
         return out
 
-    def predict(self, graph: Graph) -> float | int:
-        return self.decode(self.outputs(graph.as_batch).data)[0]
-
 
 class GibModel(Predictor):
     """Subgraph generator + classifier + statistics network."""
@@ -99,7 +96,6 @@ class GibModel(Predictor):
         )
         self.classifier = Mlp([hidden, mlp_hidden, self.out_width], rng)
         self.statnet = StatisticsNetwork(self.generator.encoder, hidden, rng, hidden=mlp_hidden)
-        self.hidden = hidden
 
     # parameter groups ------------------------------------------------------
 

@@ -41,7 +41,7 @@ class GcnLayer:
 
     def transform(self, propagated: Tensor) -> Tensor:
         """The layer after propagation: relu(propagated @ W)."""
-        return T.dense(propagated, self.weight, None, "relu")
+        return T.mlp(propagated, [self.weight], [None], "relu")
 
     def params(self) -> list[Tensor]:
         return [self.weight]
@@ -118,7 +118,7 @@ class AttentionHead:
     def forward(self, embeddings: Tensor, batch: GraphBatch) -> tuple[Tensor, Tensor]:
         """Returns (graph embeddings B x d, node scores 1 x N summing to 1
         within each graph)."""
-        raw = T.dense(embeddings, self.p1, None, "tanh") @ self.p2  # N x 1
+        raw = T.mlp(embeddings, [self.p1, self.p2], [None, None])  # N x 1
         scores = T.segment_softmax(T.transpose(raw), batch.segments)  # 1 x N
         return (T.constant(batch.sum_pool) * scores) @ embeddings, scores
 

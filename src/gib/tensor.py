@@ -10,12 +10,10 @@ Design points:
   * float64 everywhere; gradient checks against central finite differences
     need the precision, and nothing here is large enough to want float32.
   * relu subgradient at exactly 0 is 0.
-  * An affine layer with its activation, ``act(x @ w + b)``, is one node
-    (:func:`dense`) that keeps one output array on the tape; it is bitwise
-    the same as the ``matmul``, ``add`` and activation chain.
-  * A whole MLP, tanh after each hidden layer and none after the last, is
-    one node (:func:`mlp`) built from the same per-layer helpers as
-    :func:`dense`, and as bitwise the same as the chain.
+  * Every affine stack is one node (:func:`mlp`): tanh after each hidden
+    layer, identity or relu after the last, biases optional. A GCN layer is
+    a one-layer stack. The node keeps only its output on the tape and is
+    bitwise the same as the ``matmul``, ``add`` and activation chain.
   * The k = 1 rule: where a width-1 layer follows a tanh layer, its input
     gradient ``d @ w.T`` (N x 1 times 1 x h) is built as the broadcast
     ``d * w.T`` plus 0.0. BLAS starts each entry of a product from +0.0 and
@@ -333,14 +331,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def _affine(x: np.ndarray, w: Tensor, b: Optional[Tensor], activation: str, op: str) -> np.ndarray:
+def _affine(x: np.ndarray, w: Tensor, b: Optional[Tensor], activation: str) -> np.ndarray:
     """``activation(x @ w + b)`` once the shapes are checked: the product goes
     into a fresh array and the bias and activation are applied to it in place."""
     if x.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.data.shape[0]:
-        raise ShapeMismatch(f"{op}: input {x.shape} does not fit weight {w.data.shape}")
+        raise ShapeMismatch(f"mlp: input {x.shape} does not fit weight {w.data.shape}")
     if b is not None and b.data.shape != (1, w.data.shape[1]):
         raise ShapeMismatch(
-            f"{op}: bias {b.data.shape} does not fit weight {w.data.shape}, "
+            f"mlp: bias {b.data.shape} does not fit weight {w.data.shape}, "
             f"expected (1, {w.data.shape[1]})"
         )
     y = x @ w.data
@@ -364,37 +362,6 @@ def _affine_param_grads(d: np.ndarray, x: np.ndarray, w: Tensor, b: Optional[Ten
         w._accumulate(x.T @ d)
 
 
-def dense(x: Tensor, w: Tensor, b: Optional[Tensor], activation: str) -> Tensor:
-    """``activation(x @ w + b)`` as one node: a whole affine layer.
-
-    The layer keeps one N x d_out array on the tape, not three. ``b`` is a
-    1 x d_out row or ``None``; ``activation`` is ``"identity"``, ``"relu"``
-    or ``"tanh"``. Value and gradients are bitwise those of the ``matmul``,
-    ``add`` and activation chain: the backward forms the pre-activation
-    gradient once and runs the chain's numpy expressions in the chain's
-    order (relu's mask is read off the output, which is positive exactly
-    where the pre-activation is).
-    """
-    if activation not in ("identity", "relu", "tanh"):
-        raise ValueError(f"dense: unknown activation {activation!r}")
-    y = _affine(x.data, w, b, activation, "dense")
-    out = Tensor(y, (x, w) if b is None else (x, w, b), op="dense")
-
-    def grad_fn(g: np.ndarray) -> None:
-        if activation == "tanh":
-            d = _tanh_grad(y, g)
-        elif activation == "relu":
-            d = g * (y > 0.0)  # subgradient at 0 is 0
-        else:
-            d = g
-        _affine_param_grads(d, x.data, w, b)
-        if x.requires_grad:
-            x._accumulate(d @ w.data.T)
-
-    out.grad_fn = grad_fn
-    return out
-
-
 # Rows per block when a width-1 layer's input gradient is folded into the
 # tanh gradient below it (_tanh_grad_k1): each block's arrays stay in cache.
 MLP_BLOCK_ROWS = 512
@@ -416,25 +383,32 @@ def _tanh_grad_k1(y: np.ndarray, d: np.ndarray, w_row: np.ndarray) -> np.ndarray
     return out
 
 
-def mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Tensor]) -> Tensor:
-    """A whole MLP as one node: tanh after every hidden layer, none after the last.
+def mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Optional[Tensor]],
+        last: str = "identity") -> Tensor:
+    """A stack of affine layers as one node: tanh after every hidden layer,
+    ``last`` (``"identity"`` or ``"relu"``) after the last; a bias is a
+    1 x d_out row or ``None``.
 
-    Each layer runs :func:`dense`'s arithmetic in its order, and only the
-    output is kept on the tape. Value and gradients are bitwise those of one
-    ``dense`` per layer; where a width-1 layer follows a hidden one, its
-    input gradient is folded into the tanh gradient (:func:`_tanh_grad_k1`).
+    Only the output is kept on the tape. Value and gradients are bitwise
+    those of the ``matmul``, ``add`` and activation chain: the backward runs
+    the chain's numpy expressions in its order (relu's mask is read off the
+    output, which is positive exactly where the pre-activation is), and a
+    width-1 layer's input gradient after a hidden one is folded into the
+    tanh gradient (:func:`_tanh_grad_k1`).
     """
+    if last not in ("identity", "relu"):
+        raise ValueError(f"mlp: unknown activation {last!r}")
     if not weights or len(weights) != len(biases):
         raise ShapeMismatch(f"mlp: {len(weights)} weights for {len(biases)} biases")
-    last = len(weights) - 1
+    top = len(weights) - 1
     acts = [x.data]  # the input of each layer, then the output
     for i, (w, b) in enumerate(zip(weights, biases)):
-        acts.append(_affine(acts[i], w, b, "tanh" if i < last else "identity", "mlp"))
-    out = Tensor(acts[-1], (x, *weights, *biases), op="mlp")
+        acts.append(_affine(acts[i], w, b, "tanh" if i < top else last))
+    out = Tensor(acts[-1], (x, *weights, *(b for b in biases if b is not None)), op="mlp")
 
     def grad_fn(g: np.ndarray) -> None:
-        d = g
-        for i in range(last, -1, -1):
+        d = g * (acts[-1] > 0.0) if last == "relu" else g  # subgradient at 0 is 0
+        for i in range(top, -1, -1):
             w = weights[i]
             _affine_param_grads(d, acts[i], w, biases[i])
             if i == 0:

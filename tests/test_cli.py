@@ -126,6 +126,25 @@ class TestTrainCommand:
         assert "nonempty 'test' split" in capsys.readouterr().err
         assert not os.path.exists(str(tmp_path / "r"))
 
+    @pytest.mark.parametrize("data, named", [
+        ("folds = 1\n", "folds"),
+        ("folds = -2\n", "folds"),
+        ("split_train = -0.2\nsplit_val = 0.6\nsplit_test = 0.6\n", "split_train"),
+        ("split_val = nan\n", "split_val"),
+        ("split_train = 0.0\nsplit_val = 0.5\nsplit_test = 0.5\n", "nonempty 'train' split"),
+    ])
+    def test_invalid_data_value_fails_by_name_before_out(self, tmp_path, motif_dir, capsys,
+                                                         data, named):
+        cfg = str(tmp_path / "bad.ini")
+        with open(cfg, "w") as fh:
+            fh.write(FAST_TRAIN.split("[data]")[0] + "[data]\n" + data)
+        out = str(tmp_path / "r")
+        code = main(["train", "--config", cfg, "--data", motif_dir, "--name", "TOY",
+                     "--out", out])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not os.path.exists(out)  # no directory, no manifest
+
     def test_missing_dataset_fails_nonzero(self, tmp_path, config_file):
         code = main(["train", "--config", config_file, "--data", str(tmp_path),
                      "--name", "GHOST", "--out", str(tmp_path / "r")])
@@ -296,6 +315,20 @@ class TestInterpretCommand:
         assert code == 1
         assert (f"graph 0 of CONT: motif mask spans {first}..999, "
                 f"but the graph has {nodes} nodes") in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_malformed_mask_line_fails_by_name_before_out(self, tmp_path, continuous_dir,
+                                                          config_file, capsys):
+        sidecar = os.path.join(continuous_dir, "CONT_mask.txt")
+        lines = open(sidecar).read().splitlines()
+        lines[1] = "1,x"
+        with open(sidecar, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        out = str(tmp_path / "x")
+        code = main(["interpret", "--config", config_file, "--data", continuous_dir,
+                     "--name", "CONT", "--seed", "3", "--out", out, "--no-baselines"])
+        assert code == 1
+        assert f"{sidecar} line 2: 'x' is not an integer" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_categorical_dataset_rejected(self, tmp_path, motif_dir, config_file):

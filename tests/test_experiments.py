@@ -63,7 +63,7 @@ class TestBaselines:
 
     def test_meanpool_baseline_predicts_classes(self, motif_ds):
         result = train_baseline(motif_ds, small_config(), kind="meanpool")
-        pred = result.model.predict(motif_ds.graphs[0])
+        pred = result.model.predict_all([motif_ds.graphs[0]])[0]
         assert pred in (0, 1)
 
     def test_unknown_kind_rejected(self, motif_ds):

@@ -104,6 +104,30 @@ class TestTuLoader:
         with pytest.raises(GraphFormatError, match="line 2"):
             load_tu_dataset(str(d), "BAD")
 
+    @pytest.mark.parametrize("file, lines, line", [
+        ("graph_indicator", "1\n\n1\nx\n", "line 4: 'x'"),  # blank lines count
+        ("node_labels", "0\n1.5\n0\n", "line 2: '1.5'"),
+    ])
+    def test_malformed_integer_line_names_file_and_line(self, tmp_path, file, lines, line):
+        d = tmp_path / "BAD"
+        d.mkdir()
+        (d / "BAD_A.txt").write_text("1, 2\n")
+        (d / "BAD_graph_indicator.txt").write_text("1\n1\n1\n")
+        (d / "BAD_graph_labels.txt").write_text("0\n")
+        (d / f"BAD_{file}.txt").write_text(lines)
+        with pytest.raises(GraphFormatError,
+                           match=re.escape(f"BAD_{file}.txt {line} is not an integer")):
+            load_tu_dataset(str(d), "BAD")
+
+    def test_graph_without_nodes_named(self, tmp_path):
+        d = tmp_path / "GAP"
+        d.mkdir()
+        (d / "GAP_A.txt").write_text("1, 2\n3, 4\n")
+        (d / "GAP_graph_indicator.txt").write_text("1\n1\n3\n3\n")  # graph 2 owns no node
+        (d / "GAP_graph_labels.txt").write_text("0\n1\n0\n")
+        with pytest.raises(GraphFormatError, match="GAP_graph_indicator.txt: graph 2 owns no node"):
+            load_tu_dataset(str(d), "GAP")
+
     def test_all_ones_features_without_node_labels(self, tmp_path):
         d = tmp_path / "PLAIN"
         d.mkdir()

@@ -130,6 +130,12 @@ class TestAttention:
             _, scores = head.forward(Tensor(r.normal(size=(n, 3))), node_batch(n))
             assert abs(scores.data.sum() - 1.0) < 1e-12
 
+    def test_scorer_is_one_tape_node(self):
+        head = AttentionHead(3, 4, rng(2))
+        _, scores = head.forward(T.constant(rng(7).normal(size=(5, 3))), node_batch(5))
+        ops = [t.op for t in T.tsum(scores).tape()]
+        assert ops == ["leaf", "leaf", "mlp", "transpose", "segment_softmax", "sum"]
+
     def test_graph_embedding_permutation_invariant(self):
         r = rng(5)
         head = AttentionHead(3, 4, r)

@@ -246,7 +246,7 @@ class TestTrain:
         result = train(ds, config)
         labels = [float(ds.graphs[i].label) for i in ds.splits["train"]]
         assert result.model.label_mean == pytest.approx(np.mean(labels))
-        pred = result.model.predict(ds.graphs[0])
+        pred = result.model.predict_all([ds.graphs[0]])[0]
         assert np.isfinite(pred)
 
     def test_single_step_smoke_emits_all_artifacts(self, tmp_path):
