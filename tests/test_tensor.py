@@ -321,6 +321,46 @@ class TestMlpNode:
             else:
                 assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        rows=st.integers(1, 5),
+        d_in=st.integers(1, 4),
+        d_out=st.integers(1, 4),
+        last=st.sampled_from(("identity", "relu")),
+        with_bias=st.booleans(),
+        x_needs_grad=st.booleans(),
+        x_reused=st.booleans(),
+        integer_values=st.booleans(),  # small integers put pre-activations exactly at 0
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_layer_bitwise_equal_to_unfused_chain(
+        self, rows, d_in, d_out, last, with_bias, x_needs_grad, x_reused, integer_values, seed
+    ):
+        # one affine layer, the case every GCN layer and output head runs
+        r = np.random.default_rng(seed)
+
+        def draw(*shape):
+            return r.integers(-1, 2, size=shape).astype(float) if integer_values else r.normal(size=shape)
+
+        xa, wa, ba = draw(rows, d_in), draw(d_in, d_out), draw(1, d_out)
+        upstream, other = r.normal(size=(rows, d_out)), r.normal(size=(rows, d_in))
+
+        def run(layer):
+            x = Tensor(xa) if x_needs_grad else T.constant(xa)
+            w, b = Tensor(wa), (Tensor(ba) if with_bias else None)
+            out = layer(x, [w], [b], last)
+            loss = T.tsum(out * T.constant(upstream))
+            if x_reused:
+                loss = loss + T.tsum(T.tanh(x) * T.constant(other))
+            loss.backward()
+            return [out.data] + [t.grad for t in (x, w, b) if t is not None]
+
+        for got, want in zip(run(T.mlp), run(_mlp_chain)):
+            if want is None:
+                assert got is None
+            else:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_one_tape_node(self):
         ws = [Tensor(np.ones((2, 4))), Tensor(np.ones((4, 1)))]
         bs = [Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 1)))]
