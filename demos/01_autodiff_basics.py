@@ -18,9 +18,10 @@ print("A @ ones =\n", product.data)
 
 print("\n== gradients ==")
 loss = T.tsum(product)
+tape = loss.tape()  # backward() consumes the tape, so count it first
 loss.backward()
 print("d sum(A @ ones) / dA =\n", a.grad)  # each entry feeds two output cells
-print("the constant gets no gradient:", b.grad, "; nodes on the tape:", len(loss.tape()))
+print("the constant gets no gradient:", b.grad, "; nodes on the tape:", len(tape))
 
 x = Tensor(3.0)
 (x * x).backward()

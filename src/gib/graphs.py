@@ -161,11 +161,18 @@ class Dataset:
 # -- TU Dortmund format -------------------------------------------------------
 
 
-def _read_lines(path: str, keep_empty: bool = False) -> list[str]:
+def _read_lines(path: str) -> list[str]:
+    """Every line of ``path``, stripped, blank lines included."""
     if not os.path.exists(path):
         raise FileNotFoundError(f"missing dataset file: {path}")
     with open(path) as fh:
-        return [line.strip() for line in fh if keep_empty or line.strip()]
+        return [line.strip() for line in fh]
+
+
+def _numbered_lines(path: str) -> list[tuple[int, str]]:
+    """The nonempty lines of ``path`` with their line numbers, counted from 1
+    with blank lines included, as every error about a line names them."""
+    return [(i, s) for i, s in enumerate(_read_lines(path), start=1) if s]
 
 
 def _parse_int(text: str, where: str, error: type[ValueError] = GraphFormatError) -> int:
@@ -179,8 +186,7 @@ def _parse_int(text: str, where: str, error: type[ValueError] = GraphFormatError
 def _read_ints(path: str) -> list[int]:
     """One integer per nonempty line of ``path``; errors name the file and line."""
     file = os.path.basename(path)
-    lines = enumerate(_read_lines(path, keep_empty=True), start=1)
-    return [_parse_int(s, f"{file} line {i}") for i, s in lines if s]
+    return [_parse_int(s, f"{file} line {i}") for i, s in _numbered_lines(path)]
 
 
 def load_tu_dataset(path: str, name: str) -> Dataset:
@@ -192,30 +198,40 @@ def load_tu_dataset(path: str, name: str) -> Dataset:
     features; without them every node gets a single all-ones feature. Integer
     graph labels are remapped to contiguous 0-based ids; decimal-formatted
     labels (a ``.`` or an exponent, as ``save_tu_dataset`` writes them) mark
-    the dataset as continuous, even where every value is integral.
+    the dataset as continuous, even where every value is integral. Nodes are
+    numbered graph by graph, so the graph ids must not decrease.
     """
     prefix = os.path.join(path, name)
-    indicator = _read_ints(prefix + "_graph_indicator.txt")
+    file = f"{name}_graph_indicator.txt"
+    indicator: list[int] = []
+    for lineno, text in _numbered_lines(prefix + "_graph_indicator.txt"):
+        g = _parse_int(text, f"{file} line {lineno}")
+        if g < 1:
+            raise GraphFormatError(f"{file} line {lineno}: graph indicator {g} out of range")
+        if indicator and g < indicator[-1]:
+            raise GraphFormatError(
+                f"{file} line {lineno}: graph id {g} follows graph id {indicator[-1]}, "
+                "but the ids must not decrease"
+            )
+        indicator.append(g)
+    if not indicator:
+        raise GraphFormatError(f"{file} is empty")
     n_nodes = len(indicator)
-    n_graphs = max(indicator)
+    n_graphs = indicator[-1]
     sizes = [0] * n_graphs
     for g in indicator:
-        if not 1 <= g <= n_graphs:
-            raise GraphFormatError(f"graph indicator {g} out of range")
         sizes[g - 1] += 1
     if 0 in sizes:
-        raise GraphFormatError(
-            f"{name}_graph_indicator.txt: graph {sizes.index(0) + 1} owns no node"
-        )
+        raise GraphFormatError(f"{file}: graph {sizes.index(0) + 1} owns no node")
     offsets = np.cumsum([0] + sizes[:-1])
 
-    label_lines = _read_lines(prefix + "_graph_labels.txt")
+    label_lines = _numbered_lines(prefix + "_graph_labels.txt")
     if len(label_lines) != n_graphs:
         raise GraphFormatError(
             f"{name}_graph_labels.txt has {len(label_lines)} lines, expected {n_graphs}"
         )
     raw_labels = []
-    for lineno, text in enumerate(label_lines, start=1):
+    for lineno, text in label_lines:
         try:
             value = float(text)
         except ValueError:
@@ -227,7 +243,7 @@ def load_tu_dataset(path: str, name: str) -> Dataset:
         raw_labels.append(value)
     # decimal-formatted labels mark a continuous property; bare integers
     # mark classes (a zero-noise property would otherwise be ambiguous)
-    if any("." in s or "e" in s.lower() for s in label_lines):
+    if any("." in s or "e" in s.lower() for _, s in label_lines):
         labels: list[float | int] = raw_labels
         num_classes = None
     else:
@@ -237,7 +253,7 @@ def load_tu_dataset(path: str, name: str) -> Dataset:
         num_classes = len(distinct)
 
     adjacency = [np.zeros((m, m)) for m in sizes]
-    for lineno, text in enumerate(_read_lines(prefix + "_A.txt"), start=1):
+    for lineno, text in _numbered_lines(prefix + "_A.txt"):
         try:
             u_str, v_str = text.split(",")
             u, v = int(u_str), int(v_str)
@@ -336,7 +352,7 @@ def save_tu_dataset(
 def load_mask_sidecar(path: str, name: str, num_graphs: int) -> list[list[int]]:
     """Read ``<name>_mask.txt``: one index list per graph, empty lines included."""
     file = os.path.join(path, name + "_mask.txt")
-    lines = _read_lines(file, keep_empty=True)
+    lines = _read_lines(file)
     if len(lines) != num_graphs:
         raise ConfigError(f"{file} has {len(lines)} mask lines for {num_graphs} graphs")
     return [[_parse_int(s, f"{file} line {i}", ConfigError) for s in line.split(",") if s]

@@ -3,13 +3,21 @@
 Every differentiable quantity in this package is a :class:`Tensor` wrapping a
 64-bit numpy array. Operations record their inputs and a local-gradient
 closure on the fly (define-by-run), so each forward pass builds a fresh tape.
-``Tensor.backward()`` replays the tape in reverse topological order and
-accumulates exact chain-rule gradients into ``.grad``.
+``Tensor.backward()`` replays the tape in reverse topological order,
+accumulates exact chain-rule gradients into ``.grad`` and consumes the tape.
 
 Design points:
   * float64 everywhere; gradient checks against central finite differences
     need the precision, and nothing here is large enough to want float32.
   * relu subgradient at exactly 0 is 0.
+  * ``backward()`` consumes its tape, as reverse-mode engines do by default:
+    once an op node's gradient is pushed, the node drops its closure and
+    parent links, so the arrays the closure saved are freed during the pass,
+    not when the last name for the loss goes. Leaves, node values and
+    ``.grad`` arrays stay. A later ``backward()`` through a consumed node
+    raises, naming its op, instead of returning partial gradients. This is
+    what lets :func:`mlp` write each tanh gradient into the dead hidden
+    activation.
   * Every affine stack is one node (:func:`mlp`): tanh after each hidden
     layer, identity or relu after the last, biases optional. A GCN layer is
     a one-layer stack. The node keeps only its output on the tape and is
@@ -125,16 +133,29 @@ class Tensor:
         return order
 
     def backward(self) -> None:
-        """Populate ``.grad`` of every tensor on this scalar loss's tape."""
+        """Populate ``.grad`` of every tensor on this scalar loss's tape and
+        consume the tape (see the module docstring). A tape through a node
+        an earlier ``backward()`` consumed raises before any gradient is
+        computed."""
         if self.data.size != 1:
             raise ShapeMismatch(
                 f"backward() requires a scalar loss, got shape {self.data.shape}"
             )
         order = self.tape()
+        for node in order:
+            if node.grad_fn is _consumed:
+                raise RuntimeError(
+                    f"backward(): the tape runs through a {node.op!r} node whose "
+                    "gradient an earlier backward() already pushed; build the loss again"
+                )
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node.grad_fn is not None and node.grad is not None:
-                node.grad_fn(node.grad)
+        while order:
+            node = order.pop()
+            grad_fn = node.grad_fn
+            if grad_fn is not None:
+                if node.grad is not None:
+                    grad_fn(node.grad)
+                node.grad_fn, node.parents = _consumed, ()
 
     # -- operator sugar ---------------------------------------------------
 
@@ -165,6 +186,11 @@ class Tensor:
     @property
     def T(self) -> Tensor:
         return transpose(self)
+
+
+def _consumed(g: np.ndarray) -> None:
+    """The ``grad_fn`` of a consumed op node; ``backward()`` never calls it."""
+    raise RuntimeError("backward() through a consumed tape")
 
 
 def constant(values) -> Tensor:
@@ -265,12 +291,13 @@ def relu(a: Tensor) -> Tensor:
     return out
 
 
-def _tanh_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(1 - y^2) * g in one buffer, y being tanh's output."""
-    d = np.multiply(y, y, out=np.empty_like(y))
-    np.subtract(1.0, d, out=d)
-    d *= g
-    return d
+def _tanh_grad(y: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(1 - y^2) * g written into ``out``, y being tanh's output; ``out`` may
+    be ``y`` itself where nothing reads ``y`` afterwards."""
+    np.multiply(y, y, out=out)
+    np.subtract(1.0, out, out=out)
+    out *= g
+    return out
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -278,7 +305,7 @@ def tanh(a: Tensor) -> Tensor:
     out = Tensor(y, (a,), op="tanh")
 
     def grad_fn(g: np.ndarray) -> None:
-        a._accumulate(_tanh_grad(y, g))
+        a._accumulate(_tanh_grad(y, g, np.empty_like(y)))  # y is the live output
 
     out.grad_fn = grad_fn
     return out
@@ -368,19 +395,18 @@ MLP_BLOCK_ROWS = 512
 
 
 def _tanh_grad_k1(y: np.ndarray, d: np.ndarray, w_row: np.ndarray) -> np.ndarray:
-    """``_tanh_grad(y, d @ w_row)`` for a one-column ``d``, by the k = 1 rule
-    (see the module docstring) and block by block: the N x h product never
-    exists."""
-    out = np.empty_like(y)
+    """``_tanh_grad(y, d @ w_row, y)`` for a one-column ``d``, by the k = 1
+    rule (see the module docstring) and block by block: the N x h product
+    never exists. Overwrites ``y`` and returns it."""
     for start in range(0, y.shape[0], MLP_BLOCK_ROWS):
         rows = slice(start, start + MLP_BLOCK_ROWS)
-        o, y_rows = out[rows], y[rows]
+        o = y[rows]
         p = d[rows] * w_row
         p += 0.0
-        np.multiply(y_rows, y_rows, out=o)
+        np.multiply(o, o, out=o)
         np.subtract(1.0, o, out=o)
         o *= p
-    return out
+    return y
 
 
 def mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Optional[Tensor]],
@@ -394,7 +420,8 @@ def mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Optional[Tensor]]
     the chain's numpy expressions in its order (relu's mask is read off the
     output, which is positive exactly where the pre-activation is), and a
     width-1 layer's input gradient after a hidden one is folded into the
-    tanh gradient (:func:`_tanh_grad_k1`).
+    tanh gradient (:func:`_tanh_grad_k1`). Each tanh gradient is written
+    into the hidden activation it is taken from, which nothing reads again.
     """
     if last not in ("identity", "relu"):
         raise ValueError(f"mlp: unknown activation {last!r}")
@@ -417,7 +444,7 @@ def mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Optional[Tensor]]
             elif w.data.shape[1] == 1:
                 d = _tanh_grad_k1(acts[i], d, w.data.T)
             else:
-                d = _tanh_grad(acts[i], d @ w.data.T)
+                d = _tanh_grad(acts[i], d @ w.data.T, acts[i])
 
     out.grad_fn = grad_fn
     return out

@@ -68,6 +68,19 @@ class TestTrainCommand:
         blobs = [open(os.path.join(o, "metrics.csv"), "rb").read() for o in outs]
         assert blobs[0] == blobs[1]
 
+    def test_decreasing_graph_ids_fail_by_name(self, tmp_path, motif_dir, config_file, capsys):
+        path = os.path.join(motif_dir, "TOY_graph_indicator.txt")
+        ids = open(path).read().split()
+        with open(path, "w") as fh:
+            fh.write("\n".join(ids[:-1] + ["1"]) + "\n")
+        out = str(tmp_path / "x")
+        code = main(["train", "--config", config_file, "--data", motif_dir,
+                     "--name", "TOY", "--seed", "7", "--out", out])
+        assert code == 1
+        assert (f"TOY_graph_indicator.txt line {len(ids)}: graph id 1 follows graph id "
+                f"{ids[-2]}") in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_unknown_flag_exits_2(self):
         result = subprocess.run(
             [sys.executable, "-m", "gib.cli", "train", "--does-not-exist"],

@@ -128,6 +128,47 @@ class TestTuLoader:
         with pytest.raises(GraphFormatError, match="GAP_graph_indicator.txt: graph 2 owns no node"):
             load_tu_dataset(str(d), "GAP")
 
+    @pytest.mark.parametrize("indicator, message", [
+        # nodes are placed graph by graph: a smaller id after a larger one
+        # would put the edge 1, 3 out of its graph's bounds
+        ("1\n2\n1\n", "line 3: graph id 1 follows graph id 2, but the ids must not decrease"),
+        ("1\n\n0\n", "line 3: graph indicator 0 out of range"),  # blank lines count
+        ("-1\n1\n", "line 1: graph indicator -1 out of range"),
+    ])
+    def test_bad_graph_id_names_file_line_and_ids(self, tmp_path, indicator, message):
+        d = tmp_path / "IDS"
+        d.mkdir()
+        (d / "IDS_A.txt").write_text("1, 3\n")
+        (d / "IDS_graph_indicator.txt").write_text(indicator)
+        (d / "IDS_graph_labels.txt").write_text("0\n1\n")
+        with pytest.raises(GraphFormatError, match=re.escape(f"IDS_graph_indicator.txt {message}")):
+            load_tu_dataset(str(d), "IDS")
+
+    @pytest.mark.parametrize("indicator", ["", "\n\n"])
+    def test_empty_graph_indicator_named(self, tmp_path, indicator):
+        d = tmp_path / "EMPTY"
+        d.mkdir()
+        for suffix in ("A", "graph_labels"):
+            (d / f"EMPTY_{suffix}.txt").write_text("")
+        (d / "EMPTY_graph_indicator.txt").write_text(indicator)
+        with pytest.raises(GraphFormatError, match="EMPTY_graph_indicator.txt is empty"):
+            load_tu_dataset(str(d), "EMPTY")
+
+    @pytest.mark.parametrize("file, lines, message", [
+        ("graph_labels", "0\n\nnan\n", "line 3: label 'nan' is not a finite number"),
+        ("A", "1, 2\n\n\n5, 1\n", "line 4: node index out of range"),
+        ("A", "\n1; 2\n", "line 2: cannot parse edge '1; 2'"),
+    ])
+    def test_line_numbers_count_blank_lines(self, tmp_path, file, lines, message):
+        d = tmp_path / "BLANK"
+        d.mkdir()
+        (d / "BLANK_A.txt").write_text("1, 2\n3, 4\n")
+        (d / "BLANK_graph_indicator.txt").write_text("1\n1\n2\n2\n")
+        (d / "BLANK_graph_labels.txt").write_text("0\n1\n")
+        (d / f"BLANK_{file}.txt").write_text(lines)
+        with pytest.raises(GraphFormatError, match=re.escape(f"BLANK_{file}.txt {message}")):
+            load_tu_dataset(str(d), "BLANK")
+
     def test_all_ones_features_without_node_labels(self, tmp_path):
         d = tmp_path / "PLAIN"
         d.mkdir()

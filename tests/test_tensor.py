@@ -1,6 +1,7 @@
 """Tensor engine: values, gradients against finite differences, invariants."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -135,6 +136,40 @@ class TestBackward:
         T.tsum(y).backward()
         np.testing.assert_array_equal(x.grad, [[2.0, 2.0]])
 
+    def test_second_backward_raises_by_op(self):
+        x = Tensor([[1.0, -2.0]])
+        loss = T.tsum(x * x)
+        loss.backward()
+        first = x.grad
+        with pytest.raises(RuntimeError, match="'sum' node whose gradient an earlier"):
+            loss.backward()
+        assert x.grad is first
+
+    def test_consumed_interior_node_in_a_new_loss_raises_before_any_gradient(self):
+        x = Tensor([[1.0, -2.0]])
+        h = T.tanh(x)
+        T.tsum(h).backward()
+        first = x.grad
+        with pytest.raises(RuntimeError, match="'tanh' node"):
+            T.tsum(h * 3.0 + x).backward()  # x is reached first on the way back
+        assert x.grad is first
+
+    def test_backward_consumes_the_tape_and_keeps_leaves_values_and_grads(self):
+        x = Tensor([[1.0, -2.0]])
+        h = x * x
+        loss = T.tsum(h)
+        loss.backward()
+        assert loss.parents == () and h.parents == ()
+        np.testing.assert_array_equal(h.data, [[1.0, 4.0]])
+        np.testing.assert_array_equal(h.grad, [[1.0, 1.0]])
+        # a loss built again over the same leaves differentiates as before
+        T.tsum(x * x).backward()
+        np.testing.assert_array_equal(x.grad, [[4.0, -8.0]])
+        scalar = Tensor(2.0)
+        scalar.backward()  # a leaf is never consumed
+        scalar.backward()
+        assert scalar.grad.item() == 1.0
+
     def test_tape_is_topologically_ordered(self):
         a, b = Tensor([[1.0]]), Tensor([[2.0]])
         loss = T.tsum((a + b) * (a * b))
@@ -149,8 +184,10 @@ class TestBackward:
         w = Tensor(rng.normal(size=(3, 4)))
         x = Tensor(rng.normal(size=(4, 2)))
         loss = T.logsumexp(T.row_softmax(T.tanh(w @ x)))
+        tape = loss.tape()  # backward() consumes the tape
         loss.backward()
-        for node in loss.tape():
+        assert len(tape) == 6
+        for node in tape:
             assert node.grad is not None
             assert node.grad.shape == node.data.shape
 
@@ -176,11 +213,13 @@ class TestConstants:
         x = T.constant([[1.0, 2.0], [3.0, 4.0]])
         target = T.constant([[0.0, 1.0]])
         loss = T.tsum(T.tanh(x @ w) * (x - 1.0) - target)
+        tape = loss.tape()  # backward() consumes the tape
         loss.backward()
         assert not x.requires_grad and w.requires_grad and loss.requires_grad
         assert x.grad is None and target.grad is None
-        assert all(node.requires_grad for node in loss.tape())
-        assert not any(node is x or node is target for node in loss.tape())
+        assert [node.op for node in tape] == ["leaf", "matmul", "tanh", "mul", "sub", "sum"]
+        assert all(node.requires_grad for node in tape)
+        assert not any(node is x or node is target for node in tape)
         assert w.grad.shape == w.data.shape
 
     def test_op_of_constants_is_a_constant(self):
@@ -366,6 +405,30 @@ class TestMlpNode:
         bs = [Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 1)))]
         ops = [t.op for t in T.tsum(T.mlp(T.constant(np.ones((3, 2))), ws, bs)).tape()]
         assert ops == ["leaf"] * 4 + ["mlp", "sum"]
+
+    @pytest.mark.parametrize("d_out", [1, 3])
+    def test_backward_frees_the_hidden_activations(self, monkeypatch, d_out):
+        # each tanh gradient is written into its hidden activation, which
+        # goes with the node's closure once backward() has pushed it
+        made = []
+
+        def spy(*args):
+            y = affine(*args)
+            made.append(weakref.ref(y))
+            return y
+
+        affine = T._affine
+        monkeypatch.setattr(T, "_affine", spy)
+        rng = np.random.default_rng(5)
+        ws = [Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=(4, 3))),
+              Tensor(rng.normal(size=(3, d_out)))]
+        bs = [Tensor(rng.normal(size=(1, 4))), None, Tensor(rng.normal(size=(1, d_out)))]
+        out = T.mlp(T.constant(rng.normal(size=(5, 2))), ws, bs)
+        loss = T.tsum(out)
+        assert all(ref() is not None for ref in made)
+        loss.backward()
+        assert [ref() is None for ref in made] == [True, True, False]
+        assert made[-1]() is out.data
 
     @pytest.mark.parametrize("d_out", [1, 3])
     def test_gradients_against_finite_differences(self, monkeypatch, d_out):
