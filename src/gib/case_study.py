@@ -98,12 +98,14 @@ def dv_estimate(
     """``mi.dv_bound`` on rows [x_i, y_i] against mismatched rows [x_{i+1}, y_i].
 
     Pass ``y_tensor`` to keep the y side differentiable (the outer step on
-    the noise scale needs it); otherwise both sides enter as constants.
+    the noise scale needs it); otherwise both sides enter as constants. The
+    head's parameters always do: neither the logged estimate nor the outer
+    step reads a head gradient, so none is computed.
     """
     y_col = y_tensor if y_tensor is not None else T.constant(y.reshape(-1, 1))
     joint_in = T.concat_cols([T.constant(x.reshape(-1, 1)), y_col])
     marginal_in = T.concat_cols([T.constant(np.roll(x, -1).reshape(-1, 1)), y_col])
-    return mi.dv_bound(statnet, joint_in, marginal_in).value
+    return mi.dv_bound(statnet.frozen(), joint_in, marginal_in).value
 
 
 @dataclass

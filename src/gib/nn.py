@@ -13,6 +13,7 @@ a :class:`GraphBatch`, one tape for all its graphs.
 
 from __future__ import annotations
 
+import copy
 from typing import Sequence
 
 import numpy as np
@@ -93,6 +94,14 @@ class Mlp:
 
     def forward(self, x: Tensor) -> Tensor:
         return T.mlp(x, self.weights, self.biases)
+
+    def frozen(self) -> Mlp:
+        """This stack with its parameters as constants that share their
+        arrays: a forward through it computes no parameter gradient."""
+        out = copy.copy(self)
+        out.weights = [T.constant(w.data) for w in self.weights]
+        out.biases = [T.constant(b.data) for b in self.biases]
+        return out
 
     def params(self) -> list[Tensor]:
         out: list[Tensor] = []

@@ -23,12 +23,23 @@ Design points:
     a one-layer stack. The node keeps only its output on the tape and is
     bitwise the same as the ``matmul``, ``add`` and activation chain.
   * The k = 1 rule: where a width-1 layer follows a tanh layer, its input
-    gradient ``d @ w.T`` (N x 1 times 1 x h) is built as the broadcast
-    ``d * w.T`` plus 0.0. BLAS starts each entry of a product from +0.0 and
-    adds the k terms, so a k = 1 entry is ``0.0 + d_i * w_j``; adding 0.0
-    changes no value but -0.0, which becomes +0.0, and so the broadcast
-    form is bitwise the BLAS one. :func:`mlp` folds it into the tanh
-    gradient over blocks of ``MLP_BLOCK_ROWS`` rows.
+    gradient ``d @ w.T`` (N x 1 times 1 x h) is built as
+    ``np.einsum("ik,kj->ij", d, w.T)``. BLAS starts each entry of a product
+    from +0.0 and adds the k terms, so a k = 1 entry is ``0.0 + d_i * w_j``
+    (-0.0 becomes +0.0). einsum without ``optimize`` calls no BLAS; it
+    zero-fills its output and adds each product to it, so it computes that
+    same sum and is bitwise the BLAS form. :func:`mlp` folds it into the
+    tanh gradient over blocks of ``MLP_BLOCK_ROWS`` rows.
+  * A bias gradient, the column sum of an N x h gradient ``d``, is
+    ``np.einsum("ij->j", d)`` where ``d`` is C-contiguous and h > 1. It and
+    ``np.add.reduce(d, axis=0)`` then both add whole rows in row order,
+    without BLAS, so they agree bitwise. Any other ``d`` keeps
+    ``np.add.reduce``: on a single column numpy sums pairwise, and einsum
+    does not.
+  * numpy's loops over a broadcast (stride-0) operand run slower than
+    same-shape ones. That is why the k = 1 product and the column sum use
+    einsum, and why :func:`mlp`'s forward adds a bias to more than one block
+    of rows from a tile of bias rows, block by block.
   * Dense arrays only; the graphs handled here have tens of nodes.
   * Segment ops (one graph per range of rows) take :class:`Segments`, whose
     spans are checked once, when they are built (with a batch), not on
@@ -358,6 +369,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+# Rows per block when a width-1 layer's input gradient is folded into the
+# tanh gradient below it (_tanh_grad_k1) and when _affine adds a bias: each
+# block's arrays stay in cache.
+MLP_BLOCK_ROWS = 512
+
+
 def _affine(x: np.ndarray, w: Tensor, b: Optional[Tensor], activation: str) -> np.ndarray:
     """``activation(x @ w + b)`` once the shapes are checked: the product goes
     into a fresh array and the bias and activation are applied to it in place."""
@@ -370,7 +387,15 @@ def _affine(x: np.ndarray, w: Tensor, b: Optional[Tensor], activation: str) -> n
         )
     y = x @ w.data
     if b is not None:
-        y += b.data
+        n = y.shape[0]
+        if n <= MLP_BLOCK_ROWS:
+            y += b.data
+        else:
+            # a same-shape add per block runs faster than the broadcast one
+            tile = np.repeat(b.data, MLP_BLOCK_ROWS, axis=0)
+            for start in range(0, n, MLP_BLOCK_ROWS):
+                block = y[start:start + MLP_BLOCK_ROWS]
+                block += tile[:block.shape[0]]
     if activation == "tanh":
         np.tanh(y, out=y)
     elif activation == "relu":
@@ -383,15 +408,15 @@ def _affine_param_grads(d: np.ndarray, x: np.ndarray, w: Tensor, b: Optional[Ten
     ``d``, the gradient of the pre-activation; ``x`` is the input array."""
     if b is not None and b.requires_grad:
         # _unbroadcast's column sum without its shape bookkeeping; a one-row d
-        # passes as it is, as there
-        b._accumulate(d if d.shape[0] == 1 else np.add.reduce(d, axis=0, keepdims=True))
+        # passes as it is, as there (the einsum form: see the module docstring)
+        if d.shape[0] == 1:
+            b._accumulate(d)
+        elif d.shape[1] > 1 and d.flags.c_contiguous:
+            b._accumulate(np.einsum("ij->j", d)[None])
+        else:
+            b._accumulate(np.add.reduce(d, axis=0, keepdims=True))
     if w.requires_grad:
         w._accumulate(x.T @ d)
-
-
-# Rows per block when a width-1 layer's input gradient is folded into the
-# tanh gradient below it (_tanh_grad_k1): each block's arrays stay in cache.
-MLP_BLOCK_ROWS = 512
 
 
 def _tanh_grad_k1(y: np.ndarray, d: np.ndarray, w_row: np.ndarray) -> np.ndarray:
@@ -401,8 +426,7 @@ def _tanh_grad_k1(y: np.ndarray, d: np.ndarray, w_row: np.ndarray) -> np.ndarray
     for start in range(0, y.shape[0], MLP_BLOCK_ROWS):
         rows = slice(start, start + MLP_BLOCK_ROWS)
         o = y[rows]
-        p = d[rows] * w_row
-        p += 0.0
+        p = np.einsum("ik,kj->ij", d[rows], w_row)
         np.multiply(o, o, out=o)
         np.subtract(1.0, o, out=o)
         o *= p
@@ -422,6 +446,7 @@ def mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Optional[Tensor]]
     width-1 layer's input gradient after a hidden one is folded into the
     tanh gradient (:func:`_tanh_grad_k1`). Each tanh gradient is written
     into the hidden activation it is taken from, which nothing reads again.
+    A node none of whose inputs needs a gradient keeps no hidden activation.
     """
     if last not in ("identity", "relu"):
         raise ValueError(f"mlp: unknown activation {last!r}")
@@ -432,6 +457,8 @@ def mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Optional[Tensor]]
     for i, (w, b) in enumerate(zip(weights, biases)):
         acts.append(_affine(acts[i], w, b, "tanh" if i < top else last))
     out = Tensor(acts[-1], (x, *weights, *(b for b in biases if b is not None)), op="mlp")
+    if not out.requires_grad:
+        return out  # no closure, so the hidden activations go now
 
     def grad_fn(g: np.ndarray) -> None:
         d = g * (acts[-1] > 0.0) if last == "relu" else g  # subgradient at 0 is 0

@@ -20,6 +20,7 @@ from gib.graphs import ConfigError
 from gib.metrics import write_csv
 from gib.mi import dv_bound
 from gib.nn import Mlp
+from gib.tensor import Tensor
 
 
 def rng(seed=0):
@@ -101,8 +102,41 @@ class TestDvEstimate:
                           T.constant(np.column_stack([np.roll(x, -1), y]))).value
         assert dv_estimate(net, x, y).data.tobytes() == shared.data.tobytes()
 
+    def test_head_enters_as_constants(self):
+        """Neither call computes a head gradient; rho's gradient is bitwise
+        the one a head with live weights gives."""
+        net = Mlp([2, 8, 1], rng(24))
+        x, y, eps = sample_pairs(ToyPairSampler(0.5), 1029, rng(25))  # three row blocks
+        assert not dv_estimate(net, x, y).requires_grad
+
+        def rho_grad(estimate):
+            rho = Tensor(math.log(0.5))
+            y_live = T.constant(x[:, None]) + T.exp(0.5 * rho) * T.constant(eps[:, None])
+            estimate(y_live).backward()
+            return rho.grad
+
+        frozen = rho_grad(lambda y_live: dv_estimate(net, x, y, y_tensor=y_live))
+        assert all(p.grad is None for p in net.params())
+        live = rho_grad(lambda y_live: dv_bound(
+            net, T.concat_cols([T.constant(x[:, None]), y_live]),
+            T.concat_cols([T.constant(np.roll(x, -1)[:, None]), y_live])).value)
+        assert all(p.grad is not None for p in net.params())
+        assert frozen.tobytes() == live.tobytes()
+
 
 class TestRunCaseStudy:
+    def test_outer_step_leaves_no_head_gradient(self, monkeypatch):
+        made = []
+
+        def recorded_mlp(widths, init_rng):
+            made.append(Mlp(widths, init_rng))
+            return made[-1]
+
+        monkeypatch.setattr("gib.case_study.Mlp", recorded_mlp)
+        run_case_study(CaseStudyConfig(epochs=2, inner_steps=3, samples_per_epoch=600,
+                                       inner_batch=256, warmup_steps=2, seed=23))
+        assert all(p.grad is None for p in made[0].params())
+
     def test_trace_shape_and_csv(self, tmp_path):
         cfg = CaseStudyConfig(epochs=3, inner_steps=10, samples_per_epoch=2000,
                               warmup_steps=20, seed=14)

@@ -324,6 +324,12 @@ class TestMlpNode:
              x_needs_grad=True, x_reused=True, signed_zeros=False, seed=0)
     @example(rows=3, widths=[3], d_out=2, last="relu", with_bias=False,
              x_needs_grad=True, x_reused=True, signed_zeros=True, seed=0)
+    # one row whose upstream is a signed zero: the k = 1 product must give +0.0
+    @example(rows=1, widths=[2, 3], d_out=1, last="identity", with_bias=True,
+             x_needs_grad=True, x_reused=False, signed_zeros=True, seed=0)
+    # the case study's head on more than two blocks, as in its outer step
+    @example(rows=2 * BLOCK + 5, widths=[2, 64], d_out=1, last="identity", with_bias=True,
+             x_needs_grad=True, x_reused=False, signed_zeros=True, seed=0)
     def test_bitwise_equal_to_primitive_chain(
         self, rows, widths, d_out, last, with_bias, x_needs_grad, x_reused, signed_zeros, seed
     ):
@@ -400,6 +406,37 @@ class TestMlpNode:
             else:
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("d_out,sliced", [(3, True), (1, False)])
+    def test_bitwise_where_the_bias_sum_keeps_add_reduce(self, monkeypatch, d_out, sliced):
+        # a column slice of concat_cols' gradient is not C-contiguous, and a
+        # width-1 gradient is summed pairwise; either keeps np.add.reduce
+        tops = []
+        param_grads = T._affine_param_grads
+
+        def spy(d, *args):
+            tops.append((d.flags.c_contiguous, d.shape[1]))
+            param_grads(d, *args)
+
+        monkeypatch.setattr(T, "_affine_param_grads", spy)
+        r = np.random.default_rng(32)
+        rows = 2 * BLOCK + 5
+        xa, pad = r.normal(size=(rows, 3)), r.normal(size=(rows, 2))
+        was = [r.normal(size=(3, 4)), r.normal(size=(4, d_out))]
+        bas = [r.normal(size=(1, 4)), r.normal(size=(1, d_out))]
+        upstream = r.normal(size=(rows, d_out + 2 if sliced else d_out))
+
+        def run(layer):
+            ws, bs = [Tensor(a) for a in was], [Tensor(a) for a in bas]
+            out = layer(T.constant(xa), ws, bs)
+            wide = T.concat_cols([T.constant(pad), out]) if sliced else out
+            T.tsum(wide * T.constant(upstream)).backward()
+            return [out.data] + [t.grad for t in ws + bs]
+
+        got = run(T.mlp)
+        assert tops[0] == (not sliced, d_out)  # the output layer's gradient
+        for g, w in zip(got, run(_mlp_chain)):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
     def test_one_tape_node(self):
         ws = [Tensor(np.ones((2, 4))), Tensor(np.ones((4, 1)))]
         bs = [Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 1)))]
@@ -428,6 +465,26 @@ class TestMlpNode:
         assert all(ref() is not None for ref in made)
         loss.backward()
         assert [ref() is None for ref in made] == [True, True, False]
+        assert made[-1]() is out.data
+
+    def test_no_gradient_keeps_no_hidden_activation(self, monkeypatch):
+        # with no input that needs a gradient the node keeps no closure, so
+        # its hidden activation goes when it returns
+        made = []
+
+        def spy(*args):
+            y = affine(*args)
+            made.append(weakref.ref(y))
+            return y
+
+        affine = T._affine
+        monkeypatch.setattr(T, "_affine", spy)
+        rng = np.random.default_rng(6)
+        ws = [T.constant(rng.normal(size=(2, 4))), T.constant(rng.normal(size=(4, 1)))]
+        bs = [T.constant(rng.normal(size=(1, 4))), T.constant(rng.normal(size=(1, 1)))]
+        out = T.mlp(T.constant(rng.normal(size=(5, 2))), ws, bs)
+        assert out.grad_fn is None and not out.requires_grad
+        assert [ref() is None for ref in made] == [True, False]
         assert made[-1]() is out.data
 
     @pytest.mark.parametrize("d_out", [1, 3])
