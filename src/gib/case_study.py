@@ -194,6 +194,8 @@ def run_case_study(config: CaseStudyConfig) -> list[CaseStudyTraceRow]:
 
         if config.sigma2_fixed is None:
             # outer step: reparameterize y through rho with this epoch's noise
+            # the inner loop leaves its last gradient on the head, and Adam
+            # keeps rho's from the last epoch
             zero_grads(statnet.params() + [rho])
             y_live = T.constant(x.reshape(-1, 1)) + T.exp(0.5 * rho) * T.constant(eps.reshape(-1, 1))
             outer_loss = dv_estimate(statnet, x, y, y_tensor=y_live)
