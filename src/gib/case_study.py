@@ -27,7 +27,7 @@ import numpy as np
 
 from . import mi
 from . import tensor as T
-from .graphs import ConfigError
+from .graphs import bounded, check_fields
 from .nn import Mlp
 from .optim import make_optimizer
 from .tensor import Tensor, zero_grads
@@ -110,27 +110,19 @@ def dv_estimate(
 
 @dataclass
 class CaseStudyConfig:
-    epochs: int = 30
-    inner_steps: int = 150
-    samples_per_epoch: int = 20000
-    sigma2_init: float = 0.25
-    lr_inner: float = 3e-3
-    lr_outer: float = 0.05
-    hidden: int = 64
-    seed: int = 0
-    sigma2_fixed: Optional[float] = None  # freeze the channel, estimate only
-    inner_batch: int = 4096  # minibatch per inner step; logging uses all samples
-    warmup_steps: int = 300  # estimator pre-training before the first epoch
+    epochs: int = bounded(30, low=1)
+    inner_steps: int = bounded(150, low=1)
+    samples_per_epoch: int = bounded(20000, low=2)
+    sigma2_init: float = bounded(0.25, low=0.0, strict=True)
+    lr_inner: float = bounded(3e-3, low=0.0, strict=True)
+    lr_outer: float = bounded(0.05, low=0.0, strict=True)
+    hidden: int = bounded(64, low=1)
+    seed: int = bounded(0, low=0)
+    sigma2_fixed: Optional[float] = bounded(None, low=0.0, strict=True)  # freezes the channel
+    inner_batch: int = bounded(4096, low=2)  # minibatch per inner step; logging uses all samples
+    warmup_steps: int = bounded(300, low=0)  # estimator pre-training before the first epoch
 
-    def validate(self) -> None:
-        for key in ("sigma2_init", "lr_inner", "lr_outer", "sigma2_fixed"):
-            value = getattr(self, key)
-            if value is not None and not 0 < value < math.inf:
-                raise ConfigError(f"{key} must be positive and finite, got {value}")
-        for key, least in (("epochs", 1), ("inner_steps", 1), ("hidden", 1),
-                           ("samples_per_epoch", 2), ("inner_batch", 2), ("warmup_steps", 0)):
-            if getattr(self, key) < least:
-                raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
+    validate = check_fields
 
 
 @dataclass

@@ -23,13 +23,15 @@ import numpy as np
 from . import __version__
 from .case_study import CaseStudyConfig, CaseStudyTraceRow, run_case_study
 from .checkpoint import save_params
-from .config import flatten, load_config, to_train_config
+from .config import DataConfig, flatten, load_config, to_train_config
 from .experiments import check_masks, run_denoising, run_interpretation
 from .graphs import (
     ConfigError,
     Dataset,
     MotifConfig,
     add_noise_edges,
+    check_fields,
+    check_value,
     dataset_hash,
     gen_planted_motif_dataset,
     kfold_splits,
@@ -70,18 +72,15 @@ def _write_manifest(out_dir: str, command: str, args: argparse.Namespace,
 def _splits(config: dict, n: int, seed: int) -> dict[str, list[int]]:
     """Splits of n graphs from the [data] section: k-fold when ``folds`` > 0,
     otherwise seeded train/val/test ratios."""
-    data_cfg = config["data"]
-    folds = data_cfg["folds"]
-    if folds < 0 or folds == 1:
-        raise ConfigError(f"[data] folds must be 0 (ratio split) or at least 2, got {folds}")
-    if folds:
-        return kfold_splits(n, data_cfg["fold_index"], folds, seed)
-    keys = ("split_train", "split_val", "split_test")
-    for key in keys:
-        if not 0.0 <= data_cfg[key] <= 1.0:  # NaN fails too
-            raise ConfigError(f"[data] {key} must be a finite number in [0, 1], "
-                              f"got {data_cfg[key]}")
-    return random_splits(n, tuple(data_cfg[key] for key in keys), seed)
+    data = DataConfig(**config["data"])
+    check_fields(data)
+    if data.folds == 1:
+        raise ConfigError("[data] folds must be 0 (ratio split) or at least 2, got 1")
+    if data.folds:
+        return kfold_splits(n, data.fold_index, data.folds, seed)
+    if data.fold_index:
+        raise ConfigError(f"[data] fold_index must be 0 for a ratio split, got {data.fold_index}")
+    return random_splits(n, (data.split_train, data.split_val, data.split_test), seed)
 
 
 def _load_dataset(args: argparse.Namespace, config: dict, with_masks: bool = False) -> Dataset:
@@ -192,6 +191,7 @@ def _seed_sweep(args: argparse.Namespace, command: str,
     """Run ``drive`` on the masked dataset once per seed, each with its own
     splits, and write the mean +- std table; returns each seed's rows. The
     masks (of ``mask_kind``, see ``check_masks``) are checked first."""
+    check_value("--seeds", args.seeds, low=1)
     config = load_config(args.config)
     train_cfg = to_train_config(config, args.seed)
     dataset = _load_dataset(args, config, with_masks=True)
@@ -316,8 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_motif.add_argument("--n-min", type=int, default=15)
     p_motif.add_argument("--n-max", type=int, default=25)
     p_motif.add_argument("--edge-prob", type=float, default=0.25)
-    p_motif.add_argument("--feature-mode", default="degree_onehot",
-                         choices=["degree_onehot", "ones"])
+    p_motif.add_argument("--feature-mode", default="degree_onehot", help="degree_onehot or ones")
     p_motif.add_argument("--continuous", action="store_true",
                          help="label = motif size (+ noise) instead of motif kind")
     p_motif.add_argument("--noise", type=float, default=0.0)

@@ -10,43 +10,37 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from .case_study import CaseStudyConfig
-from .graphs import ConfigError
+from .graphs import ConfigError, bounded
 from .train import TrainConfig
 
-def _fields(config_class: type, leave_out: tuple[str, ...]) -> dict[str, tuple[type, Any]]:
+
+@dataclass
+class DataConfig:
+    split_train: float = bounded(0.7, low=0.0, high=1.0)
+    split_val: float = bounded(0.05, low=0.0, high=1.0)
+    split_test: float = bounded(0.25, low=0.0, high=1.0)
+    folds: int = bounded(0, low=0)  # 0: ratio split; k >= 2: k-fold, fold_index held out
+    fold_index: int = bounded(0, low=0)
+
+
+def _fields(config_class: type, leave_out: tuple[str, ...] = ()) -> dict[str, tuple[type, Any]]:
     """key -> (type, default) for the fields of a config dataclass, in field
     order, typed by each default."""
-    out = {}
-    for field in dataclasses.fields(config_class):
-        if field.name not in leave_out:
-            out[field.name] = (type(field.default), field.default)
-    return out
+    return {f.name: (type(f.default), f.default)
+            for f in dataclasses.fields(config_class) if f.name not in leave_out}
 
 
 # section -> key -> (python type, default). Fields set from the command line
 # (the seed, the loss ablations, the case study's fixed channel) have no key.
 SCHEMA: dict[str, dict[str, tuple[type, Any]]] = {
     "train": _fields(TrainConfig, ("seed", "use_mi", "use_con")),
-    "data": {
-        "split_train": (float, 0.7),
-        "split_val": (float, 0.05),
-        "split_test": (float, 0.25),
-        "folds": (int, 0),  # 0 means ratio split, otherwise k-fold
-        "fold_index": (int, 0),
-    },
+    "data": _fields(DataConfig),
     "case_study": _fields(CaseStudyConfig, ("seed", "sigma2_fixed")),
 }
-
-
-def _parse_value(raw: str, kind: type, where: str) -> Any:
-    raw = raw.strip()
-    try:
-        return kind(raw)
-    except ValueError:
-        raise ConfigError(f"cannot parse {where} = {raw!r} as {kind.__name__}") from None
 
 
 def load_config(path: Optional[str] = None) -> dict[str, dict[str, Any]]:
@@ -68,8 +62,12 @@ def load_config(path: Optional[str] = None) -> dict[str, dict[str, Any]]:
         for key, raw in parser.items(section):
             if key not in SCHEMA[section]:
                 raise ConfigError(f"unknown config key {key!r} in section [{section}]")
-            kind = SCHEMA[section][key][0]
-            resolved[section][key] = _parse_value(raw, kind, f"[{section}] {key}")
+            kind, raw = SCHEMA[section][key][0], raw.strip()
+            try:
+                resolved[section][key] = kind(raw)
+            except ValueError:
+                raise ConfigError(f"cannot parse [{section}] {key} = {raw!r} "
+                                  f"as {kind.__name__}") from None
     return resolved
 
 

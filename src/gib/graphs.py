@@ -16,12 +16,13 @@ with i < j. Ground-truth edge masks index into that order.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import math
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
@@ -39,6 +40,47 @@ class GenerationError(ValueError):
 
 class ConfigError(ValueError):
     """Raised for inconsistent generator or run configuration."""
+
+
+def bounded(default: Any = dataclasses.MISSING, low: Any = None, high: Any = None,
+            strict: bool = False, choices: tuple = ()) -> Any:
+    """A config dataclass field limited to ``choices``, or to [low, high]
+    ((low, high) when ``strict``; without ``high`` there is no upper end)."""
+    return field(default=default, metadata=dict(low=low, high=high, strict=strict, choices=choices))
+
+
+def bound_text(low: Any = None, high: Any = None, strict: bool = False, choices: tuple = ()) -> str:
+    """The allowed values in words, e.g. ``in (0, 1)``, ``>= 2`` or ``'a' or 'b'``."""
+    if choices:
+        return " or ".join(map(repr, choices))
+    if high is None:
+        return f"{'>' if strict else '>='} {low}"
+    return f"in {'(' if strict else '['}{low}, {high}{')' if strict else ']'}"
+
+
+def check_value(name: str, value: Any, low: Any = None, high: Any = None,
+                strict: bool = False, choices: tuple = ()) -> None:
+    """Raise ConfigError naming ``name`` unless ``value`` is within the bounds
+    :func:`bounded` takes; a float must also be finite."""
+    is_float = isinstance(value, float) and not choices
+    if choices:
+        inside = value in choices
+    else:  # NaN is never inside
+        inside = ((value > low if strict else value >= low)
+                  and (high is None or (value < high if strict else value <= high)))
+    if not inside or (is_float and not math.isfinite(value)):
+        raise ConfigError(f"{name} must be {'finite and ' if is_float else ''}"
+                          f"{bound_text(low, high, strict, choices)}, got {value!r}")
+
+
+def check_fields(config: Any) -> None:
+    """Check each :func:`bounded` field of a config dataclass, each item of a
+    tuple or list on its own; None is skipped."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.metadata and value is not None:
+            for item in value if isinstance(value, (tuple, list)) else (value,):
+                check_value(f.name, item, **f.metadata)
 
 
 @dataclass
@@ -383,8 +425,7 @@ def add_noise_edges(
     Returns the noisy graph and a boolean mask over its canonical edge order
     marking which edges are original. Original edges are never removed.
     """
-    if not 0 <= fraction < math.inf:
-        raise ConfigError(f"noise fraction must be finite and nonnegative, got {fraction}")
+    check_value("noise fraction", fraction, low=0)
     n_new = math.ceil(fraction * graph.num_edges)
     adjacency = graph.adjacency.copy()
     if n_new > 0:
@@ -441,46 +482,27 @@ class MotifConfig:
     noise bounded by ``property_noise``.
     """
 
-    num_graphs: int
-    motif_kinds: tuple[str, ...] = ("clique", "cycle")
-    motif_size: int = 5
-    motif_sizes: Optional[tuple[int, ...]] = None  # overrides motif_size if set
-    background_nodes: tuple[int, int] = (15, 25)
-    edge_prob: float = 0.25
-    attach_edges: int = 2
-    feature_mode: str = "degree_onehot"  # or "ones"
-    label_rule: str = "kind"  # or "size"
-    property_noise: float = 0.0
-    max_degree_feature: int = 8
-    seed: int = 0
+    num_graphs: int = bounded(low=1)
+    motif_kinds: tuple[str, ...] = bounded(("clique", "cycle"), choices=("clique", "cycle"))
+    motif_size: int = bounded(5, low=3)
+    motif_sizes: Optional[tuple[int, ...]] = bounded(None, low=3)  # overrides motif_size if set
+    background_nodes: tuple[int, int] = bounded((15, 25), low=1)
+    edge_prob: float = bounded(0.25, low=0.0, high=1.0)
+    attach_edges: int = bounded(2, low=0)
+    feature_mode: str = bounded("degree_onehot", choices=("degree_onehot", "ones"))
+    label_rule: str = bounded("kind", choices=("kind", "size"))
+    property_noise: float = bounded(0.0, low=0.0)
+    max_degree_feature: int = bounded(8, low=0)
+    seed: int = bounded(0, low=0)
 
     def validate(self) -> None:
-        if self.num_graphs < 1:
-            raise ConfigError("num_graphs must be positive")
+        check_fields(self)
         lo, hi = self.background_nodes
-        if not 1 <= lo <= hi:
+        if lo > hi:
             raise ConfigError(f"bad background node range {self.background_nodes}")
-        sizes = self.motif_sizes or (self.motif_size,)
-        for k in sizes:
-            if k > hi:
-                raise ConfigError(
-                    f"motif of size {k} does not fit a background of at most {hi} nodes"
-                )
-            if k < 3:
-                raise ConfigError("motifs need at least 3 nodes")
-        for kind in self.motif_kinds:
-            if kind not in ("clique", "cycle"):
-                raise ConfigError(f"unknown motif kind {kind!r}")
-        if not 0.0 <= self.edge_prob <= 1.0:
-            raise ConfigError(f"edge_prob must be in [0, 1], got {self.edge_prob}")
-        if self.feature_mode not in ("degree_onehot", "ones"):
-            raise ConfigError(f"unknown feature_mode {self.feature_mode!r}")
-        if self.label_rule not in ("kind", "size"):
-            raise ConfigError(f"unknown label_rule {self.label_rule!r}")
-        if not 0 <= self.property_noise < math.inf:
-            raise ConfigError(
-                f"property_noise must be finite and nonnegative, got {self.property_noise}"
-            )
+        k = max(self.motif_sizes or (self.motif_size,))
+        if k > hi:
+            raise ConfigError(f"motif of size {k} does not fit a background of at most {hi} nodes")
 
 
 def _motif_adjacency(kind: str, k: int) -> np.ndarray:
@@ -573,7 +595,7 @@ def kfold_splits(n: int, fold: int, n_folds: int, seed: int) -> dict[str, list[i
     """Seeded k-fold: held-out fold is the test set, one chunk of the rest
     becomes validation."""
     if not 0 <= fold < n_folds:
-        raise ConfigError(f"fold {fold} out of range for {n_folds} folds")
+        raise ConfigError(f"fold_index {fold} out of range for {n_folds} folds")
     rng = np.random.default_rng(seed)
     order = rng.permutation(n).tolist()
     folds = [order[i::n_folds] for i in range(n_folds)]

@@ -18,7 +18,6 @@ the graph embeddings and every loss term.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from . import tensor as T
 from .batch import GraphBatch, batches
-from .graphs import ConfigError, Dataset, Graph
+from .graphs import ConfigError, Dataset, Graph, bounded, check_fields
 from .metrics import motif_property_bias
 from .mi import inner_maximize, mi_batch_loss
 from .models import GibModel, Predictor
@@ -38,46 +37,24 @@ from .tensor import Tensor, zero_grads
 
 @dataclass
 class TrainConfig:
-    beta: float = 0.1
-    con_weight: float = 1.0
-    inner_steps: int = 20
-    outer_steps: int = 100
-    lr_inner: float = 1e-3
-    lr_outer: float = 1e-3
-    batch_size: int = 32
-    seed: int = 0
-    optimizer: str = "adam"
-    hidden: int = 16
-    gcn_layers: int = 2
-    mlp_hidden: int = 16
-    patience: int = 20
-    threshold: float = 0.5
+    beta: float = bounded(0.1, low=0.0)
+    con_weight: float = bounded(1.0, low=0.0)
+    inner_steps: int = bounded(20, low=1)
+    outer_steps: int = bounded(100, low=1)
+    lr_inner: float = bounded(1e-3, low=0.0, strict=True)
+    lr_outer: float = bounded(1e-3, low=0.0, strict=True)
+    batch_size: int = bounded(32, low=2)  # mismatched pairs need company
+    seed: int = bounded(0, low=0)
+    optimizer: str = bounded("adam", choices=("adam", "sgd"))
+    hidden: int = bounded(16, low=1)
+    gcn_layers: int = bounded(2, low=1)
+    mlp_hidden: int = bounded(16, low=1)
+    patience: int = bounded(20, low=1)
+    threshold: float = bounded(0.5, low=0.0, high=1.0, strict=True)
     use_mi: bool = True
     use_con: bool = True
 
-    def validate(self) -> None:
-        for key in ("beta", "con_weight", "lr_inner", "lr_outer"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
-        if self.beta < 0:
-            raise ConfigError(f"beta must be nonnegative, got {self.beta}")
-        if self.con_weight < 0:
-            raise ConfigError(f"con_weight must be nonnegative, got {self.con_weight}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
-        for key in ("hidden", "gcn_layers", "mlp_hidden", "patience"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if self.inner_steps < 1:
-            raise ConfigError(f"inner_steps must be >= 1, got {self.inner_steps}")
-        if self.outer_steps < 1:
-            raise ConfigError(f"outer_steps must be >= 1, got {self.outer_steps}")
-        if self.lr_inner <= 0 or self.lr_outer <= 0:
-            raise ConfigError("learning rates must be positive")
-        if self.batch_size < 2:
-            raise ConfigError("batch_size must be >= 2 (mismatched pairs need company)")
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError(f"threshold must be in (0, 1), got {self.threshold}")
+    validate = check_fields
 
 
 @dataclass

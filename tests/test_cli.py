@@ -145,6 +145,8 @@ class TestTrainCommand:
         ("split_train = -0.2\nsplit_val = 0.6\nsplit_test = 0.6\n", "split_train"),
         ("split_val = nan\n", "split_val"),
         ("split_train = 0.0\nsplit_val = 0.5\nsplit_test = 0.5\n", "nonempty 'train' split"),
+        ("folds = 5\nfold_index = 7\n", "fold_index 7 out of range"),
+        ("fold_index = 3\n", "fold_index"),
     ])
     def test_invalid_data_value_fails_by_name_before_out(self, tmp_path, motif_dir, capsys,
                                                          data, named):
@@ -157,6 +159,15 @@ class TestTrainCommand:
         assert code == 1
         assert named in capsys.readouterr().err
         assert not os.path.exists(out)  # no directory, no manifest
+
+    @pytest.mark.parametrize("command", ["train", "denoise", "case-study", "gen-motif"])
+    def test_negative_seed_fails_by_name_before_out(self, tmp_path, motif_dir, capsys, command):
+        out = str(tmp_path / "r")
+        data = [] if command in ("case-study", "gen-motif") else ["--data", motif_dir,
+                                                                  "--name", "TOY"]
+        assert main([command, "--seed", "-1", "--out", out, *data]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not os.path.exists(out)
 
     def test_missing_dataset_fails_nonzero(self, tmp_path, config_file):
         code = main(["train", "--config", config_file, "--data", str(tmp_path),
@@ -271,6 +282,18 @@ class TestDenoiseCommand:
         assert code == 1
         assert f"{sidecar} has {20 - missing} mask lines for 20 graphs" in capsys.readouterr().err
         assert not os.path.exists(str(tmp_path / "x"))
+
+
+@pytest.mark.parametrize("command", ["denoise", "interpret"])
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_seed_count_below_one_fails_by_name_before_out(tmp_path, motif_dir, capsys,
+                                                        command, seeds):
+    out = str(tmp_path / "r")
+    code = main([command, "--data", motif_dir, "--name", "TOY", "--seeds", seeds,
+                 "--out", out])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --seeds must be >= 1, got {seeds}\n"
+    assert not os.path.exists(out)
 
 
 class TestInterpretCommand:

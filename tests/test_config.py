@@ -1,0 +1,125 @@
+"""The bounds table: every config field's allowed values, declared with the
+field and enforced by one checker."""
+
+import dataclasses
+import math
+import os
+import re
+import typing
+
+import pytest
+
+from gib.case_study import CaseStudyConfig
+from gib.config import SCHEMA, DataConfig
+from gib.graphs import ConfigError, MotifConfig, bound_text, check_fields
+from gib.train import TrainConfig
+
+CONFIGS = {TrainConfig: {}, CaseStudyConfig: {}, MotifConfig: {"num_graphs": 2}, DataConfig: {}}
+
+
+def _fields():
+    """(config class, field, element type, whether the value is a tuple) for
+    every field of every config dataclass."""
+    for cls in CONFIGS:
+        hints = typing.get_type_hints(cls)
+        for field in dataclasses.fields(cls):
+            kind = hints[field.name]
+            if typing.get_origin(kind) is typing.Union:  # Optional[...]
+                kind = next(a for a in typing.get_args(kind) if a is not type(None))
+            is_tuple = typing.get_origin(kind) is tuple
+            yield cls, field, typing.get_args(kind)[0] if is_tuple else kind, is_tuple
+
+
+FIELDS = list(_fields())
+NUMERIC = [(cls, f, kind, t) for cls, f, kind, t in FIELDS if kind in (int, float)]
+CHOICES = [(cls, f, kind, t) for cls, f, kind, t in FIELDS if f.metadata.get("choices")]
+
+
+def _id(case) -> str:
+    return f"{case[0].__name__}.{case[1].name}"
+
+
+def _with(cls, field, is_tuple, value):
+    config = cls(**CONFIGS[cls])
+    setattr(config, field.name, (value,) if is_tuple else value)
+    return config
+
+
+def _step(value, kind, up: bool):
+    """The next int or float above (``up``) or below ``value``."""
+    if kind is int:
+        return value + 1 if up else value - 1
+    return math.nextafter(value, math.inf if up else -math.inf)
+
+
+def _rejected(cls, field, is_tuple, value):
+    config = _with(cls, field, is_tuple, value)
+    with pytest.raises(ConfigError, match=f"^{field.name} must be "):
+        check_fields(config)
+    if hasattr(cls, "validate"):  # the class's own validator runs the table too
+        with pytest.raises(ConfigError, match=f"^{field.name} must be "):
+            config.validate()
+
+
+def test_every_int_and_float_field_has_a_bound():
+    assert {cls for cls, *_ in NUMERIC} == set(CONFIGS)
+    unbounded = [_id(case) for case in NUMERIC if case[1].metadata.get("low") is None]
+    assert unbounded == []
+
+
+@pytest.mark.parametrize("case", NUMERIC, ids=_id)
+def test_values_past_each_end_are_rejected_by_name(case):
+    cls, field, kind, is_tuple = case
+    bounds = field.metadata
+    low, high, strict = bounds["low"], bounds["high"], bounds["strict"]
+    _rejected(cls, field, is_tuple, kind(low) if strict else _step(kind(low), kind, up=False))
+    if high is not None:
+        _rejected(cls, field, is_tuple,
+                  kind(high) if strict else _step(kind(high), kind, up=True))
+
+
+@pytest.mark.parametrize("case", NUMERIC, ids=_id)
+def test_each_end_or_the_value_next_to_it_is_accepted(case):
+    cls, field, kind, is_tuple = case
+    bounds = field.metadata
+    low, high, strict = bounds["low"], bounds["high"], bounds["strict"]
+    check_fields(_with(cls, field, is_tuple,
+                       _step(kind(low), kind, up=True) if strict else kind(low)))
+    if high is not None:
+        check_fields(_with(cls, field, is_tuple,
+                           _step(kind(high), kind, up=False) if strict else kind(high)))
+
+
+@pytest.mark.parametrize("case", [c for c in NUMERIC if c[2] is float], ids=_id)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_floats_are_rejected_by_name(case, value):
+    cls, field, _, is_tuple = case
+    _rejected(cls, field, is_tuple, value)
+
+
+@pytest.mark.parametrize("case", CHOICES, ids=_id)
+def test_unknown_choice_is_rejected_by_name(case):
+    cls, field, _, is_tuple = case
+    _rejected(cls, field, is_tuple, "bogus")
+    for choice in field.metadata["choices"]:
+        check_fields(_with(cls, field, is_tuple, choice))
+
+
+def test_none_is_skipped():
+    check_fields(CaseStudyConfig(sigma2_fixed=None))
+    check_fields(MotifConfig(num_graphs=2, motif_sizes=None))
+
+
+def test_readme_config_block_states_each_bound():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    sections = {"train": TrainConfig, "data": DataConfig, "case_study": CaseStudyConfig}
+    seen = set()
+    for line in block.splitlines():
+        if line.startswith("["):
+            fields = {f.name: f for f in dataclasses.fields(sections[line.strip("[]")])}
+        elif line:
+            key, comment = line.split(" = ")[0], line.split("#", 1)[1]
+            assert comment.startswith(f" {bound_text(**fields[key].metadata)}"), line
+            seen.add(key)
+    assert seen == {key for keys in SCHEMA.values() for key in keys}

@@ -418,6 +418,11 @@ class TestMotifGenerator:
         with pytest.raises(ConfigError, match="property_noise"):
             gen_planted_motif_dataset(config)
 
+    @pytest.mark.parametrize("key", ["max_degree_feature", "attach_edges", "seed"])
+    def test_negative_count_or_seed_rejected_by_name(self, key):
+        with pytest.raises(ConfigError, match=f"^{key} must be >= 0, got -1$"):
+            gen_planted_motif_dataset(MotifConfig(num_graphs=2, **{key: -1}))
+
     def test_adjacency_invariants_hold(self):
         ds = gen_planted_motif_dataset(MotifConfig(num_graphs=30, seed=5))
         for g in ds.graphs:
