@@ -5,7 +5,8 @@ segment b of ``batch.segments``. The segments are checked once, when the
 batch is built; the segment ops that take them do not check them again.
 Graph convolution applies each graph's own propagation block to its rows
 (``tensor.segment_matmul``), so the N x N block-diagonal matrix is never
-formed, and readouts pool each graph's rows with constant B x N matrices.
+formed, and readouts pool each graph's rows with constant B x N matrices
+(``tensor.segment_pool``), built with one scatter each.
 The blocks and the first layer's input, each block times its graph's
 features, are built once per graph and kept on the ``Graph``; a batch holds
 references to them, and each block is its graph's own n x n matrix, so it
@@ -24,7 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .graphs import Graph
-from .tensor import Segments, Tensor, constant
+from .tensor import Segments, Tensor, segment_pool
 
 
 class GraphBatch:
@@ -42,13 +43,14 @@ class GraphBatch:
         sizes = [g.n for g in graphs]
         if min(sizes) == 0:
             raise ValueError("cannot batch a graph without nodes")
-        self.segments = Segments(list(accumulate(sizes, initial=0)))
-        shape = (len(sizes), self.segments.total)
+        self.segments = segments = Segments(list(accumulate(sizes, initial=0)))
+        shape = (len(sizes), segments.total)
+        ids = np.repeat(np.arange(len(sizes)), segments.sizes)  # graph b owns node i
+        owner = (ids, np.arange(segments.total))
         self.sum_pool = np.zeros(shape)
+        self.sum_pool[owner] = 1.0
         self.mean_pool = np.zeros(shape)
-        for b, (start, end) in enumerate(self.segments.spans):
-            self.sum_pool[b, start:end] = 1.0
-            self.mean_pool[b, start:end] = 1.0 / (end - start)
+        self.mean_pool[owner] = (1.0 / segments.sizes)[ids]
         self.propagation = [g.propagation for g in graphs]
         self.adjacency = [g.adjacency for g in graphs]
         self.propagated_features = np.concatenate(
@@ -58,9 +60,13 @@ class GraphBatch:
     def __len__(self) -> int:
         return len(self.segments)
 
+    def sum(self, x: Tensor) -> Tensor:
+        """B x d per-graph sums of the rows of an N x d tensor."""
+        return segment_pool(self.sum_pool, x, self.segments)
+
     def mean(self, x: Tensor) -> Tensor:
         """B x d per-graph means of the rows of an N x d tensor."""
-        return constant(self.mean_pool) @ x
+        return segment_pool(self.mean_pool, x, self.segments, mean=True)
 
     def split(self, rows: np.ndarray) -> list[np.ndarray]:
         """An N-row array cut into its per-graph blocks."""

@@ -122,6 +122,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_noise(args: argparse.Namespace) -> int:
+    check_value("seed", args.seed, low=0)
     dataset = load_tu_dataset(args.data, args.name)
     rng = np.random.default_rng(args.seed)
     noisy_graphs = []

@@ -75,11 +75,14 @@ def check_value(name: str, value: Any, low: Any = None, high: Any = None,
 
 def check_fields(config: Any) -> None:
     """Check each :func:`bounded` field of a config dataclass, each item of a
-    tuple or list on its own; None is skipped."""
+    tuple or list on its own (an empty one is rejected); None is skipped."""
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         if f.metadata and value is not None:
-            for item in value if isinstance(value, (tuple, list)) else (value,):
+            items = value if isinstance(value, (tuple, list)) else (value,)
+            if not items:
+                raise ConfigError(f"{f.name} must not be empty, got {value!r}")
+            for item in items:
                 check_value(f.name, item, **f.metadata)
 
 

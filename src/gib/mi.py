@@ -104,8 +104,9 @@ def mi_batch_loss(
     """The batched estimator over matched and mismatched embedding pairs.
 
     The two sides are B x d matrices (or lists of 1 x d rows) whose row i
-    describes the same graph. Mismatched rows are gathered by constant
-    selection matrices, so the estimate stays differentiable in both sides.
+    describes the same graph. Mismatched rows are picked by indexing (each
+    index is a permutation, so it picks every row once), and the estimate
+    stays differentiable in both sides.
     """
     g = graph_embs if isinstance(graph_embs, Tensor) else T.concat_rows(graph_embs)
     s = sub_embs if isinstance(sub_embs, Tensor) else T.concat_rows(sub_embs)
@@ -113,8 +114,7 @@ def mi_batch_loss(
     if n != s.shape[0]:
         raise ValueError(f"batch sides disagree: {n} graphs vs {s.shape[0]} subgraphs")
     gi, si = _marginal_pairs(n)
-    eye = np.eye(n)
-    marginal_in = T.concat_cols([T.constant(eye[gi]) @ g, T.constant(eye[si]) @ s])
+    marginal_in = T.concat_cols([T.index(g, gi), T.index(s, si)])
     return dv_bound(statnet.head, T.concat_cols([g, s]), marginal_in)
 
 

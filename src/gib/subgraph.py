@@ -53,21 +53,27 @@ class SubgraphGenerator:
         )
 
 
-_SIDES = (T.constant([[1.0], [0.0]]), T.constant([[0.0], [1.0]]))
 _IDENTITY = T.constant([[1.0, 0.0, 0.0, 1.0]])
+
+
+def _side(assignment: Tensor, k: int) -> Tensor:
+    """Column k of S, N x 1: S e_k, picked by indexing."""
+    return T.index(assignment, np.s_[:, k : k + 1])
 
 
 def subgraph_embedding(assignment: Tensor, node_embeddings: Tensor, batch: GraphBatch) -> Tensor:
     """First row of S^T X per graph (B x d): the probability-weighted sum of
     node embeddings."""
-    return T.constant(batch.sum_pool) @ ((assignment @ _SIDES[0]) * node_embeddings)
+    return batch.sum(_side(assignment, 0) * node_embeddings)
 
 
 @functools.lru_cache(maxsize=64)
-def _one_graph(n: int) -> tuple[T.Segments, Tensor]:
-    """The segments and pooling row of one n-node graph. Both are constants,
-    shared by every call, as ``_SIDES`` is."""
-    return T.Segments((0, n)), T.constant(np.ones((1, n)))
+def _one_graph(n: int) -> tuple[T.Segments, np.ndarray]:
+    """The segments and sum-pooling row of one n-node graph, shared by every
+    call, so the row is read-only."""
+    row = np.ones((1, n))
+    row.flags.writeable = False
+    return T.Segments((0, n)), row
 
 
 def connectivity_loss(assignment: Tensor, adjacency: np.ndarray | GraphBatch) -> Tensor:
@@ -80,14 +86,14 @@ def connectivity_loss(assignment: Tensor, adjacency: np.ndarray | GraphBatch) ->
     penalizes collapsing every node to one side.
     """
     if isinstance(adjacency, GraphBatch):
-        blocks, segments = adjacency.adjacency, adjacency.segments
-        pool = T.constant(adjacency.sum_pool)
+        blocks, segments, pool = adjacency.adjacency, adjacency.segments, adjacency.sum_pool
     else:
         blocks = [np.asarray(adjacency, dtype=np.float64)]
         segments, pool = _one_graph(blocks[0].shape[0])
     a_s = T.segment_matmul(blocks, assignment, segments)
-    # row a of graph b's S^T A S is the pooled (S e_a) * (A S)
-    quad_rows = [T.row_l1_normalize(pool @ ((assignment @ side) * a_s)) for side in _SIDES]
+    # row k of graph b's S^T A S is the pooled (S e_k) * (A S)
+    quad_rows = [T.row_l1_normalize(T.segment_pool(pool, _side(assignment, k) * a_s, segments))
+                 for k in (0, 1)]
     return T.tmean(T.row_norms(T.concat_cols(quad_rows) - _IDENTITY))
 
 

@@ -42,6 +42,20 @@ Design points:
     rows, block by block. Each form is the only path at every row count,
     though on few rows it is slower than the broadcast: einsum by about
     1 us below 70 rows, the tile by 1-3 us below one block.
+  * A product that only selects is an index. Where every entry of a product
+    is one input entry times a constant 0, 1 or 1/n (a column of the
+    assignment S, the mismatched rows of the DV bound, each graph's label
+    logit), it is :func:`index`; where the backward of a pooling product is
+    such a product, it is :func:`segment_pool`'s gather. Indexing computes
+    the same values as BLAS but for the sign of a zero: BLAS starts each
+    entry from +0.0, so it turns a -0.0 pick into +0.0, and indexing keeps
+    -0.0. This cannot change an output. Every value picked in a forward is
+    a softmax output (S's entries are > 0) or comes out of a BLAS product
+    (pooled embeddings, logits), so it is never -0.0 and the forward is
+    bitwise. In a gradient a zero entry may change sign; gradients are only
+    added, multiplied and handed to the optimizer, and a zero of either
+    sign leaves every sum with another term, and every parameter it
+    updates, as it is.
   * Dense arrays only; the graphs handled here have tens of nodes.
   * Segment ops (one graph per range of rows) take :class:`Segments`, whose
     spans are checked once, when they are built (with a batch), not on
@@ -538,6 +552,32 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
     return out
 
 
+def index(a: Tensor, key) -> Tensor:
+    """``a.data[key]`` as one node: a product that only selects (see the
+    module docstring).
+
+    ``key`` is made of ints, slices and integer arrays. The backward writes
+    ``g`` into zeros at ``key``; it assigns, it does not add, so ``key`` must
+    reach each entry of ``a`` at most once. Ints and slices always do; the
+    integer arrays do when their index tuples, taken together, are
+    distinct, which is checked here.
+    """
+    arrays = [k for k in (key if isinstance(key, tuple) else (key,)) if isinstance(k, np.ndarray)]
+    if arrays:
+        picks = list(zip(*(k.ravel().tolist() for k in np.broadcast_arrays(*arrays))))
+        if len(set(picks)) != len(picks):
+            raise ValueError("index: the key reaches an entry more than once")
+    out = Tensor(a.data[key], (a,), op="index")
+
+    def grad_fn(g: np.ndarray) -> None:
+        full = np.zeros(a.data.shape)
+        full[key] = g
+        a._accumulate(full)
+
+    out.grad_fn = grad_fn
+    return out
+
+
 # -- row-wise normalizers ----------------------------------------------------
 
 
@@ -770,6 +810,32 @@ def segment_matmul(blocks: Sequence[np.ndarray], a: Tensor, segments: Segments) 
         for block, (start, end) in zip(blocks, spans):
             np.matmul(block.T, g[start:end], out=buf[start:end])
         a._accumulate(buf)
+
+    out.grad_fn = grad_fn
+    return out
+
+
+def segment_pool(pool: np.ndarray, a: Tensor, segments: Segments, mean: bool = False) -> Tensor:
+    """Per-segment sums (or, with ``mean``, means) of the rows of ``a``, B x d.
+
+    ``pool`` is the segments' B x N pooling matrix: 1 (or 1/n, n the
+    segment's size) where row b owns node i, else 0. The forward is the BLAS
+    product ``pool @ a``, whose multi-term sums keep their rounding. The
+    backward is the gather ``g[ids]`` (``ids`` each row's segment), times 1/n
+    for the mean: each entry of ``pool.T @ g`` is one row of ``g`` times one
+    pool entry, so the gather is the value BLAS computes (see the module
+    docstring). The segments are consecutive, so the gather is
+    ``np.repeat``, which copies rows several times faster than indexing.
+    """
+    if a.data.ndim != 2:
+        raise ShapeMismatch(f"segment_pool: expected a matrix, got {a.data.shape}")
+    segments.require_total(a.data.shape[0], "segment_pool")
+    out = Tensor(pool @ a.data, (a,), op="segment_pool")
+
+    def grad_fn(g: np.ndarray) -> None:
+        if mean:
+            g = g * (1.0 / segments.sizes)[:, None]
+        a._accumulate(np.repeat(g, segments.sizes, axis=0))
 
     out.grad_fn = grad_fn
     return out

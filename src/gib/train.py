@@ -97,12 +97,12 @@ def output_loss(
 ) -> Tensor:
     """Mean cross entropy of B x C logit rows, or mean squared error of B x 1 outputs."""
     if num_classes is not None:
-        onehot = np.zeros((len(labels), num_classes))
-        for row, label in enumerate(labels):
-            if not 0 <= int(label) < num_classes:
-                raise ValueError(f"label {int(label)} out of range for {num_classes} classes")
-            onehot[row, int(label)] = 1.0
-        picked = (out * T.constant(onehot)) @ T.constant(np.ones((num_classes, 1)))
+        classes = [int(label) for label in labels]
+        for c in classes:
+            if not 0 <= c < num_classes:
+                raise ValueError(f"label {c} out of range for {num_classes} classes")
+        # each row's own label logit, B x 1: one entry per row
+        picked = T.index(out, (np.arange(len(classes))[:, None], np.array(classes)[:, None]))
         return T.tmean(T.row_logsumexp(out) - picked)
     diff = out - T.constant([[float(label)] for label in labels])
     return T.tmean(diff * diff)
@@ -216,10 +216,11 @@ def evaluate_split(model: GibModel, dataset: Dataset, split: str, threshold: flo
             sq_err += (pred - float(graph.label)) ** 2
         elif pred == int(graph.label):
             correct += 1
-        sel = discretize(s_graph, graph, threshold)
-        if sel.empty or sel.node_mask.all():
+        selected = s_graph[:, 0] >= threshold  # discretize's node mask
+        if not selected.any() or selected.all():
             degenerate += 1
         if dataset.masks is not None and dataset.continuous:
+            sel = discretize(s_graph, graph, threshold)
             bias_terms.append(motif_property_bias(dataset.masks[gi], graph, sel))
     out = {"degenerate_rate": degenerate / len(graphs)}
     if dataset.continuous:

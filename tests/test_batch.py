@@ -154,9 +154,25 @@ class TestGraphBatch:
         # the filled 1/n is bitwise the divide of the sum pool by the sizes
         assert batch.mean_pool.tobytes() == (batch.sum_pool / np.array([[2.0], [3.0], [1.0]])).tobytes()
         np.testing.assert_allclose(batch.mean(Tensor(x)).data, [[1, 2], [6, 7], [10, 11]])
+        np.testing.assert_array_equal(batch.sum(Tensor(x)).data, [[2, 4], [18, 21], [10, 11]])
         assert [b.shape[0] for b in batch.split(x)] == [2, 3, 1]
         monkeypatch.setattr(gib.batch, "EVAL_BATCH", 2)
         assert [len(b) for b in batches(graphs)] == [2, 1]
+
+    @PROPERTY
+    @given(sizes=st.lists(st.integers(1, 7), min_size=1, max_size=5), seed=SEEDS)
+    def test_scattered_pools_match_graph_by_graph_fill(self, sizes, seed):
+        # one-graph batches and single-node graphs included
+        batch = GraphBatch(random_graphs(seed, sizes))
+        sum_pool, mean_pool = np.zeros((2, len(sizes), sum(sizes)))
+        for b, (start, end) in enumerate(batch.segments.spans):
+            sum_pool[b, start:end] = 1.0
+            mean_pool[b, start:end] = 1.0 / (end - start)
+        assert batch.sum_pool.tobytes() == sum_pool.tobytes()
+        assert batch.mean_pool.tobytes() == mean_pool.tobytes()
+        x = np.random.default_rng(seed).normal(size=(sum(sizes), 3))
+        assert batch.sum(Tensor(x)).data.tobytes() == (sum_pool @ x).tobytes()
+        assert batch.mean(Tensor(x)).data.tobytes() == (mean_pool @ x).tobytes()
 
     def test_batches_share_each_graphs_kept_operators(self):
         graphs = random_graphs(4, [3, 5, 2])

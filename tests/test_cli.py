@@ -190,6 +190,14 @@ class TestGenNoise:
             assert real == set(g_clean.edges())
 
 
+    def test_negative_seed_fails_by_name_before_out(self, tmp_path, motif_dir, capsys):
+        out = str(tmp_path / "noisy")
+        assert main(["gen-noise", "--data", motif_dir, "--name", "TOY",
+                     "--seed", "-1", "--out", out]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not os.path.exists(out)
+
+
 class TestDenoiseCommand:
     def test_table_emitted(self, tmp_path, motif_dir, config_file):
         noisy_dir = str(tmp_path / "noisy")

@@ -423,6 +423,11 @@ class TestMotifGenerator:
         with pytest.raises(ConfigError, match=f"^{key} must be >= 0, got -1$"):
             gen_planted_motif_dataset(MotifConfig(num_graphs=2, **{key: -1}))
 
+    @pytest.mark.parametrize("key", ["motif_kinds", "motif_sizes", "background_nodes"])
+    def test_empty_tuple_rejected_by_name(self, key):
+        with pytest.raises(ConfigError, match=f"^{key} must not be empty, got \\(\\)$"):
+            gen_planted_motif_dataset(MotifConfig(num_graphs=4, **{key: ()}))
+
     def test_adjacency_invariants_hold(self):
         ds = gen_planted_motif_dataset(MotifConfig(num_graphs=30, seed=5))
         for g in ds.graphs:

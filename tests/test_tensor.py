@@ -794,3 +794,150 @@ class TestSegmentsChecked:
         for blocks in ([np.eye(2), np.eye(2)], [np.eye(3), np.eye(3)], [np.eye(2)]):
             with pytest.raises(ValueError):
                 T.segment_matmul(blocks, x, segments)
+
+
+# -- selection by indexing against the products it replaced -------------------
+
+
+def _select_draw(r, signed_zeros, *shape):
+    """Small integers with exact zeros of both signs, or normal draws with
+    some +0.0 entries."""
+    if signed_zeros:
+        v = r.integers(-2, 3, size=shape).astype(float)
+        return np.where((v == 0.0) & (r.random(shape) < 0.5), -0.0, v)
+    v = r.normal(size=shape)
+    return np.where(r.random(shape) < 0.2, 0.0, v)
+
+
+def _select_run(op, xa, upstream, reuse):
+    """``op``'s value and the gradient its input gets from
+    ``sum(op(x) * upstream)``, plus ``sum(tanh(x) * reuse)`` when ``reuse``
+    is given (a second consumer of ``x``)."""
+    x = Tensor(xa)
+    out = op(x)
+    loss = T.tsum(out * T.constant(upstream))
+    if reuse is not None:
+        loss = loss + T.tsum(T.tanh(x) * T.constant(reuse))
+    loss.backward()
+    return out.data, x.grad
+
+
+def _pool_matrix(sizes, mean):
+    """The B x N pool of consecutive segments, filled graph by graph."""
+    segments = T.Segments(np.cumsum([0] + sizes))
+    pool = np.zeros((len(sizes), segments.total))
+    for b, (start, end) in enumerate(segments.spans):
+        pool[b, start:end] = 1.0 / (end - start) if mean else 1.0
+    return segments, pool
+
+
+class TestSelectionIsIndexing:
+    """T.index and T.segment_pool against the BLAS products they replaced:
+    values and gradients bitwise but for the sign of zero, which BLAS turns
+    to +0.0 (see the tensor module docstring). In-process comparisons, so
+    they hold under any BLAS kernel."""
+
+    @staticmethod
+    def _assert_match(new, old, xa):
+        (value, grad), (old_value, old_grad) = new, old
+        assert _same_bits(value, old_value) and _same_bits(grad, old_grad)
+        if not (np.signbit(xa) & (xa == 0.0)).any():  # no -0.0 to pick: bitwise
+            assert value.tobytes() == old_value.tobytes()
+
+    @PROPERTY
+    @given(n=st.integers(1, 9), d=st.integers(1, 4), shift=st.integers(0, 8),
+           signed_zeros=st.booleans(), reused=st.booleans(), seed=SEEDS)
+    @example(n=1, d=1, shift=0, signed_zeros=True, reused=False, seed=0)
+    def test_rows_against_identity_rows(self, n, d, shift, signed_zeros, reused, seed):
+        # mi_batch_loss's mismatched rows: a cyclic shift of the rows
+        r = np.random.default_rng(seed)
+        idx = (np.arange(n) + shift) % n
+        xa, upstream = _select_draw(r, signed_zeros, n, d), _select_draw(r, signed_zeros, n, d)
+        reuse = r.normal(size=(n, d)) if reused else None
+        new = _select_run(lambda x: T.index(x, idx), xa, upstream, reuse)
+        old = _select_run(lambda x: T.constant(np.eye(n)[idx]) @ x, xa, upstream, reuse)
+        self._assert_match(new, old, xa)
+
+    @PROPERTY
+    @given(n=st.integers(1, 9), k=st.integers(0, 1), signed_zeros=st.booleans(),
+           reused=st.booleans(), seed=SEEDS)
+    @example(n=1, k=1, signed_zeros=True, reused=True, seed=0)
+    def test_column_against_side_vector(self, n, k, signed_zeros, reused, seed):
+        # a column of the N x 2 assignment S
+        r = np.random.default_rng(seed)
+        side = np.eye(2)[:, k : k + 1]
+        xa, upstream = _select_draw(r, signed_zeros, n, 2), _select_draw(r, signed_zeros, n, 1)
+        reuse = r.normal(size=(n, 2)) if reused else None
+        new = _select_run(lambda x: T.index(x, np.s_[:, k : k + 1]), xa, upstream, reuse)
+        old = _select_run(lambda x: x @ T.constant(side), xa, upstream, reuse)
+        self._assert_match(new, old, xa)
+
+    @PROPERTY
+    @given(labels=st.lists(st.integers(0, 3), min_size=1, max_size=6), classes=st.integers(1, 4),
+           signed_zeros=st.booleans(), reused=st.booleans(), seed=SEEDS)
+    @example(labels=[0], classes=1, signed_zeros=True, reused=False, seed=0)
+    def test_label_pick_against_onehot_product(self, labels, classes, signed_zeros, reused,
+                                               seed):
+        # output_loss's label logit of each row
+        r = np.random.default_rng(seed)
+        labels = [c % classes for c in labels]
+        b = len(labels)
+        onehot = np.eye(classes)[labels]
+        key = (np.arange(b)[:, None], np.array(labels)[:, None])
+        xa = _select_draw(r, signed_zeros, b, classes)
+        upstream = _select_draw(r, signed_zeros, b, 1)
+        reuse = r.normal(size=(b, classes)) if reused else None
+        new = _select_run(lambda x: T.index(x, key), xa, upstream, reuse)
+        old = _select_run(lambda x: (x * T.constant(onehot)) @ T.constant(np.ones((classes, 1))),
+                          xa, upstream, reuse)
+        self._assert_match(new, old, xa)
+
+    @PROPERTY
+    @given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=5), d=st.integers(1, 4),
+           mean=st.booleans(), signed_zeros=st.booleans(), reused=st.booleans(), seed=SEEDS)
+    @example(sizes=[1], d=1, mean=True, signed_zeros=True, reused=False, seed=0)
+    @example(sizes=[1, 1, 3], d=2, mean=True, signed_zeros=False, reused=True, seed=1)
+    def test_pool_against_dense_product(self, sizes, d, mean, signed_zeros, reused, seed):
+        # GraphBatch.sum and .mean: one-graph batches and single-node graphs included
+        r = np.random.default_rng(seed)
+        segments, pool = _pool_matrix(sizes, mean)
+        n = segments.total
+        xa = _select_draw(r, signed_zeros, n, d)
+        upstream = _select_draw(r, signed_zeros, len(sizes), d)
+        reuse = r.normal(size=(n, d)) if reused else None
+        new = _select_run(lambda x: T.segment_pool(pool, x, segments, mean=mean),
+                          xa, upstream, reuse)
+        old = _select_run(lambda x: T.constant(pool) @ x, xa, upstream, reuse)
+        assert new[0].tobytes() == old[0].tobytes()  # the forward is the same product
+        assert _same_bits(new[1], old[1])
+
+    def test_index_gradients_against_finite_differences(self):
+        rng = np.random.default_rng(20)
+        for key in (np.s_[:, 1:2], np.array([2, 0, 1]),
+                    (np.arange(3)[:, None], np.array([[1], [0], [2]]))):
+            x = _rand(rng, 3, 3)
+            weights = Tensor(_rand(rng, *x[key].shape))
+            assert_gradients_match(lambda ts: T.tsum(T.tanh(T.index(ts[0], key)) * weights), [x])
+
+    @pytest.mark.parametrize("mean", [False, True])
+    def test_pool_gradients_against_finite_differences(self, mean):
+        rng = np.random.default_rng(21)
+        segments, pool = _pool_matrix([2, 1, 3], mean)
+        weights = Tensor(_rand(rng, 3, 2))
+        assert_gradients_match(
+            lambda ts: T.tsum(T.tanh(T.segment_pool(pool, ts[0], segments, mean=mean)) * weights),
+            [_rand(rng, 6, 2)],
+        )
+
+    def test_index_rejects_a_repeated_entry(self):
+        x = Tensor(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="more than once"):
+            T.index(x, np.array([0, 2, 0]))
+        with pytest.raises(ValueError, match="more than once"):
+            T.index(x, (np.array([[1], [1]]), np.array([[0], [0]])))
+        assert T.index(x, np.array([2, 0, 1])).shape == (3, 2)
+
+    def test_pool_rejects_segments_that_do_not_cover_the_input(self):
+        segments, pool = _pool_matrix([2, 2], False)
+        with pytest.raises(ShapeMismatch, match="offsets cover"):
+            T.segment_pool(pool, Tensor(np.zeros((3, 2))), segments)
