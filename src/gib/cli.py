@@ -145,7 +145,11 @@ def cmd_gen_noise(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_motif(args: argparse.Namespace) -> int:
-    sizes = tuple(int(s) for s in args.motif_sizes.split(",")) if args.motif_sizes else None
+    try:
+        sizes = tuple(int(s) for s in args.motif_sizes.split(",")) if args.motif_sizes else None
+    except ValueError:
+        raise ConfigError("motif_sizes must be comma-separated integers, "
+                          f"got {args.motif_sizes!r}") from None
     config = MotifConfig(
         num_graphs=args.num_graphs,
         motif_kinds=tuple(args.motif_kinds.split(",")),
@@ -234,17 +238,10 @@ def cmd_denoise(args: argparse.Namespace) -> int:
 
 
 def cmd_interpret(args: argparse.Namespace) -> int:
-    methods: list[str] = []
-    if not args.no_baselines:
-        methods += ["att05", "att07"]
-    if args.no_con and args.no_mi:
-        methods.append("gib_plain")  # both losses stripped: plain subgraph classifier
-    elif args.no_con:
-        methods.append("gib_no_con")
-    elif args.no_mi:
-        methods.append("gib_no_mi")
-    else:
-        methods += ["gib_no_con", "gib_no_mi", "gib"]
+    methods = [] if args.no_baselines else ["att05", "att07"]
+    # GIB variants by (--no-con, --no-mi); both set leaves a plain subgraph classifier
+    methods += {(False, False): ["gib_no_con", "gib_no_mi", "gib"], (True, False): ["gib_no_con"],
+                (False, True): ["gib_no_mi"], (True, True): ["gib_plain"]}[args.no_con, args.no_mi]
     rows_per_seed = _seed_sweep(
         args, "interpret", lambda ds, cfg: run_interpretation(ds, cfg, tuple(methods)),
         ["bias_mean", "bias_std", "components_per_graph", "degenerate_rate"], "motif",
@@ -310,18 +307,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_motif = sub.add_parser("gen-motif", help="generate a planted-motif dataset")
     p_motif.add_argument("--out", required=True)
     p_motif.add_argument("--name", default="MOTIF")
+    motif = {f.name: f.default for f in dataclasses.fields(MotifConfig)}  # one source of defaults
     p_motif.add_argument("--num-graphs", type=int, default=200)
-    p_motif.add_argument("--motif-kinds", default="clique,cycle")
-    p_motif.add_argument("--motif-size", type=int, default=5)
+    p_motif.add_argument("--motif-kinds", default=",".join(motif["motif_kinds"]))
+    p_motif.add_argument("--motif-size", type=int, default=motif["motif_size"])
     p_motif.add_argument("--motif-sizes", default=None)
-    p_motif.add_argument("--n-min", type=int, default=15)
-    p_motif.add_argument("--n-max", type=int, default=25)
-    p_motif.add_argument("--edge-prob", type=float, default=0.25)
-    p_motif.add_argument("--feature-mode", default="degree_onehot", help="degree_onehot or ones")
+    p_motif.add_argument("--n-min", type=int, default=motif["background_nodes"][0])
+    p_motif.add_argument("--n-max", type=int, default=motif["background_nodes"][1])
+    p_motif.add_argument("--edge-prob", type=float, default=motif["edge_prob"])
+    p_motif.add_argument("--feature-mode", default=motif["feature_mode"],
+                         help="degree_onehot or ones")
     p_motif.add_argument("--continuous", action="store_true",
                          help="label = motif size (+ noise) instead of motif kind")
-    p_motif.add_argument("--noise", type=float, default=0.0)
-    p_motif.add_argument("--seed", type=int, default=0)
+    p_motif.add_argument("--noise", type=float, default=motif["property_noise"])
+    p_motif.add_argument("--seed", type=int, default=motif["seed"])
     p_motif.set_defaults(func=cmd_gen_motif)
 
     p_denoise = sub.add_parser("denoise", help="edge-recovery comparison on noisy graphs")
@@ -332,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_interp = sub.add_parser("interpret", help="property-bias comparison on a continuous dataset")
     common(p_interp)
     p_interp.add_argument("--seeds", type=int, default=1)
-    p_interp.add_argument("--no-con", action="store_true", help="drop the connectivity loss")
-    p_interp.add_argument("--no-mi", action="store_true", help="drop the compression loss")
+    p_interp.add_argument("--no-con", action="store_true", help="set con_weight = 0")
+    p_interp.add_argument("--no-mi", action="store_true", help="set beta = 0")
     p_interp.add_argument("--no-baselines", action="store_true")
     p_interp.set_defaults(func=cmd_interpret)
 

@@ -35,9 +35,9 @@ def _fields(config_class: type, leave_out: tuple[str, ...] = ()) -> dict[str, tu
 
 
 # section -> key -> (python type, default). Fields set from the command line
-# (the seed, the loss ablations, the case study's fixed channel) have no key.
+# (the seed, the case study's fixed channel) have no key.
 SCHEMA: dict[str, dict[str, tuple[type, Any]]] = {
-    "train": _fields(TrainConfig, ("seed", "use_mi", "use_con")),
+    "train": _fields(TrainConfig, ("seed",)),
     "data": _fields(DataConfig),
     "case_study": _fields(CaseStudyConfig, ("seed", "sigma2_fixed")),
 }

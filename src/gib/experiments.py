@@ -81,17 +81,17 @@ R = TypeVar("R")
 class Method(NamedTuple):
     label: str  # row label in every results table
     keep: Optional[float] = None  # node share an attention baseline keeps (top-k)
-    losses: Optional[tuple[bool, bool]] = None  # (use_con, use_mi) of a GIB variant
+    losses: Optional[tuple[str, ...]] = None  # loss weights a GIB variant sets to 0
 
 
 METHODS = {
     "gcn": Method("GCN"),
     "att05": Method("GCN+Att05", keep=0.5),
     "att07": Method("GCN+Att07", keep=0.7),
-    "gib": Method("GCN+GIB", losses=(True, True)),
-    "gib_no_con": Method("GCN+GIB w/o con", losses=(False, True)),
-    "gib_no_mi": Method("GCN+GIB w/o mi", losses=(True, False)),
-    "gib_plain": Method("GCN+subgraph (no con, no mi)", losses=(False, False)),
+    "gib": Method("GCN+GIB", losses=()),
+    "gib_no_con": Method("GCN+GIB w/o con", losses=("con_weight",)),
+    "gib_no_mi": Method("GCN+GIB w/o mi", losses=("beta",)),
+    "gib_plain": Method("GCN+subgraph (no con, no mi)", losses=("con_weight", "beta")),
 }
 
 
@@ -117,7 +117,7 @@ def select_and_score(
     attention = None
     rows = []
     for name in methods:
-        label, keep, losses = METHODS[name]
+        label, keep, zeroed = METHODS[name]
         if keep is not None:
             if attention is None:
                 attention = train_baseline(dataset, config, kind="attention").model
@@ -127,9 +127,8 @@ def select_and_score(
                 SubgraphSelection(m, g.adjacency * np.outer(m, m), threshold=keep)
                 for m, g in zip(masks, test_graphs)
             ], [None] * len(masks)))
-        elif losses is not None:
-            use_con, use_mi = losses
-            model = train(dataset, replace(config, use_con=use_con, use_mi=use_mi)).model
+        elif zeroed is not None:
+            model = train(dataset, replace(config, **dict.fromkeys(zeroed, 0.0))).model
             soft = [model.assignment_matrix(g) for g in test_graphs]
             rows.append(score(label, model, [
                 discretize(s, g, config.threshold) for s, g in zip(soft, test_graphs)

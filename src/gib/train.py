@@ -5,7 +5,10 @@ T ascent steps on embeddings of the whole training split, cached from the
 current generator; with the head then frozen, the generator and classifier
 take one gradient step per minibatch on
 
-    classification loss + beta * MI estimate + connectivity loss.
+    classification loss + beta * MI estimate + con_weight * connectivity loss.
+
+A zero weight switches its term off; ``beta = 0`` also skips the inner phase,
+and ``con_weight = 0`` still records the connectivity loss.
 
 One inner phase per epoch is how every shipped result reads the paper's
 alternation. Phases own disjoint parameter groups: the inner loop touches
@@ -51,8 +54,6 @@ class TrainConfig:
     mlp_hidden: int = bounded(16, low=1)
     patience: int = bounded(20, low=1)
     threshold: float = bounded(0.5, low=0.0, high=1.0, strict=True)
-    use_mi: bool = True
-    use_con: bool = True
 
     validate = check_fields
 
@@ -168,14 +169,13 @@ def outer_step(
     labels = [model.standardize_label(graph.label) for graph in graphs]
     cls_loss = output_loss(model.logits(sub_embs), labels, model.num_classes)
     con_loss = connectivity_loss(s, batch)
-    if config.use_mi and len(batch) >= 2:
+    if config.beta > 0 and len(batch) >= 2:
         mi_est = mi_batch_loss(model.statnet, batch.mean(x), sub_embs)
         mi_loss = mi_est.value
     else:
         mi_loss = T.constant(0.0)
 
-    con_weight = config.con_weight if config.use_con else 0.0
-    total = cls_loss + config.beta * mi_loss + con_weight * con_loss
+    total = cls_loss + config.beta * mi_loss + config.con_weight * con_loss
     total.backward()
     if not np.isfinite(float(total.data)):
         raise FloatingPointError(
@@ -185,8 +185,8 @@ def outer_step(
     outer_optimizer.step()
 
     cls_value, mi_value, con_value = (float(t.data) for t in (cls_loss, mi_loss, con_loss))
-    return LossBreakdown(cls_value, mi_value, con_value, config.beta, con_weight,
-                         cls_value + config.beta * mi_value + con_weight * con_value)
+    return LossBreakdown(cls_value, mi_value, con_value, config.beta, config.con_weight,
+                         cls_value + config.beta * mi_value + config.con_weight * con_value)
 
 
 def _param_norms(model: GibModel, params: list[Tensor]) -> str:
@@ -284,7 +284,7 @@ def fit(
 def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     """Run the full bi-level optimization and return the best-validation model."""
     n_train = len(dataset.splits.get("train", ()))
-    if config.use_mi and n_train < 2:
+    if config.beta > 0 and n_train < 2:
         raise ConfigError(
             "the mutual-information estimate needs at least 2 graphs in the 'train' "
             f"split, got {n_train}"
@@ -303,7 +303,7 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     def step(epoch: int, batch_index: int, batch: list[Graph]) -> None:
         # the inner phase draws only on phi2_rng, so running it after the
         # epoch's shuffle leaves every draw unchanged
-        if config.use_mi and batch_index == 0:
+        if config.beta > 0 and batch_index == 0:
             try:
                 mi_trace.append((epoch, run_inner_phase(model, train_graphs, config, phi2_rng)))
             except FloatingPointError as err:

@@ -14,7 +14,15 @@ from gib.case_study import CaseStudyConfig
 from gib.cli import main
 from gib.config import SCHEMA, load_config, to_train_config
 import gib.cli
-from gib.graphs import kfold_splits, load_mask_sidecar, load_tu_dataset, random_splits
+from gib.graphs import (
+    MotifConfig,
+    gen_planted_motif_dataset,
+    kfold_splits,
+    load_mask_sidecar,
+    load_tu_dataset,
+    random_splits,
+    save_tu_dataset,
+)
 from gib.subgraph import parse_selections
 from gib.train import TrainConfig
 
@@ -196,6 +204,25 @@ class TestGenNoise:
                      "--seed", "-1", "--out", out]) == 1
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not os.path.exists(out)
+
+
+class TestGenMotif:
+    def test_bad_motif_sizes_fail_by_name_before_out(self, tmp_path, capsys):
+        out = str(tmp_path / "m")
+        assert main(["gen-motif", "--motif-sizes", "5,x", "--out", out]) == 1
+        assert capsys.readouterr().err == ("error: motif_sizes must be comma-separated "
+                                           "integers, got '5,x'\n")
+        assert not os.path.exists(out)
+
+    def test_defaults_are_motif_config_defaults(self, tmp_path):
+        out, ref = tmp_path / "cli", tmp_path / "lib"
+        assert main(["gen-motif", "--num-graphs", "12", "--seed", "3", "--out", str(out)]) == 0
+        dataset = gen_planted_motif_dataset(MotifConfig(num_graphs=12, seed=3))
+        save_tu_dataset(dataset, str(ref), "MOTIF", masks=dataset.masks)
+        names = sorted(os.listdir(ref))
+        assert sorted(os.listdir(out)) == names
+        for name in names:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
 
 class TestDenoiseCommand:

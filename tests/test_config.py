@@ -123,3 +123,11 @@ def test_readme_config_block_states_each_bound():
             assert comment.startswith(f" {bound_text(**fields[key].metadata)}"), line
             seen.add(key)
     assert seen == {key for keys in SCHEMA.values() for key in keys}
+
+
+def test_readme_quickstart_runs(capsys):
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert "outer_steps=100" in block
+    exec(block.replace("outer_steps=100", "outer_steps=2"), {})
+    assert capsys.readouterr().out.startswith("predicted ")

@@ -2,7 +2,7 @@
 
 import hashlib
 import importlib
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -352,6 +352,12 @@ class TestSelectionStep:
     ])
     def test_gib_is_the_full_objective(self, driver, fixture, request, training_calls):
         ds = request.getfixturevalue(fixture)
-        driver(ds, small_config(use_con=False, use_mi=False), ("gib",))
-        (name, config), = training_calls
-        assert name == "train" and config.use_con and config.use_mi
+        config = small_config(outer_steps=1, beta=0.3, con_weight=2.0)
+        driver(ds, config, ("gib", "gib_no_con", "gib_no_mi", "gib_plain"))
+        # gib trains on the caller's config; each ablation zeroes only its weights
+        assert training_calls == [
+            ("train", config),
+            ("train", replace(config, con_weight=0.0)),
+            ("train", replace(config, beta=0.0)),
+            ("train", replace(config, beta=0.0, con_weight=0.0)),
+        ]

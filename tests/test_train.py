@@ -221,10 +221,20 @@ class TestTrain:
         # phase and two outer steps
         assert calls == {"inner": 2, "outer": 4}
 
+    @pytest.mark.parametrize("beta,inner_phases", [(0.0, 0), (0.1, 3)])
+    def test_inner_phase_runs_once_per_epoch_only_with_positive_beta(self, monkeypatch, beta,
+                                                                     inner_phases):
+        calls = check_phase_freezes(monkeypatch)
+        config = TrainConfig(outer_steps=3, inner_steps=2, batch_size=8, seed=3, beta=beta,
+                             patience=100)
+        result = train(tiny_dataset(), config)
+        assert calls == {"inner": inner_phases, "outer": 6}
+        assert len(result.mi_trace) == inner_phases
+
     def test_loss_decreases_in_trend_without_regularizers(self):
         ds = tiny_dataset(n=40)
         config = TrainConfig(outer_steps=40, batch_size=16, seed=1, lr_outer=3e-3,
-                             use_mi=False, use_con=False, patience=100)
+                             beta=0.0, con_weight=0.0, patience=100)
         history = train(ds, config).history
         first = np.mean([r.cls for r in history[:4]])
         last = np.mean([r.cls for r in history[-4:]])
@@ -233,7 +243,7 @@ class TestTrain:
     def test_ablation_without_connectivity_runs(self):
         ds = tiny_dataset()
         config = TrainConfig(outer_steps=2, inner_steps=3, batch_size=8, seed=2,
-                             use_con=False)
+                             con_weight=0.0)
         result = train(ds, config)
         for record in result.history:
             assert record.total == pytest.approx(
@@ -338,7 +348,7 @@ class TestTrain:
         with pytest.raises(ConfigError, match="'train'"):
             train(ds, TrainConfig(outer_steps=1, inner_steps=1, batch_size=8))
         # without the estimate one training graph is enough
-        train(ds, TrainConfig(outer_steps=1, batch_size=8, use_mi=False))
+        train(ds, TrainConfig(outer_steps=1, batch_size=8, beta=0.0))
 
     def test_metrics_csv_shape(self, tmp_path):
         ds = tiny_dataset()
