@@ -5,8 +5,8 @@ segment b of ``batch.segments``. The segments are checked once, when the
 batch is built; the segment ops that take them do not check them again.
 Graph convolution applies each graph's own propagation block to its rows
 (``tensor.segment_matmul``), so the N x N block-diagonal matrix is never
-formed, and readouts pool each graph's rows with constant B x N matrices
-(``tensor.segment_pool``), built with one scatter each.
+formed, and readouts pool each graph's rows (``tensor.segment_pool``) with
+the constant B x N matrices that the segments keep.
 The blocks and the first layer's input, each block times its graph's
 features, are built once per graph and kept on the ``Graph``; a batch holds
 references to them, and each block is its graph's own n x n matrix, so it
@@ -31,9 +31,9 @@ from .tensor import Segments, Tensor, segment_pool
 class GraphBatch:
     """The disjoint union of a list of graphs, with per-graph segments.
 
-    Its pooling matrices live as long as the batch; its propagation blocks,
-    adjacency blocks and propagated features (N x F, the first GCN layer's
-    input) come from its graphs, which keep them.
+    Its segments, with their pooling matrices, live as long as the batch; its
+    propagation blocks, adjacency blocks and propagated features (N x F, the
+    first GCN layer's input) come from its graphs, which keep them.
     """
 
     def __init__(self, graphs: Sequence[Graph]):
@@ -43,14 +43,7 @@ class GraphBatch:
         sizes = [g.n for g in graphs]
         if min(sizes) == 0:
             raise ValueError("cannot batch a graph without nodes")
-        self.segments = segments = Segments(list(accumulate(sizes, initial=0)))
-        shape = (len(sizes), segments.total)
-        ids = np.repeat(np.arange(len(sizes)), segments.sizes)  # graph b owns node i
-        owner = (ids, np.arange(segments.total))
-        self.sum_pool = np.zeros(shape)
-        self.sum_pool[owner] = 1.0
-        self.mean_pool = np.zeros(shape)
-        self.mean_pool[owner] = (1.0 / segments.sizes)[ids]
+        self.segments = Segments(list(accumulate(sizes, initial=0)))
         self.propagation = [g.propagation for g in graphs]
         self.adjacency = [g.adjacency for g in graphs]
         self.propagated_features = np.concatenate(
@@ -62,11 +55,11 @@ class GraphBatch:
 
     def sum(self, x: Tensor) -> Tensor:
         """B x d per-graph sums of the rows of an N x d tensor."""
-        return segment_pool(self.sum_pool, x, self.segments)
+        return segment_pool(x, self.segments)
 
     def mean(self, x: Tensor) -> Tensor:
         """B x d per-graph means of the rows of an N x d tensor."""
-        return segment_pool(self.mean_pool, x, self.segments, mean=True)
+        return segment_pool(x, self.segments, mean=True)
 
     def split(self, rows: np.ndarray) -> list[np.ndarray]:
         """An N-row array cut into its per-graph blocks."""

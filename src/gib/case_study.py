@@ -103,8 +103,8 @@ def dv_estimate(
     step reads a head gradient, so none is computed.
     """
     y_col = y_tensor if y_tensor is not None else T.constant(y.reshape(-1, 1))
-    joint_in = T.concat_cols([T.constant(x.reshape(-1, 1)), y_col])
-    marginal_in = T.concat_cols([T.constant(np.roll(x, -1).reshape(-1, 1)), y_col])
+    joint_in = T.concat([T.constant(x[:, None]), y_col], axis=1)
+    marginal_in = T.concat([T.constant(x[mi.cyclic_shift(len(x)), None]), y_col], axis=1)
     return mi.dv_bound(statnet.frozen(), joint_in, marginal_in).value
 
 

@@ -75,7 +75,8 @@ def check_value(name: str, value: Any, low: Any = None, high: Any = None,
 
 def check_fields(config: Any) -> None:
     """Check each :func:`bounded` field of a config dataclass, each item of a
-    tuple or list on its own (an empty one is rejected); None is skipped."""
+    tuple or list on its own (an empty one is rejected); None is skipped. An
+    int bound takes only integers."""
     for f in dataclasses.fields(config):
         value = getattr(config, f.name)
         if f.metadata and value is not None:
@@ -83,6 +84,8 @@ def check_fields(config: Any) -> None:
             if not items:
                 raise ConfigError(f"{f.name} must not be empty, got {value!r}")
             for item in items:
+                if isinstance(f.metadata["low"], int) and not isinstance(item, (int, np.integer)):
+                    raise ConfigError(f"{f.name} must be an integer, got {item!r}")
                 check_value(f.name, item, **f.metadata)
 
 

@@ -8,14 +8,14 @@ MLP head maps their concatenation to the score. Over a batch, the estimate
     mean_i f(G_i, sub_i) - log mean_i exp f(G_i, sub_{pair(i)})
 
 rises toward the true mutual information as the head is trained to maximize
-it. Mismatched pairs come from the cyclic shift pair(i) = i+1 mod N, a
-linear-cost realization of "any j != i".
+it. Mismatched pairs shift one side cyclically, pair(i) = i+1 mod N
+(``cyclic_shift``), a linear-cost realization of "any j != i".
 
 One DV bound (``dv_bound``) and one head-ascent loop (``inner_maximize``)
 serve two callers. GIB runs the loop once per epoch, with a fresh head, on
 its whole cached training set and mismatched rows [g_i, s_{i+1}]. The toy
 ``case_study`` draws a minibatch per step (``batch_size``, ``rng``) and uses
-rows [x_{i+1}, y_i] (``shift_left``, as np.roll(x, -1)).
+rows [x_{i+1}, y_i] (``shift_left``: the left side is the shifted one).
 """
 
 from __future__ import annotations
@@ -78,12 +78,9 @@ class MiBatchEstimate:
     value: Tensor
 
 
-def _marginal_pairs(n: int, shift_left: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """(left index, right index) of the n mismatched pairs of a cyclic shift:
-    left i with right i+1 mod n, or with ``shift_left`` left i+1 mod n with
-    right i."""
-    i = np.arange(n)
-    return ((i + 1) % n, i) if shift_left else (i, (i + 1) % n)
+def cyclic_shift(n: int) -> np.ndarray:
+    """Row i+1 mod n for each row i: the shifted side of n mismatched pairs."""
+    return (np.arange(n) + 1) % n
 
 
 def dv_bound(head: Mlp, joint_in: Tensor, marginal_in: Tensor) -> MiBatchEstimate:
@@ -104,25 +101,25 @@ def mi_batch_loss(
     """The batched estimator over matched and mismatched embedding pairs.
 
     The two sides are B x d matrices (or lists of 1 x d rows) whose row i
-    describes the same graph. Mismatched rows are picked by indexing (each
-    index is a permutation, so it picks every row once), and the estimate
-    stays differentiable in both sides.
+    describes the same graph. Mismatched rows [g_i, s_{i+1}] pick the
+    subgraph side by indexing (the shift is a permutation, so it picks every
+    row once), and the estimate stays differentiable in both sides.
     """
-    g = graph_embs if isinstance(graph_embs, Tensor) else T.concat_rows(graph_embs)
-    s = sub_embs if isinstance(sub_embs, Tensor) else T.concat_rows(sub_embs)
+    g = graph_embs if isinstance(graph_embs, Tensor) else T.concat(graph_embs, axis=0)
+    s = sub_embs if isinstance(sub_embs, Tensor) else T.concat(sub_embs, axis=0)
     n = g.shape[0]
     if n != s.shape[0]:
         raise ValueError(f"batch sides disagree: {n} graphs vs {s.shape[0]} subgraphs")
-    gi, si = _marginal_pairs(n)
-    marginal_in = T.concat_cols([T.index(g, gi), T.index(s, si)])
-    return dv_bound(statnet.head, T.concat_cols([g, s]), marginal_in)
+    marginal_in = T.concat([g, T.index(s, cyclic_shift(n))], axis=1)
+    return dv_bound(statnet.head, T.concat([g, s], axis=1), marginal_in)
 
 
 def _dv_inputs(
-    left: np.ndarray, right: np.ndarray, li: np.ndarray, ri: np.ndarray
+    left: np.ndarray, right: np.ndarray, shift: np.ndarray, shift_left: bool
 ) -> tuple[Tensor, Tensor]:
-    """Constant joint rows [l_i, r_i] and mismatched rows [l_li, r_ri]."""
-    return T.constant(np.hstack([left, right])), T.constant(np.hstack([left[li], right[ri]]))
+    """Constant joint rows [l_i, r_i] and mismatched rows, one side shifted."""
+    mismatched = [left[shift], right] if shift_left else [left, right[shift]]
+    return T.constant(np.hstack([left, right])), T.constant(np.hstack(mismatched))
 
 
 def inner_maximize(
@@ -150,15 +147,15 @@ def inner_maximize(
     minibatched = batch_size is not None and batch_size < n
     if minibatched and rng is None:
         raise ValueError("minibatched inner loop needs an rng")
-    li, ri = _marginal_pairs(batch_size if minibatched else n, shift_left)
+    shift = cyclic_shift(batch_size if minibatched else n)
     optimizer = make_optimizer(optimizer_kind, head.params(), lr)
     if not minibatched:
-        joint_in, marginal_in = _dv_inputs(left, right, li, ri)
+        joint_in, marginal_in = _dv_inputs(left, right, shift, shift_left)
     trace: list[float] = []
     for step in range(steps):
         if minibatched:
             idx = rng.choice(n, size=batch_size, replace=False)
-            joint_in, marginal_in = _dv_inputs(left[idx], right[idx], li, ri)
+            joint_in, marginal_in = _dv_inputs(left[idx], right[idx], shift, shift_left)
         estimate = dv_bound(head, joint_in, marginal_in)
         loss = -estimate.value
         optimizer.zero_grad()

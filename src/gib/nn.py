@@ -129,7 +129,7 @@ class AttentionHead:
         within each graph)."""
         raw = T.mlp(embeddings, [self.p1, self.p2], [None, None])  # N x 1
         scores = T.segment_softmax(T.transpose(raw), batch.segments)  # 1 x N
-        return (T.constant(batch.sum_pool) * scores) @ embeddings, scores
+        return (T.constant(batch.segments.sum_pool) * scores) @ embeddings, scores
 
     def params(self) -> list[Tensor]:
         return [self.p1, self.p2]

@@ -68,12 +68,9 @@ def subgraph_embedding(assignment: Tensor, node_embeddings: Tensor, batch: Graph
 
 
 @functools.lru_cache(maxsize=64)
-def _one_graph(n: int) -> tuple[T.Segments, np.ndarray]:
-    """The segments and sum-pooling row of one n-node graph, shared by every
-    call, so the row is read-only."""
-    row = np.ones((1, n))
-    row.flags.writeable = False
-    return T.Segments((0, n)), row
+def _one_graph(n: int) -> T.Segments:
+    """The segments of one n-node graph, shared by every call."""
+    return T.Segments((0, n))
 
 
 def connectivity_loss(assignment: Tensor, adjacency: np.ndarray | GraphBatch) -> Tensor:
@@ -86,15 +83,15 @@ def connectivity_loss(assignment: Tensor, adjacency: np.ndarray | GraphBatch) ->
     penalizes collapsing every node to one side.
     """
     if isinstance(adjacency, GraphBatch):
-        blocks, segments, pool = adjacency.adjacency, adjacency.segments, adjacency.sum_pool
+        blocks, segments = adjacency.adjacency, adjacency.segments
     else:
         blocks = [np.asarray(adjacency, dtype=np.float64)]
-        segments, pool = _one_graph(blocks[0].shape[0])
+        segments = _one_graph(blocks[0].shape[0])
     a_s = T.segment_matmul(blocks, assignment, segments)
     # row k of graph b's S^T A S is the pooled (S e_k) * (A S)
-    quad_rows = [T.row_l1_normalize(T.segment_pool(pool, _side(assignment, k) * a_s, segments))
+    quad_rows = [T.row_l1_normalize(T.segment_pool(_side(assignment, k) * a_s, segments))
                  for k in (0, 1)]
-    return T.tmean(T.row_norms(T.concat_cols(quad_rows) - _IDENTITY))
+    return T.tmean(T.row_norms(T.concat(quad_rows, axis=1) - _IDENTITY))
 
 
 @dataclass

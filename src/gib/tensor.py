@@ -59,7 +59,8 @@ Design points:
   * Dense arrays only; the graphs handled here have tens of nodes.
   * Segment ops (one graph per range of rows) take :class:`Segments`, whose
     spans are checked once, when they are built (with a batch), not on
-    every call.
+    every call. The segments also keep the pooling matrices
+    :func:`segment_pool` multiplies by.
   * :func:`row_softmax` takes row maxima and sums column by column, which
     is much cheaper than numpy's axis-1 reductions on its N x 2 inputs. It
     is bitwise the axis-reduction form only for two columns; wider rows
@@ -502,50 +503,23 @@ def transpose(a: Tensor) -> Tensor:
     return out
 
 
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack 1 x d (or m x d) tensors vertically."""
+def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
+    """Join matrices along ``axis`` (0 stacks rows, 1 stacks columns); each
+    part's gradient is its slice of the output's gradient."""
     parts = list(parts)
     if not parts:
-        raise ShapeMismatch("concat_rows: need at least one tensor")
-    width = parts[0].data.shape[1]
-    for p in parts:
-        if p.data.ndim != 2 or p.data.shape[1] != width:
-            raise ShapeMismatch(
-                f"concat_rows: widths disagree, {p.data.shape} vs (:, {width})"
-            )
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0), tuple(parts), op="concat_rows")
-    sizes = [p.data.shape[0] for p in parts]
+        raise ShapeMismatch("concat: need at least one tensor")
+    shapes = [p.data.shape for p in parts]
+    if any(len(shape) != 2 or shape[1 - axis] != shapes[0][1 - axis] for shape in shapes):
+        raise ShapeMismatch(f"concat: matrices that disagree off axis {axis}: {shapes}")
+    out = Tensor(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), op="concat")
+    sizes = [shape[axis] for shape in shapes]
 
     def grad_fn(g: np.ndarray) -> None:
         offset = 0
         for p, m in zip(parts, sizes):
             if p.requires_grad:
-                p._accumulate(g[offset : offset + m, :])
-            offset += m
-
-    out.grad_fn = grad_fn
-    return out
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Stack m x d tensors horizontally."""
-    parts = list(parts)
-    if not parts:
-        raise ShapeMismatch("concat_cols: need at least one tensor")
-    height = parts[0].data.shape[0]
-    for p in parts:
-        if p.data.ndim != 2 or p.data.shape[0] != height:
-            raise ShapeMismatch(
-                f"concat_cols: heights disagree, {p.data.shape} vs ({height}, :)"
-            )
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1), tuple(parts), op="concat_cols")
-    sizes = [p.data.shape[1] for p in parts]
-
-    def grad_fn(g: np.ndarray) -> None:
-        offset = 0
-        for p, m in zip(parts, sizes):
-            if p.requires_grad:
-                p._accumulate(g[:, offset : offset + m])
+                p._accumulate(g[offset : offset + m] if axis == 0 else g[:, offset : offset + m])
             offset += m
 
     out.grad_fn = grad_fn
@@ -762,10 +736,12 @@ class Segments:
     ``spans[b] = (offsets[b], offsets[b+1])`` and every segment is nonempty.
     The check runs here, when the segments are built (a :class:`GraphBatch`
     builds them with the batch), not in every segment op: an op only checks
-    that the segments cover its input.
+    that the segments cover its input. They keep the read-only B x N pooling
+    matrices: ``sum_pool`` is 1 where segment b owns entry i, else 0, and
+    ``mean_pool`` is 1/n there (n the segment's size).
     """
 
-    __slots__ = ("spans", "starts", "sizes", "total")
+    __slots__ = ("spans", "starts", "sizes", "total", "sum_pool", "mean_pool")
 
     def __init__(self, offsets: Sequence[int] | np.ndarray):
         bounds = np.asarray(offsets).tolist()
@@ -775,6 +751,11 @@ class Segments:
         self.starts = np.array(bounds[:-1])
         self.sizes = np.diff(bounds)
         self.total = bounds[-1]
+        ids = np.repeat(np.arange(len(self.spans)), self.sizes)  # segment b owns entry i
+        self.sum_pool = np.zeros((len(self.spans), self.total))
+        self.sum_pool[ids, np.arange(self.total)] = 1.0
+        self.mean_pool = self.sum_pool / self.sizes[:, None]
+        self.sum_pool.flags.writeable = self.mean_pool.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.spans)
@@ -815,12 +796,11 @@ def segment_matmul(blocks: Sequence[np.ndarray], a: Tensor, segments: Segments) 
     return out
 
 
-def segment_pool(pool: np.ndarray, a: Tensor, segments: Segments, mean: bool = False) -> Tensor:
+def segment_pool(a: Tensor, segments: Segments, mean: bool = False) -> Tensor:
     """Per-segment sums (or, with ``mean``, means) of the rows of ``a``, B x d.
 
-    ``pool`` is the segments' B x N pooling matrix: 1 (or 1/n, n the
-    segment's size) where row b owns node i, else 0. The forward is the BLAS
-    product ``pool @ a``, whose multi-term sums keep their rounding. The
+    The forward is the BLAS product of the segments' ``sum_pool`` (or
+    ``mean_pool``) and ``a``, whose multi-term sums keep their rounding. The
     backward is the gather ``g[ids]`` (``ids`` each row's segment), times 1/n
     for the mean: each entry of ``pool.T @ g`` is one row of ``g`` times one
     pool entry, so the gather is the value BLAS computes (see the module
@@ -830,6 +810,7 @@ def segment_pool(pool: np.ndarray, a: Tensor, segments: Segments, mean: bool = F
     if a.data.ndim != 2:
         raise ShapeMismatch(f"segment_pool: expected a matrix, got {a.data.shape}")
     segments.require_total(a.data.shape[0], "segment_pool")
+    pool = segments.mean_pool if mean else segments.sum_pool
     out = Tensor(pool @ a.data, (a,), op="segment_pool")
 
     def grad_fn(g: np.ndarray) -> None:

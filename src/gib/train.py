@@ -8,7 +8,7 @@ take one gradient step per minibatch on
     classification loss + beta * MI estimate + con_weight * connectivity loss.
 
 A zero weight switches its term off; ``beta = 0`` also skips the inner phase,
-and ``con_weight = 0`` still records the connectivity loss.
+and ``con_weight = 0`` records the connectivity loss off the tape.
 
 One inner phase per epoch is how every shipped result reads the paper's
 alternation. Phases own disjoint parameter groups: the inner loop touches
@@ -168,7 +168,7 @@ def outer_step(
     s, x, sub_embs = model.forward(batch)
     labels = [model.standardize_label(graph.label) for graph in graphs]
     cls_loss = output_loss(model.logits(sub_embs), labels, model.num_classes)
-    con_loss = connectivity_loss(s, batch)
+    con_loss = connectivity_loss(s if config.con_weight > 0 else T.constant(s.data), batch)
     if config.beta > 0 and len(batch) >= 2:
         mi_est = mi_batch_loss(model.statnet, batch.mean(x), sub_embs)
         mi_loss = mi_est.value

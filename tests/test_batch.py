@@ -150,9 +150,11 @@ class TestGraphBatch:
         graphs = random_graphs(0, [2, 3, 1])
         batch = GraphBatch(graphs)
         x = np.arange(12.0).reshape(6, 2)
-        np.testing.assert_array_equal(batch.sum_pool @ x, [[2, 4], [18, 21], [10, 11]])
+        sum_pool, mean_pool = batch.segments.sum_pool, batch.segments.mean_pool
+        np.testing.assert_array_equal(sum_pool @ x, [[2, 4], [18, 21], [10, 11]])
         # the filled 1/n is bitwise the divide of the sum pool by the sizes
-        assert batch.mean_pool.tobytes() == (batch.sum_pool / np.array([[2.0], [3.0], [1.0]])).tobytes()
+        assert mean_pool.tobytes() == (sum_pool / np.array([[2.0], [3.0], [1.0]])).tobytes()
+        assert not (sum_pool.flags.writeable or mean_pool.flags.writeable)
         np.testing.assert_allclose(batch.mean(Tensor(x)).data, [[1, 2], [6, 7], [10, 11]])
         np.testing.assert_array_equal(batch.sum(Tensor(x)).data, [[2, 4], [18, 21], [10, 11]])
         assert [b.shape[0] for b in batch.split(x)] == [2, 3, 1]
@@ -168,8 +170,8 @@ class TestGraphBatch:
         for b, (start, end) in enumerate(batch.segments.spans):
             sum_pool[b, start:end] = 1.0
             mean_pool[b, start:end] = 1.0 / (end - start)
-        assert batch.sum_pool.tobytes() == sum_pool.tobytes()
-        assert batch.mean_pool.tobytes() == mean_pool.tobytes()
+        assert batch.segments.sum_pool.tobytes() == sum_pool.tobytes()
+        assert batch.segments.mean_pool.tobytes() == mean_pool.tobytes()
         x = np.random.default_rng(seed).normal(size=(sum(sizes), 3))
         assert batch.sum(Tensor(x)).data.tobytes() == (sum_pool @ x).tobytes()
         assert batch.mean(Tensor(x)).data.tobytes() == (mean_pool @ x).tobytes()

@@ -118,8 +118,8 @@ class TestDvEstimate:
         frozen = rho_grad(lambda y_live: dv_estimate(net, x, y, y_tensor=y_live))
         assert all(p.grad is None for p in net.params())
         live = rho_grad(lambda y_live: dv_bound(
-            net, T.concat_cols([T.constant(x[:, None]), y_live]),
-            T.concat_cols([T.constant(np.roll(x, -1)[:, None]), y_live])).value)
+            net, T.concat([T.constant(x[:, None]), y_live], axis=1),
+            T.concat([T.constant(np.roll(x, -1)[:, None]), y_live], axis=1)).value)
         assert all(p.grad is not None for p in net.params())
         assert frozen.tobytes() == live.tobytes()
 

@@ -10,8 +10,16 @@ import typing
 import pytest
 
 from gib.case_study import CaseStudyConfig
+from gib.cli import main
 from gib.config import SCHEMA, DataConfig
-from gib.graphs import ConfigError, MotifConfig, bound_text, check_fields
+from gib.graphs import (
+    ConfigError,
+    MotifConfig,
+    bound_text,
+    check_fields,
+    gen_planted_motif_dataset,
+    save_tu_dataset,
+)
 from gib.train import TrainConfig
 
 CONFIGS = {TrainConfig: {}, CaseStudyConfig: {}, MotifConfig: {"num_graphs": 2}, DataConfig: {}}
@@ -103,6 +111,68 @@ def test_unknown_choice_is_rejected_by_name(case):
     _rejected(cls, field, is_tuple, "bogus")
     for choice in field.metadata["choices"]:
         check_fields(_with(cls, field, is_tuple, choice))
+
+
+# -- the same values through the entry points that read them ---------------------
+
+SECTIONS = {TrainConfig: "train", DataConfig: "data", CaseStudyConfig: "case_study"}
+FLAGS = {"seed": "--seed", "sigma2_fixed": "--sigma2-fixed"}  # fields set on the command line
+
+
+def _outside(field, kind):
+    """Values just outside a field's bounds, then non-finite floats or a
+    fractional number inside an int field's bounds: each must be rejected."""
+    bounds = field.metadata
+    if bounds["choices"]:
+        return ["bogus"]
+    low, high, strict = bounds["low"], bounds["high"], bounds["strict"]
+    values = [kind(low) if strict else _step(kind(low), kind, up=False)]
+    if high is not None:
+        values.append(kind(high) if strict else _step(kind(high), kind, up=True))
+    return values + ([math.nan, math.inf] if kind is float else [low + 0.5])
+
+
+@pytest.fixture(scope="module")
+def toy_data(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("data"))
+    save_tu_dataset(gen_planted_motif_dataset(MotifConfig(num_graphs=10, seed=1)), path, "TOY")
+    return path
+
+
+@pytest.mark.parametrize("case", FIELDS, ids=_id)
+def test_values_outside_the_bounds_fail_by_name_before_the_run(case, toy_data, tmp_path,
+                                                                 capsys):
+    """Every field, swept from its bounds: the CLI exits 1 naming the key
+    (2, naming the flag, for a fractional --seed), with no traceback and no
+    --out directory. MotifConfig, which the CLI fills from typed flags, is
+    swept through the generator."""
+    cls, field, kind, is_tuple = case
+    for value in _outside(field, kind):
+        if cls is MotifConfig:
+            config = MotifConfig(**{**CONFIGS[cls], field.name: (value,) if is_tuple else value})
+            with pytest.raises(ConfigError, match=f"^{field.name} must "):
+                gen_planted_motif_dataset(config)
+            continue
+        # a key the file cannot set would fail as unknown, not as out of bounds
+        assert field.name in FLAGS or field.name in SCHEMA[SECTIONS[cls]]
+        out, cfg = str(tmp_path / "run"), str(tmp_path / "bad.ini")
+        with open(cfg, "w") as fh:
+            fh.write("" if field.name in FLAGS else f"[{SECTIONS[cls]}]\n{field.name} = {value}\n")
+        argv = (["case-study"] if cls is CaseStudyConfig
+                else ["train", "--data", toy_data, "--name", "TOY"])
+        argv += ["--config", cfg, "--out", out]
+        if field.name in FLAGS:
+            argv += [FLAGS[field.name], str(value)]
+        typed_flag = field.name in FLAGS and kind is int and isinstance(value, float)
+        if typed_flag:  # argparse's own type check, a usage error
+            with pytest.raises(SystemExit, match="^2$"):
+                main(argv)
+        else:
+            assert main(argv) == 1, value
+        err = capsys.readouterr().err
+        assert (f"argument {FLAGS[field.name]}" if typed_flag else field.name) in err, err
+        assert "Traceback" not in err
+        assert not os.path.exists(out), value
 
 
 def test_none_is_skipped():

@@ -5,7 +5,7 @@ import pytest
 
 from gib.gradcheck import assert_gradients_match
 from gib.graphs import Graph
-from gib.mi import StatisticsNetwork, _marginal_pairs, inner_maximize, mi_batch_loss
+from gib.mi import StatisticsNetwork, _dv_inputs, cyclic_shift, inner_maximize, mi_batch_loss
 from gib.nn import GcnEncoder
 from gib.tensor import Tensor
 
@@ -65,6 +65,14 @@ class TestBatchLoss:
         assert float(rot.joint_term.data) == pytest.approx(float(base.joint_term.data), abs=1e-12)
         assert float(rot.marginal_term.data) == pytest.approx(float(base.marginal_term.data), abs=1e-12)
 
+    def test_only_the_subgraph_side_is_picked_by_index(self):
+        # the graph side enters the mismatched rows as it is: one index node
+        r = rng(5)
+        statnet = make_statnet(r)
+        g, s = (Tensor(r.normal(size=(6, statnet.embed_dim))) for _ in range(2))
+        ops = [node.op for node in mi_batch_loss(statnet, g, s).value.tape()]
+        assert ops.count("index") == 1
+
     def test_gradients_flow_to_head_and_embeddings(self):
         r = rng(6)
         statnet = make_statnet(r)
@@ -83,10 +91,14 @@ class TestBatchLoss:
 
 class TestMarginalPairs:
     def test_cyclic_shift_directions(self):
-        i = np.arange(5)
-        for shift_left, expected in ((False, (i, (i + 1) % 5)), (True, ((i + 1) % 5, i))):
-            left, right = _marginal_pairs(5, shift_left=shift_left)
-            assert np.array_equal(left, expected[0]) and np.array_equal(right, expected[1])
+        # GIB shifts the right side, [l_i, r_{i+1}]; the case study the left, [l_{i+1}, r_i]
+        assert cyclic_shift(5).tolist() == [1, 2, 3, 4, 0] and cyclic_shift(1).tolist() == [0]
+        left, right = np.arange(5.0)[:, None], 10.0 + np.arange(5.0)[:, None]
+        nxt = (np.arange(5) + 1) % 5
+        for shift_left, expected in ((False, (left, right[nxt])), (True, (left[nxt], right))):
+            joint, mismatched = _dv_inputs(left, right, cyclic_shift(5), shift_left)
+            assert np.array_equal(joint.data, np.hstack([left, right]))
+            assert np.array_equal(mismatched.data, np.hstack(expected))
 
 
 class TestStatistic:

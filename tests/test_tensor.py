@@ -256,7 +256,7 @@ class TestConstants:
             x, b, w = (Tensor(a.copy()) for a in arrays)
             q, p = T.tanh(x), x * b  # x on two paths, b broadcast
             h = p + q  # p and q are handed the one gradient array of h
-            m = T.concat_cols([h * x - b, T.constant(data)]) @ T.concat_rows([w, w])
+            m = T.concat([h * x - b, T.constant(data)], axis=1) @ T.concat([w, w], axis=0)
             # p's second consumer runs after h and before q on the way back
             loss = (T.tsum(q) + T.tsum(p * 2.0) + T.tsum(T.exp(0.1 * m) + T.relu(m))
                     + T.tmean(h * h))
@@ -408,7 +408,7 @@ class TestMlpNode:
 
     @pytest.mark.parametrize("d_out,sliced", [(3, True), (1, False)])
     def test_bitwise_where_the_bias_sum_keeps_add_reduce(self, monkeypatch, d_out, sliced):
-        # a column slice of concat_cols' gradient is not C-contiguous, and a
+        # a column slice of concat's axis-1 gradient is not C-contiguous, and a
         # width-1 gradient is summed pairwise; either keeps np.add.reduce
         tops = []
         param_grads = T._affine_param_grads
@@ -428,7 +428,7 @@ class TestMlpNode:
         def run(layer):
             ws, bs = [Tensor(a) for a in was], [Tensor(a) for a in bas]
             out = layer(T.constant(xa), ws, bs)
-            wide = T.concat_cols([T.constant(pad), out]) if sliced else out
+            wide = T.concat([T.constant(pad), out], axis=1) if sliced else out
             T.tsum(wide * T.constant(upstream)).backward()
             return [out.data] + [t.grad for t in ws + bs]
 
@@ -632,7 +632,7 @@ class TestGradientsAgainstFiniteDifferences:
         for _ in range(self.N_INSTANCES // 2):
             a, b = _rand(rng, 2, 3), _rand(rng, 2, 3)
             assert_gradients_match(
-                lambda ts: T.tsum(T.tanh(T.concat_cols([ts[0], ts[1]]) @ Tensor(_fixed_w))),
+                lambda ts: T.tsum(T.tanh(T.concat([ts[0], ts[1]], axis=1) @ Tensor(_fixed_w))),
                 [a, b],
             )
             assert_gradients_match(lambda ts: T.tsum(T.tanh(T.transpose(ts[0]) @ ts[1])), [a, b])
@@ -689,6 +689,31 @@ def _broadcast_shape(which, rows, cols):
 
 
 class TestRowOpProperties:
+    @PROPERTY
+    @given(data=st.data(), axis=st.integers(0, 1), other=st.integers(1, 4),
+           live=st.lists(st.booleans(), min_size=1, max_size=4))
+    def test_concat_is_np_concatenate_with_gradient_slices(self, data, axis, other, live):
+        # constant parts (live False) get no gradient and shift the others' slices
+        sizes = [data.draw(st.integers(1, 3)) for _ in live]
+        arrays_ = [data.draw(arrays(np.float64, (m, other) if axis == 0 else (other, m),
+                                    elements=ENTRIES)) for m in sizes]
+        parts = [Tensor(a) if keep else T.constant(a) for a, keep in zip(arrays_, live)]
+        out = T.concat(parts, axis=axis)
+        assert out.data.tobytes() == np.concatenate(arrays_, axis=axis).tobytes()
+        upstream = data.draw(arrays(np.float64, out.shape, elements=ENTRIES))
+        T.tsum(out * T.constant(upstream)).backward()
+        slices = np.split(upstream, np.cumsum(sizes)[:-1], axis=axis)
+        for part, keep, want in zip(parts, live, slices):
+            assert part.grad is None if not keep else part.grad.tobytes() == want.tobytes()
+
+    def test_concat_rejects_parts_that_disagree_off_its_axis(self):
+        rows, cols = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2)))
+        for parts, axis in (([rows, cols], 0), ([rows, cols], 1), ([Tensor(np.zeros(3))], 0),
+                            ([], 1)):
+            with pytest.raises(ShapeMismatch, match="concat"):
+                T.concat(parts, axis=axis)
+        assert T.concat([rows, cols.T], axis=1).shape == (2, 6)
+
     @PROPERTY
     @given(data=st.data(), rows=st.integers(1, 9))
     def test_row_softmax_bitwise_on_two_columns(self, data, rows):
@@ -905,7 +930,7 @@ class TestSelectionIsIndexing:
         xa = _select_draw(r, signed_zeros, n, d)
         upstream = _select_draw(r, signed_zeros, len(sizes), d)
         reuse = r.normal(size=(n, d)) if reused else None
-        new = _select_run(lambda x: T.segment_pool(pool, x, segments, mean=mean),
+        new = _select_run(lambda x: T.segment_pool(x, segments, mean=mean),
                           xa, upstream, reuse)
         old = _select_run(lambda x: T.constant(pool) @ x, xa, upstream, reuse)
         assert new[0].tobytes() == old[0].tobytes()  # the forward is the same product
@@ -922,10 +947,10 @@ class TestSelectionIsIndexing:
     @pytest.mark.parametrize("mean", [False, True])
     def test_pool_gradients_against_finite_differences(self, mean):
         rng = np.random.default_rng(21)
-        segments, pool = _pool_matrix([2, 1, 3], mean)
+        segments = T.Segments([0, 2, 3, 6])
         weights = Tensor(_rand(rng, 3, 2))
         assert_gradients_match(
-            lambda ts: T.tsum(T.tanh(T.segment_pool(pool, ts[0], segments, mean=mean)) * weights),
+            lambda ts: T.tsum(T.tanh(T.segment_pool(ts[0], segments, mean=mean)) * weights),
             [_rand(rng, 6, 2)],
         )
 
@@ -938,6 +963,6 @@ class TestSelectionIsIndexing:
         assert T.index(x, np.array([2, 0, 1])).shape == (3, 2)
 
     def test_pool_rejects_segments_that_do_not_cover_the_input(self):
-        segments, pool = _pool_matrix([2, 2], False)
+        segments = T.Segments([0, 2, 4])
         with pytest.raises(ShapeMismatch, match="offsets cover"):
-            T.segment_pool(pool, Tensor(np.zeros((3, 2))), segments)
+            T.segment_pool(Tensor(np.zeros((3, 2))), segments)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gib.batch
+from gib.batch import GraphBatch
 from gib.checkpoint import load_params, restore_into, save_params
 from gib.experiments import build_line_dataset
 from gib.graphs import (
@@ -24,6 +25,7 @@ from gib.metrics import write_csv
 from gib.models import GibModel
 from gib.nn import Mlp
 from gib.optim import make_optimizer
+from gib.subgraph import connectivity_loss
 from gib.tensor import Tensor
 from gib.train import (
     METRICS_COLUMNS,
@@ -168,6 +170,29 @@ class TestOuterStep:
         breakdown = outer_step(model, opt, ds.subset("train")[:6], config)
         expected = breakdown.cls + breakdown.beta * breakdown.mi + breakdown.con_weight * breakdown.con
         assert breakdown.total == expected
+
+    def test_zero_weight_connectivity_is_recorded_off_the_tape(self, monkeypatch):
+        # the term is 13 tape nodes and its weight one more; at weight 0 the
+        # recorded value is the same, computed from a constant S
+        ds = tiny_dataset()
+        graphs = ds.subset("train")[:6]
+        batch = GraphBatch(graphs)
+        tapes, backward = [], Tensor.backward
+
+        def recorded(loss):
+            tapes.append([node.op for node in loss.tape()])
+            backward(loss)
+
+        monkeypatch.setattr(Tensor, "backward", recorded)
+        for con_weight in (1.0, 0.0):
+            model = GibModel(ds.graphs[0].features.shape[1], ds.num_classes, rng(0))
+            expected = float(connectivity_loss(model.forward(batch)[0], batch).data)
+            breakdown = outer_step(model, make_optimizer("adam", model.outer_params(), 1e-3),
+                                   graphs, TrainConfig(batch_size=8, seed=0, con_weight=con_weight))
+            assert breakdown.con == expected
+        weighted, unweighted = tapes
+        assert len(weighted) - len(unweighted) == 14
+        assert "row_norms" in weighted and "row_norms" not in unweighted
 
     def test_statistics_head_untouched(self):
         ds = tiny_dataset()
