@@ -71,14 +71,13 @@ def mi_oracle(
     rng: Optional[np.random.Generator] = None,
     samples: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> MiOracleEstimate:
-    """Monte-Carlo mutual information from the closed-form densities."""
+    """Monte-Carlo mutual information from the closed-form densities, over
+    ``samples`` or else ``n`` pairs drawn with ``rng``."""
     if samples is not None:
         x, y = samples
     else:
-        if n < 1000:
-            raise ValueError("the oracle needs at least 1000 samples")
-        if rng is None:
-            rng = np.random.default_rng(0)
+        if n < 1000 or rng is None:
+            raise ValueError("the oracle needs samples, or an rng to draw at least 1000 pairs")
         x, y, _ = sample_pairs(sampler, n, rng)
     log_cond = _log_normal_pdf(y - x, 0.0, sampler.sigma2)
     log_marg = np.logaddexp(

@@ -157,7 +157,6 @@ def cmd_gen_motif(args: argparse.Namespace) -> int:
         motif_sizes=sizes,
         background_nodes=(args.n_min, args.n_max),
         edge_prob=args.edge_prob,
-        feature_mode=args.feature_mode,
         label_rule="size" if args.continuous else "kind",
         property_noise=args.noise,
         seed=args.seed,
@@ -308,15 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_motif.add_argument("--out", required=True)
     p_motif.add_argument("--name", default="MOTIF")
     motif = {f.name: f.default for f in dataclasses.fields(MotifConfig)}  # one source of defaults
-    p_motif.add_argument("--num-graphs", type=int, default=200)
+    p_motif.add_argument("--num-graphs", type=int, default=motif["num_graphs"])
     p_motif.add_argument("--motif-kinds", default=",".join(motif["motif_kinds"]))
     p_motif.add_argument("--motif-size", type=int, default=motif["motif_size"])
     p_motif.add_argument("--motif-sizes", default=None)
     p_motif.add_argument("--n-min", type=int, default=motif["background_nodes"][0])
     p_motif.add_argument("--n-max", type=int, default=motif["background_nodes"][1])
     p_motif.add_argument("--edge-prob", type=float, default=motif["edge_prob"])
-    p_motif.add_argument("--feature-mode", default=motif["feature_mode"],
-                         help="degree_onehot or ones")
     p_motif.add_argument("--continuous", action="store_true",
                          help="label = motif size (+ noise) instead of motif kind")
     p_motif.add_argument("--noise", type=float, default=motif["property_noise"])

@@ -140,9 +140,9 @@ def select_and_score(
 
 
 def check_masks(dataset: Dataset, kind: str) -> None:
-    """One ground-truth mask per graph, each within its graph: a "real-edge"
-    mask indexes the canonical edges, a "motif" mask the nodes. A
-    ConfigError names the first graph at fault."""
+    """One nonempty ground-truth mask per graph, each within its graph: a
+    "real-edge" mask indexes the canonical edges (so its graph has edges), a
+    "motif" mask the nodes. A ConfigError names the first graph at fault."""
     if dataset.masks is None:
         raise ConfigError(f"{dataset.name} needs ground-truth {kind} masks")
     if len(dataset.masks) != len(dataset.graphs):
@@ -150,7 +150,10 @@ def check_masks(dataset: Dataset, kind: str) -> None:
     unit = "edges" if kind == "real-edge" else "nodes"
     for gi, (graph, mask) in enumerate(zip(dataset.graphs, dataset.masks)):
         size = graph.num_edges if kind == "real-edge" else graph.n
-        if mask and not 0 <= min(mask) <= max(mask) < size:
+        if not mask:
+            raise ConfigError(f"graph {gi} of {dataset.name} has {size} {unit} and an empty "
+                              f"{kind} mask")
+        if not 0 <= min(mask) <= max(mask) < size:
             raise ConfigError(f"graph {gi} of {dataset.name}: {kind} mask spans "
                               f"{min(mask)}..{max(mask)}, but the graph has {size} {unit}")
 

@@ -246,8 +246,9 @@ def load_tu_dataset(path: str, name: str) -> Dataset:
     features; without them every node gets a single all-ones feature. Integer
     graph labels are remapped to contiguous 0-based ids; decimal-formatted
     labels (a ``.`` or an exponent, as ``save_tu_dataset`` writes them) mark
-    the dataset as continuous, even where every value is integral. Nodes are
-    numbered graph by graph, so the graph ids must not decrease.
+    the dataset as continuous, even where every value is integral, and a
+    file may not mix the two. Nodes are numbered graph by graph, so the
+    graph ids must not decrease. Errors that compare two files name both.
     """
     prefix = os.path.join(path, name)
     file = f"{name}_graph_indicator.txt"
@@ -275,9 +276,8 @@ def load_tu_dataset(path: str, name: str) -> Dataset:
 
     label_lines = _numbered_lines(prefix + "_graph_labels.txt")
     if len(label_lines) != n_graphs:
-        raise GraphFormatError(
-            f"{name}_graph_labels.txt has {len(label_lines)} lines, expected {n_graphs}"
-        )
+        raise GraphFormatError(f"{name}_graph_labels.txt has {len(label_lines)} lines for "
+                               f"the {n_graphs} graphs of {file}")
     raw_labels = []
     for lineno, text in label_lines:
         try:
@@ -291,7 +291,12 @@ def load_tu_dataset(path: str, name: str) -> Dataset:
         raw_labels.append(value)
     # decimal-formatted labels mark a continuous property; bare integers
     # mark classes (a zero-noise property would otherwise be ambiguous)
-    if any("." in s or "e" in s.lower() for _, s in label_lines):
+    decimal = ["." in s or "e" in s.lower() for _, s in label_lines]
+    if len(set(decimal)) > 1:
+        (i, a), (j, b) = label_lines[0], label_lines[decimal.index(not decimal[0])]
+        raise GraphFormatError(f"{name}_graph_labels.txt mixes integer and decimal labels: "
+                               f"line {i} has {a!r}, line {j} has {b!r}")
+    if decimal[0]:
         labels: list[float | int] = raw_labels
         num_classes = None
     else:
@@ -311,12 +316,13 @@ def load_tu_dataset(path: str, name: str) -> Dataset:
             ) from None
         if not (1 <= u <= n_nodes and 1 <= v <= n_nodes):
             raise GraphFormatError(
-                f"{name}_A.txt line {lineno}: node index out of range in {text!r}"
+                f"{name}_A.txt line {lineno}: node index out of range in {text!r} "
+                f"({file} has {n_nodes} nodes)"
             )
         gu, gv = indicator[u - 1], indicator[v - 1]
         if gu != gv:
             raise GraphFormatError(
-                f"{name}_A.txt line {lineno}: edge crosses graphs {gu} and {gv}"
+                f"{name}_A.txt line {lineno}: edge crosses graphs {gu} and {gv} of {file}"
             )
         lu = u - 1 - offsets[gu - 1]
         lv = v - 1 - offsets[gu - 1]
@@ -328,9 +334,8 @@ def load_tu_dataset(path: str, name: str) -> Dataset:
     if os.path.exists(node_label_path):
         node_labels = _read_ints(node_label_path)
         if len(node_labels) != n_nodes:
-            raise GraphFormatError(
-                f"{name}_node_labels.txt has {len(node_labels)} lines, expected {n_nodes}"
-            )
+            raise GraphFormatError(f"{name}_node_labels.txt has {len(node_labels)} lines for "
+                                   f"the {n_nodes} nodes of {file}")
         distinct_nl = sorted(set(node_labels))
         nl_remap = {v: i for i, v in enumerate(distinct_nl)}
         width = len(distinct_nl)
@@ -403,8 +408,8 @@ def load_mask_sidecar(path: str, name: str, num_graphs: int) -> list[list[int]]:
     lines = _read_lines(file)
     if len(lines) != num_graphs:
         raise ConfigError(f"{file} has {len(lines)} mask lines for {num_graphs} graphs")
-    return [[_parse_int(s, f"{file} line {i}", ConfigError) for s in line.split(",") if s]
-            for i, line in enumerate(lines, start=1)]
+    return [[_parse_int(s, f"{file} line {i}", ConfigError) for s in line.split(",")] if line
+            else [] for i, line in enumerate(lines, start=1)]
 
 
 def dataset_hash(dataset: Dataset) -> str:
@@ -478,6 +483,9 @@ def to_line_graph(graph: Graph) -> Graph:
 
 # -- planted motifs -------------------------------------------------------------
 
+ATTACH_EDGES = 2  # random edges wiring each planted motif into its background
+MAX_DEGREE_FEATURE = 8  # node features one-hot encode min(degree, this)
+
 
 @dataclass
 class MotifConfig:
@@ -488,17 +496,14 @@ class MotifConfig:
     noise bounded by ``property_noise``.
     """
 
-    num_graphs: int = bounded(low=1)
+    num_graphs: int = bounded(200, low=1)
     motif_kinds: tuple[str, ...] = bounded(("clique", "cycle"), choices=("clique", "cycle"))
     motif_size: int = bounded(5, low=3)
     motif_sizes: Optional[tuple[int, ...]] = bounded(None, low=3)  # overrides motif_size if set
     background_nodes: tuple[int, int] = bounded((15, 25), low=1)
     edge_prob: float = bounded(0.25, low=0.0, high=1.0)
-    attach_edges: int = bounded(2, low=0)
-    feature_mode: str = bounded("degree_onehot", choices=("degree_onehot", "ones"))
     label_rule: str = bounded("kind", choices=("kind", "size"))
     property_noise: float = bounded(0.0, low=0.0)
-    max_degree_feature: int = bounded(8, low=0)
     seed: int = bounded(0, low=0)
 
     def validate(self) -> None:
@@ -519,17 +524,6 @@ def _motif_adjacency(kind: str, k: int) -> np.ndarray:
         for i in range(k):
             a[i, (i + 1) % k] = a[(i + 1) % k, i] = 1.0
     return a
-
-
-def _features_for(adjacency: np.ndarray, mode: str, cap: int) -> np.ndarray:
-    n = adjacency.shape[0]
-    if mode == "ones":
-        return np.ones((n, 1))
-    degrees = adjacency.sum(axis=1).astype(int)
-    features = np.zeros((n, cap + 1))
-    for i, d in enumerate(degrees):
-        features[i, min(d, cap)] = 1.0
-    return features
 
 
 def gen_planted_motif_dataset(config: MotifConfig) -> Dataset:
@@ -559,7 +553,7 @@ def gen_planted_motif_dataset(config: MotifConfig) -> Dataset:
         bg = np.triu(upper, k=1).astype(np.float64)
         adjacency[:n_bg, :n_bg] = bg + bg.T
         adjacency[n_bg:, n_bg:] = _motif_adjacency(kind, k)
-        for _ in range(config.attach_edges):
+        for _ in range(ATTACH_EDGES):
             u = int(rng.integers(0, n_bg))
             v = n_bg + int(rng.integers(0, k))
             adjacency[u, v] = adjacency[v, u] = 1.0
@@ -570,7 +564,9 @@ def gen_planted_motif_dataset(config: MotifConfig) -> Dataset:
             noise = config.property_noise * float(rng.uniform(-1.0, 1.0))
             label = float(k) + noise
 
-        features = _features_for(adjacency, config.feature_mode, config.max_degree_feature)
+        features = np.zeros((n, MAX_DEGREE_FEATURE + 1))
+        for i, d in enumerate(adjacency.sum(axis=1).astype(int)):
+            features[i, min(d, MAX_DEGREE_FEATURE)] = 1.0
         graphs.append(Graph(adjacency, features, label))
         masks.append(list(range(n_bg, n)))
 

@@ -131,9 +131,6 @@ class AttentionHead:
         scores = T.segment_softmax(T.transpose(raw), batch.segments)  # 1 x N
         return (T.constant(batch.segments.sum_pool) * scores) @ embeddings, scores
 
-    def params(self) -> list[Tensor]:
-        return [self.p1, self.p2]
-
     def named_params(self, prefix: str) -> list[tuple[str, Tensor]]:
         return [(f"{prefix}.p1", self.p1), (f"{prefix}.p2", self.p2)]
 

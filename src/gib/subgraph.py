@@ -111,13 +111,12 @@ class SubgraphSelection:
 
 
 def discretize(
-    assignment: np.ndarray | Tensor, graph: Graph, threshold: float = 0.5
+    assignment: np.ndarray, graph: Graph, threshold: float = 0.5
 ) -> SubgraphSelection:
     """Select node i iff its subgraph probability is >= threshold."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    s = assignment.data if isinstance(assignment, Tensor) else np.asarray(assignment)
-    mask = s[:, 0] >= threshold
+    mask = np.asarray(assignment)[:, 0] >= threshold
     induced = graph.adjacency * np.outer(mask, mask)
     return SubgraphSelection(node_mask=mask, induced_adjacency=induced, threshold=threshold)
 

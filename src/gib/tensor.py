@@ -71,6 +71,9 @@ Design points:
     gradient. An op's output needs one when any of its inputs does; the tape
     leaves out everything else, and no gradient is computed or stored for
     it. Leaves built with ``Tensor(values)`` need gradients (parameters).
+  * Each op hands its backward to the :class:`Tensor` constructor, which
+    keeps it only on a node that needs one: a node off the tape keeps no
+    backward, nor the arrays the backward captured.
   * A tensor's first gradient is stored as it comes, without a copy, and
     later ones are added into a new array, so one gradient array may be
     the ``.grad`` of several tensors. Gradient arrays are therefore
@@ -112,7 +115,7 @@ class Tensor:
                     break
         self.requires_grad = requires_grad
         self.parents = parents
-        self.grad_fn = grad_fn
+        self.grad_fn = grad_fn if requires_grad else None  # none off the tape
         self.op = op
 
     # -- bookkeeping ------------------------------------------------------
@@ -258,7 +261,6 @@ def _check_broadcastable(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcastable(a, b, "add")
-    out = Tensor(a.data + b.data, (a, b), op="add")
 
     def grad_fn(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -266,13 +268,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.data.shape))
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(a.data + b.data, (a, b), grad_fn, "add")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcastable(a, b, "sub")
-    out = Tensor(a.data - b.data, (a, b), op="sub")
 
     def grad_fn(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -280,13 +280,11 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(-g, b.data.shape))
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(a.data - b.data, (a, b), grad_fn, "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcastable(a, b, "mul")
-    out = Tensor(a.data * b.data, (a, b), op="mul")
 
     def grad_fn(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -294,29 +292,23 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(_unbroadcast(g * a.data, b.data.shape))
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(a.data * b.data, (a, b), grad_fn, "mul")
 
 
 def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data, (a,), op="neg")
-
     def grad_fn(g: np.ndarray) -> None:
         a._accumulate(-g)
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(-a.data, (a,), grad_fn, "neg")
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0), (a,), op="relu")
     mask = a.data > 0.0  # subgradient at 0 is 0
 
     def grad_fn(g: np.ndarray) -> None:
         a._accumulate(g * mask)
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(np.maximum(a.data, 0.0), (a,), grad_fn, "relu")
 
 
 def _tanh_grad(y: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -330,36 +322,30 @@ def _tanh_grad(y: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
-    out = Tensor(y, (a,), op="tanh")
 
     def grad_fn(g: np.ndarray) -> None:
         a._accumulate(_tanh_grad(y, g, np.empty_like(y)))  # y is the live output
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(y, (a,), grad_fn, "tanh")
 
 
 def exp(a: Tensor) -> Tensor:
     y = np.exp(a.data)
-    out = Tensor(y, (a,), op="exp")
 
     def grad_fn(g: np.ndarray) -> None:
         a._accumulate(g * y)
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(y, (a,), grad_fn, "exp")
 
 
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         raise ValueError("log: input must be strictly positive")
-    out = Tensor(np.log(a.data), (a,), op="log")
 
     def grad_fn(g: np.ndarray) -> None:
         a._accumulate(g / a.data)
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(np.log(a.data), (a,), grad_fn, "log")
 
 
 # -- matrix ops --------------------------------------------------------------
@@ -374,7 +360,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatch(
             f"matmul: inner dimensions disagree, {a.data.shape} x {b.data.shape}"
         )
-    out = Tensor(a.data @ b.data, (a, b), op="matmul")
 
     def grad_fn(g: np.ndarray) -> None:
         if a.requires_grad:
@@ -382,8 +367,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(a.data.T @ g)
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(a.data @ b.data, (a, b), grad_fn, "matmul")
 
 
 # Rows per block when a width-1 layer's input gradient is folded into the
@@ -460,7 +444,7 @@ def mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Optional[Tensor]]
     width-1 layer's input gradient after a hidden one is folded into the
     tanh gradient (:func:`_tanh_grad_k1`). Each tanh gradient is written
     into the hidden activation it is taken from, which nothing reads again.
-    A node none of whose inputs needs a gradient keeps no hidden activation.
+    A node off the tape keeps no backward, so no hidden activation outlives it.
     """
     if last not in ("identity", "relu"):
         raise ValueError(f"mlp: unknown activation {last!r}")
@@ -470,9 +454,6 @@ def mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Optional[Tensor]]
     acts = [x.data]  # the input of each layer, then the output
     for i, (w, b) in enumerate(zip(weights, biases)):
         acts.append(_affine(acts[i], w, b, "tanh" if i < top else last))
-    out = Tensor(acts[-1], (x, *weights, *(b for b in biases if b is not None)), op="mlp")
-    if not out.requires_grad:
-        return out  # no closure, so the hidden activations go now
 
     def grad_fn(g: np.ndarray) -> None:
         d = g * (acts[-1] > 0.0) if last == "relu" else g  # subgradient at 0 is 0
@@ -487,32 +468,28 @@ def mlp(x: Tensor, weights: Sequence[Tensor], biases: Sequence[Optional[Tensor]]
             else:
                 d = _tanh_grad(acts[i], d @ w.data.T, acts[i])
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(acts[-1], (x, *weights, *(b for b in biases if b is not None)), grad_fn, "mlp")
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeMismatch(f"transpose: expected a matrix, got {a.data.shape}")
-    out = Tensor(a.data.T.copy(), (a,), op="transpose")
 
     def grad_fn(g: np.ndarray) -> None:
         a._accumulate(g.T)
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(a.data.T.copy(), (a,), grad_fn, "transpose")
 
 
 def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
     """Join matrices along ``axis`` (0 stacks rows, 1 stacks columns); each
     part's gradient is its slice of the output's gradient."""
-    parts = list(parts)
+    parts = tuple(parts)
     if not parts:
         raise ShapeMismatch("concat: need at least one tensor")
     shapes = [p.data.shape for p in parts]
     if any(len(shape) != 2 or shape[1 - axis] != shapes[0][1 - axis] for shape in shapes):
         raise ShapeMismatch(f"concat: matrices that disagree off axis {axis}: {shapes}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), op="concat")
     sizes = [shape[axis] for shape in shapes]
 
     def grad_fn(g: np.ndarray) -> None:
@@ -522,8 +499,7 @@ def concat(parts: Sequence[Tensor], axis: int) -> Tensor:
                 p._accumulate(g[offset : offset + m] if axis == 0 else g[:, offset : offset + m])
             offset += m
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(np.concatenate([p.data for p in parts], axis=axis), parts, grad_fn, "concat")
 
 
 def index(a: Tensor, key) -> Tensor:
@@ -541,15 +517,13 @@ def index(a: Tensor, key) -> Tensor:
         picks = list(zip(*(k.ravel().tolist() for k in np.broadcast_arrays(*arrays))))
         if len(set(picks)) != len(picks):
             raise ValueError("index: the key reaches an entry more than once")
-    out = Tensor(a.data[key], (a,), op="index")
 
     def grad_fn(g: np.ndarray) -> None:
         full = np.zeros(a.data.shape)
         full[key] = g
         a._accumulate(full)
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(a.data[key], (a,), grad_fn, "index")
 
 
 # -- row-wise normalizers ----------------------------------------------------
@@ -589,15 +563,13 @@ def row_softmax(a: Tensor) -> Tensor:
         raise ShapeMismatch(f"row_softmax: expected a matrix, got {a.data.shape}")
     e = np.exp(a.data - _row_max(a.data))
     y = e / _row_sum(e)
-    out = Tensor(y, (a,), op="row_softmax")
 
     def grad_fn(g: np.ndarray) -> None:
         # dL/dx = y * (g - sum_j g_j y_j) per row
         dot = _row_sum(g * y)
         a._accumulate(y * (g - dot))
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(y, (a,), grad_fn, "row_softmax")
 
 
 def row_l1_normalize(a: Tensor) -> Tensor:
@@ -619,15 +591,13 @@ def row_l1_normalize(a: Tensor) -> Tensor:
     every_row = bool(nonzero.all())  # no zero row: the masks select everything
     safe = s if every_row else np.where(nonzero, s, 1.0)
     y = x / safe if every_row else np.where(nonzero, x / safe, 0.0)
-    out = Tensor(y, (a,), op="row_l1_normalize")
 
     def grad_fn(g: np.ndarray) -> None:
         dot = np.add.reduce(g * y, axis=1, keepdims=True)
         d = (g - dot) / safe
         a._accumulate(d if every_row else np.where(nonzero, d, 0.0))
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(y, (a,), grad_fn, "row_l1_normalize")
 
 
 # -- reductions ----------------------------------------------------------------
@@ -640,40 +610,34 @@ def _require_nonempty(a: Tensor, op: str) -> None:
 
 def tsum(a: Tensor) -> Tensor:
     _require_nonempty(a, "sum")
-    out = Tensor(a.data.sum(), (a,), op="sum")
 
     def grad_fn(g: np.ndarray) -> None:
         a._accumulate(np.full_like(a.data, float(g)))
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(a.data.sum(), (a,), grad_fn, "sum")
 
 
 def tmean(a: Tensor) -> Tensor:
     _require_nonempty(a, "mean")
     n = a.data.size
     # the sum and divide of ndarray.mean, without its Python wrapper
-    out = Tensor(np.add.reduce(a.data, axis=None) / n, (a,), op="mean")
 
     def grad_fn(g: np.ndarray) -> None:
         a._accumulate(np.full_like(a.data, float(g) / n))
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(np.add.reduce(a.data, axis=None) / n, (a,), grad_fn, "mean")
 
 
 def frobenius_norm(a: Tensor) -> Tensor:
     """sqrt(sum of squares). Subgradient at the zero matrix is 0."""
     _require_nonempty(a, "frobenius_norm")
     value = float(np.sqrt((a.data * a.data).sum()))
-    out = Tensor(value, (a,), op="frobenius_norm")
 
     def grad_fn(g: np.ndarray) -> None:
         if value > 0.0:
             a._accumulate(float(g) * a.data / value)
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(value, (a,), grad_fn, "frobenius_norm")
 
 
 def logsumexp(a: Tensor) -> Tensor:
@@ -682,14 +646,12 @@ def logsumexp(a: Tensor) -> Tensor:
     m = a.data.max()
     e = np.exp(a.data - m)
     z = e.sum()
-    out = Tensor(m + np.log(z), (a,), op="logsumexp")
     soft = e / z
 
     def grad_fn(g: np.ndarray) -> None:
         a._accumulate(float(g) * soft)
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(m + np.log(z), (a,), grad_fn, "logsumexp")
 
 
 def row_logsumexp(a: Tensor) -> Tensor:
@@ -700,14 +662,12 @@ def row_logsumexp(a: Tensor) -> Tensor:
     m = a.data.max(axis=1, keepdims=True)
     e = np.exp(a.data - m)
     z = e.sum(axis=1, keepdims=True)
-    out = Tensor(m + np.log(z), (a,), op="row_logsumexp")
     soft = e / z
 
     def grad_fn(g: np.ndarray) -> None:
         a._accumulate(g * soft)
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(m + np.log(z), (a,), grad_fn, "row_logsumexp")
 
 
 def row_norms(a: Tensor) -> Tensor:
@@ -717,13 +677,11 @@ def row_norms(a: Tensor) -> Tensor:
     norms = np.sqrt((a.data * a.data).sum(axis=1, keepdims=True))
     nonzero = norms > 0.0
     safe = np.where(nonzero, norms, 1.0)
-    out = Tensor(norms, (a,), op="row_norms")
 
     def grad_fn(g: np.ndarray) -> None:
         a._accumulate(np.where(nonzero, g * a.data / safe, 0.0))
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(norms, (a,), grad_fn, "row_norms")
 
 
 # -- segment ops: consecutive row ranges, one per graph ------------------------
@@ -784,7 +742,6 @@ def segment_matmul(blocks: Sequence[np.ndarray], a: Tensor, segments: Segments) 
     y = np.empty(x.shape)
     for block, (start, end) in zip(blocks, spans):
         np.matmul(block, x[start:end], out=y[start:end])
-    out = Tensor(y, (a,), op="segment_matmul")
 
     def grad_fn(g: np.ndarray) -> None:
         buf = np.empty(x.shape)
@@ -792,8 +749,7 @@ def segment_matmul(blocks: Sequence[np.ndarray], a: Tensor, segments: Segments) 
             np.matmul(block.T, g[start:end], out=buf[start:end])
         a._accumulate(buf)
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(y, (a,), grad_fn, "segment_matmul")
 
 
 def segment_pool(a: Tensor, segments: Segments, mean: bool = False) -> Tensor:
@@ -811,15 +767,13 @@ def segment_pool(a: Tensor, segments: Segments, mean: bool = False) -> Tensor:
         raise ShapeMismatch(f"segment_pool: expected a matrix, got {a.data.shape}")
     segments.require_total(a.data.shape[0], "segment_pool")
     pool = segments.mean_pool if mean else segments.sum_pool
-    out = Tensor(pool @ a.data, (a,), op="segment_pool")
 
     def grad_fn(g: np.ndarray) -> None:
         if mean:
             g = g * (1.0 / segments.sizes)[:, None]
         a._accumulate(np.repeat(g, segments.sizes, axis=0))
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(pool @ a.data, (a,), grad_fn, "segment_pool")
 
 
 def segment_softmax(a: Tensor, segments: Segments) -> Tensor:
@@ -831,14 +785,12 @@ def segment_softmax(a: Tensor, segments: Segments) -> Tensor:
     x = a.data[0]
     e = np.exp(x - np.repeat(np.maximum.reduceat(x, starts), sizes))
     y = e / np.repeat(np.add.reduceat(e, starts), sizes)
-    out = Tensor(y[None, :], (a,), op="segment_softmax")
 
     def grad_fn(g: np.ndarray) -> None:
         dot = np.repeat(np.add.reduceat(g[0] * y, starts), sizes)
         a._accumulate((y * (g[0] - dot))[None, :])
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(y[None, :], (a,), grad_fn, "segment_softmax")
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

@@ -169,7 +169,7 @@ def outer_step(
     labels = [model.standardize_label(graph.label) for graph in graphs]
     cls_loss = output_loss(model.logits(sub_embs), labels, model.num_classes)
     con_loss = connectivity_loss(s if config.con_weight > 0 else T.constant(s.data), batch)
-    if config.beta > 0 and len(batch) >= 2:
+    if config.beta > 0:
         mi_est = mi_batch_loss(model.statnet, batch.mean(x), sub_embs)
         mi_loss = mi_est.value
     else:

@@ -78,6 +78,8 @@ class TestOracle:
     def test_minimum_sample_count(self):
         with pytest.raises(ValueError):
             mi_oracle(ToyPairSampler(1.0), n=10, rng=rng(10))
+        with pytest.raises(ValueError, match="an rng"):  # no silent default seed
+            mi_oracle(ToyPairSampler(1.0))
 
 
 class TestDvEstimate:

