@@ -27,9 +27,9 @@ import numpy as np
 
 from . import mi
 from . import tensor as T
-from .graphs import bounded, check_fields
+from .graphs import bounded, check_fields, check_value
 from .nn import Mlp
-from .optim import make_optimizer
+from .optim import Adam
 from .tensor import Tensor, zero_grads
 
 
@@ -38,8 +38,7 @@ class ToyPairSampler:
     sigma2: float
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+        check_value("sigma2", self.sigma2, low=0.0, strict=True)
 
 
 def sample_pairs(
@@ -163,7 +162,7 @@ def run_case_study(config: CaseStudyConfig) -> list[CaseStudyTraceRow]:
     statnet = Mlp([2, config.hidden, 1], init_rng)
     sigma2 = config.sigma2_fixed if config.sigma2_fixed is not None else config.sigma2_init
     rho = Tensor(math.log(sigma2))
-    outer_opt = make_optimizer("adam", [rho], config.lr_outer)
+    outer_opt = Adam([rho], config.lr_outer)
 
     if config.warmup_steps > 0:
         sampler = ToyPairSampler(sigma2)

@@ -41,7 +41,7 @@ from .graphs import (
     save_tu_dataset,
 )
 from .metrics import format_table, mean_std, write_csv
-from .subgraph import dump_selections
+from .subgraph import SELECTION_THRESHOLD, dump_selections
 from .train import METRICS_COLUMNS, TrainConfig, evaluate_split, train
 
 
@@ -115,8 +115,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         os.path.join(args.out, "checkpoint.bin"),
         [(name, p.data) for name, p in result.model.named_params()],
     )
-    val = evaluate_split(result.model, dataset, "val", train_cfg.threshold)
-    test = evaluate_split(result.model, dataset, "test", train_cfg.threshold)
+    val = evaluate_split(result.model, dataset, "val", SELECTION_THRESHOLD)
+    test = evaluate_split(result.model, dataset, "test", SELECTION_THRESHOLD)
     print(f"best epoch {result.best_epoch}; validation {val}; test {test}")
     return 0
 
@@ -127,7 +127,10 @@ def cmd_gen_noise(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     noisy_graphs = []
     masks = []
-    for graph in dataset.graphs:
+    for gi, graph in enumerate(dataset.graphs, start=1):  # numbered as the TU files number them
+        if not graph.num_edges:
+            raise ConfigError(f"graph {gi} of {dataset.name} has no edges, so its real-edge "
+                              "mask would be empty")
         noisy, mask = add_noise_edges(graph, args.fraction, int(rng.integers(2**32)))
         noisy_graphs.append(noisy)
         masks.append(np.nonzero(mask)[0].tolist())

@@ -25,10 +25,10 @@ from .metrics import (
 )
 from .models import AttentionClassifier, MeanPoolClassifier, Predictor
 from .nn import topk_subgraph_from_scores
-from .optim import make_optimizer
-from .subgraph import SubgraphSelection, discretize, selection_record
+from .optim import Adam
+from .subgraph import SELECTION_THRESHOLD, SubgraphSelection, discretize, selection_record
 from .tensor import zero_grads
-from .train import TrainConfig, build_model, fit, output_loss, train
+from .train import TrainConfig, fit, output_loss, train
 
 
 # -- single-level baselines ------------------------------------------------------
@@ -48,8 +48,8 @@ def train_baseline(dataset: Dataset, config: TrainConfig, kind: str) -> Baseline
     ss = np.random.SeedSequence(config.seed)
     init_rng, shuffle_rng = (np.random.default_rng(c) for c in ss.spawn(2))
     model_class = AttentionClassifier if kind == "attention" else MeanPoolClassifier
-    model = build_model(model_class, dataset, config, init_rng)
-    optimizer = make_optimizer(config.optimizer, model.params(), config.lr_outer)
+    model = model_class(dataset.graphs[0].features.shape[1], dataset.num_classes, init_rng)
+    optimizer = Adam(model.params(), config.lr_outer)
     val_graphs = dataset.subset("val")
 
     def step(epoch: int, batch_index: int, graphs: list[Graph]) -> None:
@@ -131,7 +131,7 @@ def select_and_score(
             model = train(dataset, replace(config, **dict.fromkeys(zeroed, 0.0))).model
             soft = [model.assignment_matrix(g) for g in test_graphs]
             rows.append(score(label, model, [
-                discretize(s, g, config.threshold) for s, g in zip(soft, test_graphs)
+                discretize(s, g, SELECTION_THRESHOLD) for s, g in zip(soft, test_graphs)
             ], soft))
         else:
             rows.append(score(label, train_baseline(dataset, config, kind="meanpool").model,
@@ -142,13 +142,14 @@ def select_and_score(
 def check_masks(dataset: Dataset, kind: str) -> None:
     """One nonempty ground-truth mask per graph, each within its graph: a
     "real-edge" mask indexes the canonical edges (so its graph has edges), a
-    "motif" mask the nodes. A ConfigError names the first graph at fault."""
+    "motif" mask the nodes. A ConfigError names the first graph at fault,
+    numbered from 1 as in the TU files and the mask sidecar."""
     if dataset.masks is None:
         raise ConfigError(f"{dataset.name} needs ground-truth {kind} masks")
     if len(dataset.masks) != len(dataset.graphs):
         raise ConfigError(f"{len(dataset.masks)} {kind} masks for {len(dataset.graphs)} graphs")
     unit = "edges" if kind == "real-edge" else "nodes"
-    for gi, (graph, mask) in enumerate(zip(dataset.graphs, dataset.masks)):
+    for gi, (graph, mask) in enumerate(zip(dataset.graphs, dataset.masks), start=1):
         size = graph.num_edges if kind == "real-edge" else graph.n
         if not mask:
             raise ConfigError(f"graph {gi} of {dataset.name} has {size} {unit} and an empty "

@@ -29,7 +29,7 @@ import numpy as np
 from . import tensor as T
 from .graphs import Graph
 from .nn import GcnEncoder, Mlp
-from .optim import make_optimizer
+from .optim import Adam
 from .tensor import Tensor
 
 
@@ -128,12 +128,12 @@ def inner_maximize(
     right: np.ndarray,
     steps: int,
     lr: float,
-    optimizer_kind: str = "adam",
     batch_size: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
     shift_left: bool = False,
 ) -> list[float]:
-    """Train the head to maximize the batched estimate; everything else frozen.
+    """Train the head with Adam at ``lr`` to maximize the batched estimate;
+    everything else frozen.
 
     The two sides (row i of each describes one matched pair) come in as
     plain arrays, already detached from whatever produced them, so the joint
@@ -148,7 +148,7 @@ def inner_maximize(
     if minibatched and rng is None:
         raise ValueError("minibatched inner loop needs an rng")
     shift = cyclic_shift(batch_size if minibatched else n)
-    optimizer = make_optimizer(optimizer_kind, head.params(), lr)
+    optimizer = Adam(head.params(), lr)
     if not minibatched:
         joint_in, marginal_in = _dv_inputs(left, right, shift, shift_left)
     trace: list[float] = []

@@ -15,6 +15,8 @@ from .tensor import Tensor, zero_grads
 
 
 class Sgd:
+    """Plain gradient descent that no run uses, kept while the benchmark probes its step."""
+
     def __init__(self, params: list[Tensor], lr: float):
         self.params = params
         self.lr = lr
@@ -92,11 +94,3 @@ class Adam:
 
     def zero_grad(self) -> None:
         zero_grads(self.params)
-
-
-def make_optimizer(kind: str, params: list[Tensor], lr: float):
-    if kind == "adam":
-        return Adam(params, lr)
-    if kind == "sgd":
-        return Sgd(params, lr)
-    raise ValueError(f"unknown optimizer kind {kind!r}")

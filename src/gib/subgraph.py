@@ -110,8 +110,13 @@ class SubgraphSelection:
         return np.nonzero(self.node_mask)[0].tolist()
 
 
+# the hard selection's subgraph probability: training's validation, the
+# drivers and the CLI all select at it
+SELECTION_THRESHOLD = 0.5
+
+
 def discretize(
-    assignment: np.ndarray, graph: Graph, threshold: float = 0.5
+    assignment: np.ndarray, graph: Graph, threshold: float = SELECTION_THRESHOLD
 ) -> SubgraphSelection:
     """Select node i iff its subgraph probability is >= threshold."""
     if not 0.0 < threshold < 1.0:

@@ -33,8 +33,8 @@ from .metrics import motif_property_bias
 from .mi import inner_maximize, mi_batch_loss
 from .models import GibModel, Predictor
 from .nn import Mlp
-from .optim import make_optimizer
-from .subgraph import connectivity_loss, discretize
+from .optim import Adam
+from .subgraph import SELECTION_THRESHOLD, connectivity_loss, discretize
 from .tensor import Tensor, zero_grads
 
 
@@ -48,12 +48,7 @@ class TrainConfig:
     lr_outer: float = bounded(1e-3, low=0.0, strict=True)
     batch_size: int = bounded(32, low=2)  # mismatched pairs need company
     seed: int = bounded(0, low=0)
-    optimizer: str = bounded("adam", choices=("adam", "sgd"))
-    hidden: int = bounded(16, low=1)
-    gcn_layers: int = bounded(2, low=1)
-    mlp_hidden: int = bounded(16, low=1)
     patience: int = bounded(20, low=1)
-    threshold: float = bounded(0.5, low=0.0, high=1.0, strict=True)
 
     validate = check_fields
 
@@ -151,7 +146,6 @@ def run_inner_phase(
         sub_embs,
         steps=config.inner_steps,
         lr=config.lr_inner,
-        optimizer_kind=config.optimizer,
     )
     return trace[-1]
 
@@ -232,14 +226,6 @@ def evaluate_split(model: GibModel, dataset: Dataset, split: str, threshold: flo
     return out
 
 
-def build_model(model_class: type, dataset: Dataset, config: TrainConfig,
-                rng: np.random.Generator) -> Predictor:
-    """A model for ``dataset``'s features and labels, sized by ``config``."""
-    return model_class(dataset.graphs[0].features.shape[1], dataset.num_classes, rng,
-                       hidden=config.hidden, gcn_layers=config.gcn_layers,
-                       mlp_hidden=config.mlp_hidden)
-
-
 def fit(
     model: Predictor,
     dataset: Dataset,
@@ -292,8 +278,8 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
 
     ss = np.random.SeedSequence(config.seed)
     init_rng, phi2_rng, shuffle_rng = (np.random.default_rng(child) for child in ss.spawn(3))
-    model = build_model(GibModel, dataset, config, init_rng)
-    outer_opt = make_optimizer(config.optimizer, model.outer_params(), config.lr_outer)
+    model = GibModel(dataset.graphs[0].features.shape[1], dataset.num_classes, init_rng)
+    outer_opt = Adam(model.outer_params(), config.lr_outer)
 
     train_graphs = dataset.subset("train")
     history: list[EpochRecord] = []
@@ -320,7 +306,7 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
             ) from err
 
     def validate(epoch: int) -> float:
-        val_stats = evaluate_split(model, dataset, "val", config.threshold)
+        val_stats = evaluate_split(model, dataset, "val", SELECTION_THRESHOLD)
         # continuous labels: the property bias where motif masks exist, else the MSE
         val_value = val_stats["mse"] if dataset.continuous else val_stats["accuracy"]
         val_value = val_stats.get("property_bias", val_value)

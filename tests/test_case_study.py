@@ -43,9 +43,10 @@ class TestSampler:
         for u, v in zip(a, b):
             assert np.array_equal(u, v)
 
-    def test_positive_variance_required(self):
-        with pytest.raises(ValueError):
-            ToyPairSampler(0.0)
+    @pytest.mark.parametrize("sigma2", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_positive_variance_required(self, sigma2):
+        with pytest.raises(ConfigError, match="^sigma2 must be finite and > 0.0, got "):
+            ToyPairSampler(sigma2)
 
 
 class TestOracle:

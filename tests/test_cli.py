@@ -98,21 +98,23 @@ class TestTrainCommand:
         )
         assert result.returncode == 2
 
-    def test_bad_config_key_named(self, tmp_path, motif_dir, capsys):
-        # a typo, and the inner-loop keys of older config files
-        for line in ("outer_stepz = 3", "per_batch_inner = true", "full_pairing = true",
-                     "inner_batch_size = 8"):
-            cfg = str(tmp_path / "bad.ini")
-            with open(cfg, "w") as fh:
-                fh.write(f"[train]\n{line}\n")
-            code = main(["train", "--config", cfg, "--data", motif_dir,
-                         "--name", "TOY", "--out", str(tmp_path / "r")])
-            assert code == 1
-            assert f"unknown config key {line.split(' = ')[0]!r}" in capsys.readouterr().err
-            assert not os.path.exists(str(tmp_path / "r"))  # no directory, no manifest
+    # a typo, the inner-loop keys of older config files, and the optimizer,
+    # model sizes and selection threshold they could once set
+    @pytest.mark.parametrize("line", ["outer_stepz = 3", "per_batch_inner = true",
+                                      "full_pairing = true", "inner_batch_size = 8",
+                                      "optimizer = adam", "hidden = 16", "gcn_layers = 2",
+                                      "mlp_hidden = 16", "threshold = 0.5"])
+    def test_bad_config_key_named(self, tmp_path, motif_dir, capsys, line):
+        cfg = str(tmp_path / "bad.ini")
+        with open(cfg, "w") as fh:
+            fh.write(f"[train]\n{line}\n")
+        code = main(["train", "--config", cfg, "--data", motif_dir,
+                     "--name", "TOY", "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert f"unknown config key {line.split(' = ')[0]!r}" in capsys.readouterr().err
+        assert not os.path.exists(str(tmp_path / "r"))  # no directory, no manifest
 
-    @pytest.mark.parametrize("line", ["optimizer = foo", "hidden = 0", "gcn_layers = 0",
-                                      "mlp_hidden = 0", "patience = 0", "con_weight = -1",
+    @pytest.mark.parametrize("line", ["patience = 0", "con_weight = -1",
                                       "beta = nan", "con_weight = nan", "lr_outer = nan",
                                       "lr_inner = inf"])
     def test_invalid_train_value_rejected_by_name(self, tmp_path, motif_dir, capsys, line):
@@ -185,6 +187,20 @@ class TestTrainCommand:
         assert code == 1
 
 
+def _with_edgeless_graph(index):
+    """A 12-graph planted-motif set whose graph ``index`` (graph id
+    ``index + 1`` in the TU files) has no edges."""
+    dataset = gen_planted_motif_dataset(MotifConfig(num_graphs=12, background_nodes=(8, 11),
+                                                    seed=3))
+    g = dataset.graphs[index]
+    dataset.graphs[index] = Graph(np.zeros((g.n, g.n)), g.features, g.label)
+    return dataset
+
+
+# the first, a middle and the last graph: the TU files number them 1, 6 and 12
+EDGELESS = pytest.mark.parametrize("index", [0, 5, 11])
+
+
 class TestGenNoise:
     def test_mask_sidecar_consistent(self, tmp_path, motif_dir):
         out = str(tmp_path / "noisy")
@@ -206,6 +222,17 @@ class TestGenNoise:
                      "--seed", "-1", "--out", out]) == 1
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not os.path.exists(out)
+
+    @EDGELESS
+    def test_graph_without_edges_fails_by_number_before_out(self, tmp_path, capsys, index):
+        # no edge of such a graph is real, so denoise would reject its empty mask
+        clean_dir, noisy_dir = str(tmp_path / "clean"), str(tmp_path / "noisy")
+        save_tu_dataset(_with_edgeless_graph(index), clean_dir, "TOY")
+        assert main(["gen-noise", "--data", clean_dir, "--name", "TOY",
+                     "--fraction", "0.3", "--seed", "1", "--out", noisy_dir]) == 1
+        assert capsys.readouterr().err == (f"error: graph {index + 1} of TOY has no edges, "
+                                           "so its real-edge mask would be empty\n")
+        assert not os.path.exists(noisy_dir)
 
 
 class TestGenMotif:
@@ -288,42 +315,45 @@ class TestDenoiseCommand:
                      "--name", "TOY", "--seed", "2", "--out", str(tmp_path / "x")])
         assert code == 1
 
+    # the first, the third and the last line of the sidecar
+    @pytest.mark.parametrize("index", [0, 2, -1])
     def test_real_edge_mask_beyond_edges_fails_before_out(self, tmp_path, motif_dir,
-                                                          config_file, capsys):
+                                                          config_file, capsys, index):
         noisy_dir = str(tmp_path / "noisy")
         main(["gen-noise", "--data", motif_dir, "--name", "TOY",
               "--fraction", "0.3", "--seed", "1", "--out", noisy_dir])
-        edges = load_tu_dataset(noisy_dir, "TOY_NOISY").graphs[2].num_edges
+        graphs = load_tu_dataset(noisy_dir, "TOY_NOISY").graphs
+        edges = graphs[index].num_edges
         sidecar = os.path.join(noisy_dir, "TOY_NOISY_mask.txt")
         lines = open(sidecar).read().splitlines()
-        first = lines[2].split(",")[0]
-        lines[2] += f",{edges}"
+        first = lines[index].split(",")[0]
+        lines[index] += f",{edges}"
         with open(sidecar, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         out = str(tmp_path / "x")
         code = main(["denoise", "--config", config_file, "--data", noisy_dir,
                      "--name", "TOY_NOISY", "--seed", "2", "--out", out])
         assert code == 1
-        assert (f"graph 2 of TOY_NOISY: real-edge mask spans {first}..{edges}, "
+        # line k of the sidecar is graph id k in the TU files
+        graph_id = range(1, len(graphs) + 1)[index]
+        assert (f"graph {graph_id} of TOY_NOISY: real-edge mask spans {first}..{edges}, "
                 f"but the graph has {edges} edges") in capsys.readouterr().err
         assert not os.path.exists(out)  # no directory, no manifest
 
-    def test_graph_without_edges_fails_by_number_before_out(self, tmp_path, config_file, capsys):
-        # TU sets can hold a graph without edges, and gen-noise leaves it so
-        dataset = gen_planted_motif_dataset(MotifConfig(num_graphs=12, background_nodes=(8, 11),
-                                                        seed=3))
-        g = dataset.graphs[5]
-        dataset.graphs[5] = Graph(np.zeros((g.n, g.n)), g.features, g.label)
-        clean_dir, noisy_dir = str(tmp_path / "clean"), str(tmp_path / "noisy")
-        save_tu_dataset(dataset, clean_dir, "TOY")
-        assert main(["gen-noise", "--data", clean_dir, "--name", "TOY",
-                     "--fraction", "0.3", "--seed", "1", "--out", noisy_dir]) == 0
+    @EDGELESS
+    def test_graph_without_edges_fails_by_number_before_out(self, tmp_path, config_file, capsys,
+                                                            index):
+        # TU sets can hold a graph without edges; its real-edge mask is empty
+        dataset = _with_edgeless_graph(index)
+        noisy_dir = str(tmp_path / "noisy")
+        masks = [list(range(g.num_edges)) for g in dataset.graphs]
+        save_tu_dataset(dataset, noisy_dir, "TOY_NOISY", masks=masks)
         out = str(tmp_path / "x")
         code = main(["denoise", "--config", config_file, "--data", noisy_dir,
                      "--name", "TOY_NOISY", "--seed", "2", "--out", out])
         assert code == 1
-        assert ("error: graph 5 of TOY_NOISY has 0 edges and an empty real-edge mask\n"
-                in capsys.readouterr().err)
+        assert (f"error: graph {index + 1} of TOY_NOISY has 0 edges and an empty real-edge "
+                "mask\n" in capsys.readouterr().err)
         assert not os.path.exists(out)  # no directory, no manifest
 
     @pytest.mark.parametrize("missing", [1, 4])
@@ -404,7 +434,7 @@ class TestInterpretCommand:
         code = main(["interpret", "--config", config_file, "--data", continuous_dir,
                      "--name", "CONT", "--seed", "3", "--out", out, "--no-baselines"])
         assert code == 1
-        assert (f"graph 0 of CONT: motif mask spans {first}..999, "
+        assert (f"graph 1 of CONT: motif mask spans {first}..999, "
                 f"but the graph has {nodes} nodes") in capsys.readouterr().err
         assert not os.path.exists(out)
 

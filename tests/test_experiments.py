@@ -23,6 +23,7 @@ from gib.graphs import (
     gen_planted_motif_dataset,
     random_splits,
 )
+from gib.models import AttentionClassifier, GibModel, MeanPoolClassifier
 from gib.train import TrainConfig, train
 
 
@@ -65,6 +66,20 @@ class TestBaselines:
         result = train_baseline(motif_ds, small_config(), kind="meanpool")
         pred = result.model.predict_all([motif_ds.graphs[0]])[0]
         assert pred in (0, 1)
+
+    @pytest.mark.parametrize("kind", ["gib", "attention", "meanpool"])
+    def test_model_sizes_are_the_constructor_defaults(self, motif_ds, kind):
+        # the model classes own their sizes; no training setting overrides them
+        config = small_config(outer_steps=1)
+        if kind == "gib":
+            model, model_class = train(motif_ds, config).model, GibModel
+        else:
+            model = train_baseline(motif_ds, config, kind=kind).model
+            model_class = AttentionClassifier if kind == "attention" else MeanPoolClassifier
+        fresh = model_class(motif_ds.graphs[0].features.shape[1], motif_ds.num_classes,
+                            np.random.default_rng(0))
+        assert ([(name, p.data.shape) for name, p in model.named_params()]
+                == [(name, p.data.shape) for name, p in fresh.named_params()])
 
     def test_unknown_kind_rejected(self, motif_ds):
         with pytest.raises(ConfigError):
@@ -186,7 +201,7 @@ class TestLineDataset:
         masks[3] = masks[3] + [noisy_ds.graphs[3].num_edges]
         bad = Dataset(noisy_ds.graphs, noisy_ds.num_classes, splits=noisy_ds.splits,
                       masks=masks, name="noisy")
-        with pytest.raises(ConfigError, match=f"graph 3 of noisy: .* has "
+        with pytest.raises(ConfigError, match=f"graph 4 of noisy: .* has "
                                               f"{noisy_ds.graphs[3].num_edges} edges"):
             build_line_dataset(bad)
 
@@ -337,7 +352,7 @@ class TestSelectionStep:
         ds = request.getfixturevalue(fixture)
         masks = [list(m) + [999] for m in ds.masks]
         bad = Dataset(ds.graphs, ds.num_classes, splits=ds.splits, masks=masks, name="bad")
-        with pytest.raises(ConfigError, match=r"graph 0 of bad: motif mask spans \d+\.\.999, "
+        with pytest.raises(ConfigError, match=r"graph 1 of bad: motif mask spans \d+\.\.999, "
                                               f"but the graph has {ds.graphs[0].n} nodes"):
             driver(bad, small_config())
         assert training_calls == []

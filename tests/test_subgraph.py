@@ -171,6 +171,13 @@ class TestDiscretize:
         g = Graph(np.zeros((1, 1)), np.ones((1, 1)), 0)
         assert discretize(np.array([[0.5, 0.5]]), g).node_mask[0]
 
+    @pytest.mark.parametrize("threshold", [1.5, 1.0, 0.0, -0.2, float("nan")])
+    def test_threshold_outside_unit_interval_named(self, threshold):
+        g = two_triangles()
+        with pytest.raises(ValueError, match=r"^threshold must be in \(0, 1\), got "):
+            discretize(np.full((6, 2), 0.5), g, threshold)
+        assert discretize(np.full((6, 2), 0.5), g, 0.3).node_mask.all()
+
     def test_empty_selection_flagged(self):
         g = two_triangles()
         sel = discretize(np.array([[0.4, 0.6]] * 6), g)

@@ -24,7 +24,7 @@ from gib.graphs import (
 from gib.metrics import write_csv
 from gib.models import GibModel
 from gib.nn import Mlp
-from gib.optim import make_optimizer
+from gib.optim import Adam
 from gib.subgraph import connectivity_loss
 from gib.tensor import Tensor
 from gib.train import (
@@ -141,7 +141,7 @@ class TestAdam:
             grads[3] = None if step % 3 == 1 else r.normal(size=(2, 3)).T
             steps.append(grads)
         params = [Tensor(a.copy()) for a in start]
-        opt = make_optimizer("adam", params, 0.01)
+        opt = Adam(params, 0.01)
         for grads in steps:
             for p, g in zip(params, grads):
                 p.grad = g
@@ -152,7 +152,7 @@ class TestAdam:
 
     def test_parameter_without_gradient_keeps_value_and_moments(self):
         params = [Tensor(np.ones((2, 2))), Tensor(np.ones(3))]
-        opt = make_optimizer("adam", params, 0.1)
+        opt = Adam(params, 0.1)
         params[0].grad, params[1].grad = np.ones((2, 2)), None
         opt.step()
         np.testing.assert_array_equal(params[1].data, np.ones(3))
@@ -166,7 +166,7 @@ class TestOuterStep:
         ds = tiny_dataset()
         config = TrainConfig(batch_size=8, seed=0)
         model = GibModel(ds.graphs[0].features.shape[1], ds.num_classes, rng(0))
-        opt = make_optimizer("adam", model.outer_params(), 1e-3)
+        opt = Adam(model.outer_params(), 1e-3)
         breakdown = outer_step(model, opt, ds.subset("train")[:6], config)
         expected = breakdown.cls + breakdown.beta * breakdown.mi + breakdown.con_weight * breakdown.con
         assert breakdown.total == expected
@@ -187,7 +187,7 @@ class TestOuterStep:
         for con_weight in (1.0, 0.0):
             model = GibModel(ds.graphs[0].features.shape[1], ds.num_classes, rng(0))
             expected = float(connectivity_loss(model.forward(batch)[0], batch).data)
-            breakdown = outer_step(model, make_optimizer("adam", model.outer_params(), 1e-3),
+            breakdown = outer_step(model, Adam(model.outer_params(), 1e-3),
                                    graphs, TrainConfig(batch_size=8, seed=0, con_weight=con_weight))
             assert breakdown.con == expected
         weighted, unweighted = tapes
@@ -198,7 +198,7 @@ class TestOuterStep:
         ds = tiny_dataset()
         config = TrainConfig(batch_size=8, seed=0)
         model = GibModel(ds.graphs[0].features.shape[1], ds.num_classes, rng(0))
-        opt = make_optimizer("adam", model.outer_params(), 1e-3)
+        opt = Adam(model.outer_params(), 1e-3)
         before = [p.data.copy() for p in model.phi2_params()]
         outer_step(model, opt, ds.subset("train")[:6], config)
         for p, b in zip(model.phi2_params(), before):
@@ -208,7 +208,7 @@ class TestOuterStep:
         ds = tiny_dataset()
         config = TrainConfig(batch_size=8, seed=0)
         model = GibModel(ds.graphs[0].features.shape[1], ds.num_classes, rng(0))
-        opt = make_optimizer("adam", model.outer_params(), 1e-3)
+        opt = Adam(model.outer_params(), 1e-3)
         before = [p.data.copy() for p in model.outer_params()]
         outer_step(model, opt, ds.subset("train")[:6], config)
         assert any(not np.array_equal(p.data, b) for p, b in zip(model.outer_params(), before))
@@ -302,7 +302,7 @@ class TestTrain:
         config = TrainConfig(outer_steps=1, inner_steps=2, batch_size=8, seed=0)
         model = GibModel(ds.graphs[0].features.shape[1], ds.num_classes, rng(0))
         model.classifier.weights[0].data[0, 0] = np.nan
-        opt = make_optimizer("adam", model.outer_params(), 1e-3)
+        opt = Adam(model.outer_params(), 1e-3)
         with pytest.raises(FloatingPointError, match="diverged"):
             outer_step(model, opt, ds.subset("train")[:4], config)
 
@@ -360,12 +360,6 @@ class TestTrain:
             TrainConfig(inner_steps=0).validate()
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=1).validate()
-
-    @pytest.mark.parametrize("threshold", [1.5, 1.0, 0.0, -0.2, float("nan")])
-    def test_threshold_outside_unit_interval_named(self, threshold):
-        with pytest.raises(ConfigError, match="threshold"):
-            TrainConfig(threshold=threshold).validate()
-        TrainConfig(threshold=0.3).validate()
 
     def test_mi_with_one_train_graph_names_the_split(self):
         ds = tiny_dataset()
