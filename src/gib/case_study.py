@@ -30,7 +30,7 @@ from . import tensor as T
 from .graphs import bounded, check_fields, check_value
 from .nn import Mlp
 from .optim import Adam
-from .tensor import Tensor, zero_grads
+from .tensor import Tensor
 
 
 @dataclass
@@ -184,12 +184,13 @@ def run_case_study(config: CaseStudyConfig) -> list[CaseStudyTraceRow]:
 
         if config.sigma2_fixed is None:
             # outer step: reparameterize y through rho with this epoch's noise
-            # the inner loop leaves its last gradient on the head, and Adam
-            # keeps rho's from the last epoch
-            zero_grads(statnet.params() + [rho])
             y_live = T.constant(x.reshape(-1, 1)) + T.exp(0.5 * rho) * T.constant(eps.reshape(-1, 1))
-            outer_loss = dv_estimate(statnet, x, y, y_tensor=y_live)
-            outer_loss.backward()
-            outer_opt.step()
+            outer_opt.minimize(dv_estimate(statnet, x, y, y_tensor=y_live),
+                               lambda: f"epoch {epoch} (sigma2={sigma2:.4g}): outer step diverged")
+            with np.errstate(over="ignore", under="ignore"):
+                if not 0.0 < np.exp(rho.data) < math.inf:
+                    raise FloatingPointError(
+                        f"epoch {epoch}: the outer step moved log sigma2 to {float(rho.data):.6g}, "
+                        f"where sigma2 is no finite variance > 0 (lr_outer = {config.lr_outer:g})")
     return trace
 

@@ -27,7 +27,6 @@ from .models import AttentionClassifier, MeanPoolClassifier, Predictor
 from .nn import topk_subgraph_from_scores
 from .optim import Adam
 from .subgraph import SELECTION_THRESHOLD, SubgraphSelection, discretize, selection_record
-from .tensor import zero_grads
 from .train import TrainConfig, fit, output_loss, train
 
 
@@ -53,14 +52,10 @@ def train_baseline(dataset: Dataset, config: TrainConfig, kind: str) -> Baseline
     val_graphs = dataset.subset("val")
 
     def step(epoch: int, batch_index: int, graphs: list[Graph]) -> None:
-        zero_grads(model.params())
         labels = [model.standardize_label(graph.label) for graph in graphs]
         loss = output_loss(model.outputs(GraphBatch(graphs)), labels, dataset.num_classes)
-        loss.backward()
-        if not np.isfinite(float(loss.data)):
-            raise FloatingPointError(
-                f"epoch {epoch}, batch {batch_index}: baseline {kind} diverged")
-        optimizer.step()
+        optimizer.minimize(
+            loss, lambda: f"epoch {epoch}, batch {batch_index}: baseline {kind} diverged")
 
     def validate(epoch: int) -> float:
         preds = model.predict_all(val_graphs)

@@ -157,13 +157,8 @@ def inner_maximize(
             idx = rng.choice(n, size=batch_size, replace=False)
             joint_in, marginal_in = _dv_inputs(left[idx], right[idx], shift, shift_left)
         estimate = dv_bound(head, joint_in, marginal_in)
-        loss = -estimate.value
-        optimizer.zero_grad()
-        loss.backward()
-        if not np.isfinite(float(loss.data)):
-            raise FloatingPointError(
-                f"inner step {step}: estimator diverged, trace tail {trace[-5:]}"
-            )
-        optimizer.step()
+        optimizer.minimize(
+            -estimate.value,
+            lambda: f"inner step {step}: estimator diverged, trace tail {trace[-5:]}")
         trace.append(float(estimate.value.data))
     return trace

@@ -1,13 +1,18 @@
-"""Gradient-descent updates over parameter groups.
+"""Gradient descent over parameter groups, one update step for every phase.
 
-Optimizers own a fixed list of parameter tensors and mutate their values in
-place; anything not in the list is untouched, which is how the alternating
-inner/outer phases express their parameter freezes.
+An optimizer owns a fixed list of parameter tensors and mutates their values
+in place, and nothing outside the list, which is how the alternating
+inner/outer phases express their parameter freezes. :meth:`Adam.minimize`
+is how every phase updates (the inner DV ascent, the outer GIB step, the
+baselines, the case study's noise scale): it clears the group's gradients,
+back-propagates, rejects a non-finite loss before any value moves, updates,
+and clears the gradients again, so no gradient outlives its step.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate
+from typing import Callable
 
 import numpy as np
 
@@ -25,9 +30,6 @@ class Sgd:
         for p in self.params:
             if p.grad is not None:
                 p.data -= self.lr * p.grad
-
-    def zero_grad(self) -> None:
-        zero_grads(self.params)
 
 
 class Adam:
@@ -92,5 +94,13 @@ class Adam:
             if p.grad is not None:
                 p.data -= step[start:end].reshape(p.data.shape)
 
-    def zero_grad(self) -> None:
+    def minimize(self, loss: Tensor, diverged: Callable[[], str]) -> None:
+        """One descent step on ``loss``; a non-finite loss raises
+        ``FloatingPointError(diverged())`` with values, moments and ``t``
+        untouched."""
+        zero_grads(self.params)
+        loss.backward()
+        if not np.isfinite(float(loss.data)):
+            raise FloatingPointError(diverged())
+        self.step()
         zero_grads(self.params)

@@ -35,7 +35,7 @@ from .models import GibModel, Predictor
 from .nn import Mlp
 from .optim import Adam
 from .subgraph import SELECTION_THRESHOLD, connectivity_loss, discretize
-from .tensor import Tensor, zero_grads
+from .tensor import Tensor
 
 
 @dataclass
@@ -58,8 +58,6 @@ class LossBreakdown:
     cls: float
     mi: float
     con: float
-    beta: float
-    con_weight: float
     total: float
 
 
@@ -152,12 +150,11 @@ def run_inner_phase(
 
 def outer_step(
     model: GibModel,
-    outer_optimizer,
+    outer_optimizer: Adam,
     graphs: list[Graph],
     config: TrainConfig,
 ) -> LossBreakdown:
     """One minimization step on generator + classifier; the head is frozen."""
-    zero_grads(model.outer_params() + model.phi2_params())
     batch = GraphBatch(graphs)
     s, x, sub_embs = model.forward(batch)
     labels = [model.standardize_label(graph.label) for graph in graphs]
@@ -170,17 +167,10 @@ def outer_step(
         mi_loss = T.constant(0.0)
 
     total = cls_loss + config.beta * mi_loss + config.con_weight * con_loss
-    total.backward()
-    if not np.isfinite(float(total.data)):
-        raise FloatingPointError(
-            f"outer step diverged: cls={float(cls_loss.data)} "
-            f"mi={float(mi_loss.data)} con={float(con_loss.data)}"
-        )
-    outer_optimizer.step()
-
     cls_value, mi_value, con_value = (float(t.data) for t in (cls_loss, mi_loss, con_loss))
-    return LossBreakdown(cls_value, mi_value, con_value, config.beta, config.con_weight,
-                         cls_value + config.beta * mi_value + config.con_weight * con_value)
+    outer_optimizer.minimize(
+        total, lambda: f"outer step diverged: cls={cls_value} mi={mi_value} con={con_value}")
+    return LossBreakdown(cls_value, mi_value, con_value, float(total.data))
 
 
 def _param_norms(model: GibModel, params: list[Tensor]) -> str:

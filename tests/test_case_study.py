@@ -20,6 +20,7 @@ from gib.graphs import ConfigError
 from gib.metrics import write_csv
 from gib.mi import dv_bound
 from gib.nn import Mlp
+from gib.optim import Adam
 from gib.tensor import Tensor
 
 
@@ -184,6 +185,28 @@ class TestRunCaseStudy:
         with pytest.raises(FloatingPointError) as err:
             run_case_study(cfg)
         assert str(err.value).startswith("warmup: inner step 0: estimator diverged")
+
+    def test_non_finite_outer_loss_names_the_epoch_and_keeps_rho(self, monkeypatch):
+        real_estimate, outer = dv_estimate, []
+
+        def poisoned_outer(statnet, x, y, y_tensor=None):
+            estimate = real_estimate(statnet, x, y, y_tensor)
+            return estimate if y_tensor is None else estimate * float("nan")
+
+        class Recorded(Adam):
+            def __init__(self, params, lr):
+                super().__init__(params, lr)
+                outer.append(self)
+
+        monkeypatch.setattr("gib.case_study.dv_estimate", poisoned_outer)
+        monkeypatch.setattr("gib.case_study.Adam", Recorded)
+        cfg = CaseStudyConfig(epochs=2, inner_steps=2, samples_per_epoch=300,
+                              inner_batch=128, warmup_steps=0, seed=24)
+        with pytest.raises(FloatingPointError) as err:
+            run_case_study(cfg)
+        assert str(err.value) == "epoch 1 (sigma2=0.25): outer step diverged"
+        (rho,) = outer[0].params
+        assert float(rho.data) == math.log(0.25) and outer[0].t == 0
 
     @pytest.mark.parametrize("key,value", [
         ("sigma2_init", 0.0), ("lr_inner", -1.0), ("lr_outer", 0.0), ("sigma2_fixed", 0.0),

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -471,6 +472,23 @@ class TestCaseStudyCommand:
         lines = open(os.path.join(out, "case_study_trace.csv")).read().splitlines()
         assert lines[0] == "epoch,mi_estimate,oracle_mi,sigma2"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("seed, sign", [(1, ""), (5, "-")])
+    def test_outer_step_out_of_float_range_names_epoch(self, tmp_path, capsys, seed, sign):
+        # the first Adam step moves log sigma2 by lr_outer, up or down by
+        # the sign of the seed's first gradient: exp overflows or gives 0.0
+        cfg = str(tmp_path / "cs.ini")
+        with open(cfg, "w") as fh:
+            fh.write("[case_study]\nepochs = 3\ninner_steps = 1\nwarmup_steps = 0\n"
+                     "samples_per_epoch = 200\ninner_batch = 100\nlr_outer = 1000000.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["case-study", "--config", cfg, "--seed", str(seed),
+                         "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert re.fullmatch(f"error: epoch 1: the outer step moved log sigma2 to {sign}99\\d{{4}}, "
+                            r"where sigma2 is no finite variance > 0 \(lr_outer = 1e\+06\)\n",
+                            capsys.readouterr().err)
 
     def test_seeded_reruns_identical(self, tmp_path):
         cfg = str(tmp_path / "cs.ini")

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 import gib.batch
+from gib import tensor as T
 from gib.batch import GraphBatch
+from gib.case_study import CaseStudyConfig, run_case_study
 from gib.checkpoint import load_params, restore_into, save_params
-from gib.experiments import build_line_dataset
+from gib.experiments import build_line_dataset, train_baseline
 from gib.graphs import (
     ConfigError,
     Dataset,
@@ -22,6 +24,7 @@ from gib.graphs import (
     random_splits,
 )
 from gib.metrics import write_csv
+from gib.mi import inner_maximize
 from gib.models import GibModel
 from gib.nn import Mlp
 from gib.optim import Adam
@@ -160,6 +163,69 @@ class TestAdam:
         np.testing.assert_array_equal(opt.v[4:], 0.0)
         assert np.all(params[0].data < 1.0)
 
+    def test_minimize_rejects_a_non_finite_loss_before_any_update(self):
+        p = Tensor(np.arange(3.0))
+        opt = Adam([p], 0.1)
+        opt.minimize(T.tmean(p * p), lambda: "unused")
+        before = (p.data.copy(), opt.m.copy(), opt.v.copy(), opt.t)
+        with pytest.raises(FloatingPointError, match="^step 2 diverged$"):
+            opt.minimize(T.tmean(p * float("nan")), lambda: "step 2 diverged")
+        np.testing.assert_array_equal(p.data, before[0])
+        np.testing.assert_array_equal(opt.m, before[1])
+        np.testing.assert_array_equal(opt.v, before[2])
+        assert opt.t == before[3] == 1
+
+    def test_minimize_is_bitwise_step_and_leaves_no_gradient(self):
+        r = rng(5)
+        start = [r.normal(size=(3, 2)), r.normal(size=(1, 2))]
+        fresh = [[Tensor(a.copy()) for a in start] for _ in range(2)]
+        by_step, by_minimize = (Adam(params, 0.01) for params in fresh)
+        for _ in range(3):
+            for opt in (by_step, by_minimize):
+                w, b = opt.params
+                loss = T.tmean(w * w) + T.tmean(b * b * b)
+                if opt is by_step:
+                    for q in opt.params:
+                        q.grad = None
+                    loss.backward()
+                    opt.step()
+                else:
+                    opt.minimize(loss, lambda: "unused")
+                    assert all(q.grad is None for q in opt.params)
+        for p, q in zip(*fresh):
+            assert p.data.tobytes() == q.data.tobytes()
+        assert by_step.m.tobytes() == by_minimize.m.tobytes()
+        assert by_step.v.tobytes() == by_minimize.v.tobytes()
+
+
+@pytest.mark.parametrize("phase", ["outer_step", "inner_maximize", "train_baseline",
+                                   "run_case_study"])
+def test_no_gradient_outlives_its_step(phase, monkeypatch):
+    made = []
+
+    class Recorded(Adam):
+        def __init__(self, params, lr):
+            super().__init__(params, lr)
+            made.append(self)
+
+    for module in ("gib.train", "gib.mi", "gib.experiments", "gib.case_study"):
+        monkeypatch.setattr(importlib.import_module(module), "Adam", Recorded)
+    ds = tiny_dataset()
+    config = TrainConfig(outer_steps=2, inner_steps=3, batch_size=8)
+    if phase == "outer_step":
+        model = GibModel(ds.graphs[0].features.shape[1], ds.num_classes, rng(0))
+        outer_step(model, Recorded(model.outer_params(), 1e-3), ds.subset("train")[:6], config)
+    elif phase == "inner_maximize":
+        r = rng(1)
+        inner_maximize(Mlp([4, 8, 1], r), r.normal(size=(10, 2)), r.normal(size=(10, 2)),
+                       steps=3, lr=1e-2)
+    elif phase == "train_baseline":
+        train_baseline(ds, config, "attention")
+    else:
+        run_case_study(CaseStudyConfig(epochs=2, inner_steps=3, samples_per_epoch=600,
+                                       inner_batch=256, warmup_steps=2, seed=23))
+    assert made and all(p.grad is None for opt in made for p in opt.params)
+
 
 class TestOuterStep:
     def test_loss_breakdown_identity(self):
@@ -168,7 +234,7 @@ class TestOuterStep:
         model = GibModel(ds.graphs[0].features.shape[1], ds.num_classes, rng(0))
         opt = Adam(model.outer_params(), 1e-3)
         breakdown = outer_step(model, opt, ds.subset("train")[:6], config)
-        expected = breakdown.cls + breakdown.beta * breakdown.mi + breakdown.con_weight * breakdown.con
+        expected = breakdown.cls + config.beta * breakdown.mi + config.con_weight * breakdown.con
         assert breakdown.total == expected
 
     def test_zero_weight_connectivity_is_recorded_off_the_tape(self, monkeypatch):
