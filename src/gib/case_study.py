@@ -28,7 +28,7 @@ import numpy as np
 from . import mi
 from . import tensor as T
 from .graphs import bounded, check_fields, check_value
-from .nn import Mlp
+from .nn import Mlp, frozen_copy
 from .optim import Adam
 from .tensor import Tensor
 
@@ -103,7 +103,7 @@ def dv_estimate(
     y_col = y_tensor if y_tensor is not None else T.constant(y.reshape(-1, 1))
     joint_in = T.concat([T.constant(x[:, None]), y_col], axis=1)
     marginal_in = T.concat([T.constant(x[mi.cyclic_shift(len(x)), None]), y_col], axis=1)
-    return mi.dv_bound(statnet.frozen(), joint_in, marginal_in).value
+    return mi.dv_bound(frozen_copy(statnet, statnet.params()), joint_in, marginal_in).value
 
 
 @dataclass

@@ -11,6 +11,8 @@ Binary layout, little-endian throughout:
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -33,10 +35,10 @@ def save_params(path: str, named: list[tuple[str, np.ndarray]]) -> None:
 
 
 def _read(fh, size: int, path: str, what: str) -> bytes:
-    raw = fh.read(size)
-    if len(raw) != size:
-        raise IOError(f"{path}: truncated checkpoint, {what} needs {size} bytes, found {len(raw)}")
-    return raw
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise IOError(f"{path}: truncated checkpoint, {what} needs {size} bytes, found {left}")
+    return fh.read(size)
 
 
 def load_params(path: str) -> list[tuple[str, np.ndarray]]:
@@ -53,8 +55,7 @@ def load_params(path: str) -> list[tuple[str, np.ndarray]]:
             where = f"parameter {name!r}"
             (ndim,) = struct.unpack("<I", _read(fh, 4, path, where))
             shape = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim, path, where))
-            n_items = int(np.prod(shape)) if ndim else 1
-            raw = _read(fh, 8 * n_items, path, where)
+            raw = _read(fh, 8 * math.prod(shape), path, where)
             data = np.frombuffer(raw, dtype="<f8").reshape(shape)
             out.append((name, data.astype(np.float64)))
     return out

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import tensor as T
 from .graphs import Graph
-from .nn import GcnEncoder, Mlp
+from .nn import GcnEncoder, Mlp, glorot
 from .optim import Adam
 from .tensor import Tensor
 
@@ -49,7 +49,6 @@ class StatisticsNetwork:
     ):
         self.encoder = shared_encoder
         self.head = Mlp([2 * embed_dim, hidden, 1], rng)
-        self.embed_dim = embed_dim
 
     def graph_embedding(self, graph: Graph) -> Tensor:
         """Mean of the shared encoder's node embeddings, as a 1 x d row.
@@ -61,9 +60,11 @@ class StatisticsNetwork:
         return batch.mean(self.encoder.forward(batch))
 
     def reinitialize_head(self, rng: np.random.Generator) -> None:
-        """Fresh head draw; the bi-level loop does this before each inner run."""
-        hidden = self.head.weights[0].shape[1]
-        self.head = Mlp([2 * self.embed_dim, hidden, 1], rng)
+        """Redraw the head in place, bitwise as ``Mlp.__init__`` draws it, before
+        each inner run; a frozen copy keeps sharing the head's tensors."""
+        for w, b in zip(self.head.weights, self.head.biases):
+            w.data[...] = glorot(rng, *w.shape)
+            b.data[...] = 0.0
 
     def named_params(self) -> list[tuple[str, Tensor]]:
         return self.head.named_params("statnet.head")

@@ -10,6 +10,7 @@ row per graph and shares the label handling of :class:`Predictor`.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .batch import GraphBatch, batches
 from .graphs import Graph
 from .mi import StatisticsNetwork
-from .nn import AttentionHead, GcnEncoder, Mlp
+from .nn import AttentionHead, GcnEncoder, Mlp, frozen_copy
 from .subgraph import SubgraphGenerator, subgraph_embedding
 from .tensor import Tensor, constant
 
@@ -59,6 +60,12 @@ class Predictor:
         """The trained parameters: every named one but the label scale."""
         return [p for name, p in self.named_params() if name != "label_scale"]
 
+    @cached_property
+    def frozen(self) -> Predictor:
+        """This model with its named parameters as constants sharing their arrays,
+        built once: every pass that trains nothing runs through it."""
+        return frozen_copy(self, [p for _, p in self.named_params()])
+
     def standardize_label(self, label: float | int) -> float | int:
         if self.num_classes is not None:
             return label
@@ -74,7 +81,7 @@ class Predictor:
         """One prediction per graph."""
         out: list[float | int] = []
         for batch in batches(graphs):
-            out += self.decode(self.outputs(batch).data)
+            out += self.decode(self.frozen.outputs(batch).data)
         return out
 
 
@@ -135,7 +142,7 @@ class GibModel(Predictor):
         return self.logits(self.forward(batch)[2])
 
     def assignment_matrix(self, graph: Graph) -> np.ndarray:
-        s, _ = self.generator.assignment(graph.as_batch)
+        s, _ = self.frozen.generator.assignment(graph.as_batch)
         return s.data
 
 
@@ -171,7 +178,7 @@ class AttentionClassifier(Predictor):
         return self.forward(batch)[0]
 
     def node_scores(self, graph: Graph) -> np.ndarray:
-        _, scores = self.forward(graph.as_batch)
+        _, scores = self.frozen.forward(graph.as_batch)
         return scores.data.reshape(-1)
 
     def named_params(self) -> list[tuple[str, Tensor]]:

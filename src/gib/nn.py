@@ -31,6 +31,12 @@ def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+def frozen_copy(module, params: Sequence[Tensor]):
+    """A copy of ``module`` whose ``params`` are constants sharing their arrays:
+    its forward builds no backward and sees every in-place parameter update."""
+    return copy.deepcopy(module, {id(p): T.constant(p.data) for p in params})
+
+
 class GcnLayer:
     """One graph-convolution layer: relu(norm_adj @ X @ W), per graph of a batch."""
 
@@ -94,14 +100,6 @@ class Mlp:
 
     def forward(self, x: Tensor) -> Tensor:
         return T.mlp(x, self.weights, self.biases)
-
-    def frozen(self) -> Mlp:
-        """This stack with its parameters as constants that share their
-        arrays: a forward through it computes no parameter gradient."""
-        out = copy.copy(self)
-        out.weights = [T.constant(w.data) for w in self.weights]
-        out.biases = [T.constant(b.data) for b in self.biases]
-        return out
 
     def params(self) -> list[Tensor]:
         out: list[Tensor] = []

@@ -1,8 +1,8 @@
 """Gradient descent over parameter groups, one update step for every phase.
 
 An optimizer owns a fixed list of parameter tensors and mutates their values
-in place, and nothing outside the list, which is how the alternating
-inner/outer phases express their parameter freezes. :meth:`Adam.minimize`
+in place, and nothing outside the list; a phase keeps what it does not train
+off its tape through a frozen copy (:func:`gib.nn.frozen_copy`). :meth:`Adam.minimize`
 is how every phase updates (the inner DV ascent, the outer GIB step, the
 baselines, the case study's noise scale): it clears the group's gradients,
 back-propagates, rejects a non-finite loss before any value moves, updates,

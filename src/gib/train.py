@@ -1,9 +1,9 @@
 """The bi-level training loop, on the epoch loop every model shares.
 
-Each epoch first re-initializes the statistics head and trains it alone for
-T ascent steps on embeddings of the whole training split, cached from the
-current generator; with the head then frozen, the generator and classifier
-take one gradient step per minibatch on
+Each epoch first redraws the statistics head and trains it alone for T
+ascent steps on embeddings of the whole training split, cached from the
+current generator; with the head then frozen (the model's frozen copy), the
+generator and classifier take one gradient step per minibatch on
 
     classification loss + beta * MI estimate + con_weight * connectivity loss.
 
@@ -120,10 +120,10 @@ def _batches(indices: list[int], batch_size: int) -> list[list[int]]:
 
 
 def _cached_embeddings(model: GibModel, graphs: list[Graph]) -> tuple[np.ndarray, np.ndarray]:
-    """Detached (graph, subgraph) embedding pairs under the current generator."""
+    """(graph, subgraph) embedding pairs under the current generator, off the tape."""
     g_rows, s_rows = [], []
     for batch in batches(graphs):
-        _, x, sub_emb = model.forward(batch)
+        _, x, sub_emb = model.frozen.forward(batch)
         g_rows.append(batch.mean(x).data)
         s_rows.append(sub_emb.data)
     return np.concatenate(g_rows), np.concatenate(s_rows)
@@ -161,7 +161,7 @@ def outer_step(
     cls_loss = output_loss(model.logits(sub_embs), labels, model.num_classes)
     con_loss = connectivity_loss(s if config.con_weight > 0 else T.constant(s.data), batch)
     if config.beta > 0:
-        mi_est = mi_batch_loss(model.statnet, batch.mean(x), sub_embs)
+        mi_est = mi_batch_loss(model.frozen.statnet, batch.mean(x), sub_embs)
         mi_loss = mi_est.value
     else:
         mi_loss = T.constant(0.0)
@@ -192,8 +192,8 @@ def evaluate_split(model: GibModel, dataset: Dataset, split: str, threshold: flo
     preds: list[float | int] = []
     assignments: list[np.ndarray] = []
     for batch in batches(graphs):
-        s, _, sub_embs = model.forward(batch)
-        preds += model.decode(model.logits(sub_embs).data)
+        s, _, sub_embs = model.frozen.forward(batch)
+        preds += model.decode(model.frozen.logits(sub_embs).data)
         assignments += batch.split(s.data)
     for gi, graph, pred, s_graph in zip(dataset.splits[split], graphs, preds, assignments):
         if dataset.continuous:

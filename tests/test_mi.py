@@ -6,7 +6,7 @@ import pytest
 from gib.gradcheck import assert_gradients_match
 from gib.graphs import Graph
 from gib.mi import StatisticsNetwork, _dv_inputs, cyclic_shift, inner_maximize, mi_batch_loss
-from gib.nn import GcnEncoder
+from gib.nn import GcnEncoder, Mlp
 from gib.tensor import Tensor
 
 
@@ -14,7 +14,10 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
-def make_statnet(r, d=4) -> StatisticsNetwork:
+D = 4  # embedding width of make_statnet's networks
+
+
+def make_statnet(r, d=D) -> StatisticsNetwork:
     encoder = GcnEncoder([3, d], r)
     return StatisticsNetwork(encoder, d, r, hidden=6)
 
@@ -25,8 +28,8 @@ def random_graph(r, n=5, d=3) -> Graph:
 
 
 def random_pairs(r, statnet, count):
-    graph_embs = [Tensor(r.normal(size=(1, statnet.embed_dim))) for _ in range(count)]
-    sub_embs = [Tensor(r.normal(size=(1, statnet.embed_dim))) for _ in range(count)]
+    graph_embs = [Tensor(r.normal(size=(1, D))) for _ in range(count)]
+    sub_embs = [Tensor(r.normal(size=(1, D))) for _ in range(count)]
     return graph_embs, sub_embs
 
 
@@ -69,7 +72,7 @@ class TestBatchLoss:
         # the graph side enters the mismatched rows as it is: one index node
         r = rng(5)
         statnet = make_statnet(r)
-        g, s = (Tensor(r.normal(size=(6, statnet.embed_dim))) for _ in range(2))
+        g, s = (Tensor(r.normal(size=(6, D))) for _ in range(2))
         ops = [node.op for node in mi_batch_loss(statnet, g, s).value.tape()]
         assert ops.count("index") == 1
 
@@ -77,7 +80,7 @@ class TestBatchLoss:
         r = rng(6)
         statnet = make_statnet(r)
         head_arrays = [p.data.copy() for p in statnet.head.params()]
-        emb_arrays = [r.normal(size=(1, statnet.embed_dim)) for _ in range(6)]
+        emb_arrays = [r.normal(size=(1, D)) for _ in range(6)]
 
         def build(ts):
             statnet.head.weights[0], statnet.head.biases[0] = ts[0], ts[1]
@@ -166,14 +169,19 @@ class TestInnerMaximize:
         trace = inner_maximize(statnet.head, g, s, steps=250, lr=5e-3)
         assert abs(np.mean(trace[-20:])) <= 0.05
 
-    def test_head_reinitialization_draws_fresh_values(self):
+    def test_head_reinitialization_draws_fresh_values(self, tensors_made):
         r = rng(14)
         statnet = make_statnet(r)
-        before = [p.data.copy() for p in statnet.head.params()]
+        params = statnet.head.params()
+        before = [p.data.copy() for p in params]
+        tensors_made.clear()
         statnet.reinitialize_head(np.random.default_rng(99))
+        assert not tensors_made
         after = statnet.head.params()
+        assert all(a is p for a, p in zip(after, params)) and len(after) == len(params)
         assert any(not np.array_equal(b, a.data) for b, a in zip(before, after))
-        assert [a.data.shape for a in after] == [b.shape for b in before]
+        fresh = Mlp([2 * D, 6, 1], np.random.default_rng(99))
+        assert [a.data.tobytes() for a in after] == [f.data.tobytes() for f in fresh.params()]
 
 
 class TestInnerTracePinned:

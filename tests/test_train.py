@@ -13,7 +13,7 @@ import gib.batch
 from gib import tensor as T
 from gib.batch import GraphBatch
 from gib.case_study import CaseStudyConfig, run_case_study
-from gib.checkpoint import load_params, restore_into, save_params
+from gib.checkpoint import MAGIC, load_params, restore_into, save_params
 from gib.experiments import build_line_dataset, train_baseline
 from gib.graphs import (
     ConfigError,
@@ -24,8 +24,8 @@ from gib.graphs import (
     random_splits,
 )
 from gib.metrics import write_csv
-from gib.mi import inner_maximize
-from gib.models import GibModel
+from gib.mi import inner_maximize, mi_batch_loss
+from gib.models import AttentionClassifier, GibModel
 from gib.nn import Mlp
 from gib.optim import Adam
 from gib.subgraph import connectivity_loss
@@ -33,8 +33,10 @@ from gib.tensor import Tensor
 from gib.train import (
     METRICS_COLUMNS,
     TrainConfig,
+    _cached_embeddings,
     classification_loss,
     evaluate_split,
+    output_loss,
     outer_step,
     train,
 )
@@ -270,6 +272,13 @@ class TestOuterStep:
         for p, b in zip(model.phi2_params(), before):
             assert np.array_equal(p.data, b)
 
+    def test_statistics_head_gets_no_gradient(self):
+        ds = tiny_dataset()
+        model = GibModel(ds.graphs[0].features.shape[1], ds.num_classes, rng(0))
+        outer_step(model, Adam(model.outer_params(), 1e-3), ds.subset("train")[:6],
+                   TrainConfig(batch_size=8, seed=0))
+        assert all(p.grad is None for p in model.phi2_params())
+
     def test_generator_and_classifier_do_change(self):
         ds = tiny_dataset()
         config = TrainConfig(batch_size=8, seed=0)
@@ -278,6 +287,68 @@ class TestOuterStep:
         before = [p.data.copy() for p in model.outer_params()]
         outer_step(model, opt, ds.subset("train")[:6], config)
         assert any(not np.array_equal(p.data, b) for p, b in zip(model.outer_params(), before))
+
+
+class TestFrozenHeadOuterGradient:
+    """The outer step's MI term runs through the frozen copy of the head: the
+    outer parameters' gradients are bitwise those a live head gives."""
+
+    def test_outer_gradients_are_the_live_head_ones(self):
+        ds = tiny_dataset()
+        graphs = ds.subset("train")[:8]
+        batch = GraphBatch(graphs)
+        model = GibModel(ds.graphs[0].features.shape[1], ds.num_classes, rng(4))
+
+        def outer_grads(statnet):
+            s, x, sub_embs = model.forward(batch)
+            cls = output_loss(model.logits(sub_embs), [g.label for g in graphs], ds.num_classes)
+            mi = mi_batch_loss(statnet, batch.mean(x), sub_embs).value
+            (cls + 0.5 * mi + connectivity_loss(s, batch)).backward()
+            grads = [p.grad.copy() for p in model.outer_params()]
+            head_grads = [p.grad for p in model.phi2_params()]
+            T.zero_grads(model.params())
+            return grads, head_grads
+
+        frozen, no_head_grads = outer_grads(model.frozen.statnet)
+        live, head_grads = outer_grads(model.statnet)
+        assert no_head_grads == [None] * 4 and all(g is not None for g in head_grads)
+        assert [g.tobytes() for g in frozen] == [g.tobytes() for g in live]
+
+
+class TestForwardOnlyPasses:
+    def test_build_no_backward(self, tensors_made):
+        ds = tiny_dataset()
+        width = ds.graphs[0].features.shape[1]
+        gib_model = GibModel(width, ds.num_classes, rng(0))
+        attention = AttentionClassifier(width, ds.num_classes, rng(1))
+        graphs = ds.subset("train")
+        tensors_made.clear()
+        _cached_embeddings(gib_model, graphs)
+        evaluate_split(gib_model, ds, "val", 0.5)
+        gib_model.predict_all(graphs)
+        gib_model.assignment_matrix(graphs[0])
+        attention.node_scores(graphs[0])
+        with_backward = [t.op for t in tensors_made if t.grad_fn is not None]
+        assert tensors_made and not with_backward, \
+            f"{len(with_backward)} of {len(tensors_made)} nodes have a backward"
+
+    @pytest.mark.parametrize("after", ["train", "train_baseline", "restore_into"])
+    def test_frozen_copy_shares_every_parameter(self, after, tmp_path):
+        ds = tiny_dataset()
+        config = TrainConfig(outer_steps=3, inner_steps=2, batch_size=8, seed=8, patience=1)
+        if after == "train":
+            model = train(ds, config).model
+        elif after == "train_baseline":
+            model = train_baseline(ds, config, "attention").model
+        else:
+            path = str(tmp_path / "ckpt.bin")
+            saved = GibModel(ds.graphs[0].features.shape[1], ds.num_classes, rng(5))
+            save_params(path, [(n, p.data) for n, p in saved.named_params()])
+            model = GibModel(ds.graphs[0].features.shape[1], ds.num_classes, rng(6))
+            model.frozen  # built before the restore
+            restore_into(model.named_params(), load_params(path))
+        for (name, live), (_, frozen) in zip(model.named_params(), model.frozen.named_params()):
+            assert np.shares_memory(live.data, frozen.data) and not frozen.requires_grad, name
 
 
 class TestEvaluateSplit:
@@ -502,6 +573,18 @@ class TestCheckpoints:
         with pytest.raises(IOError, match="truncated") as info:
             load_params(path)
         assert path in str(info.value) and "'second'" in str(info.value)
+
+    def test_oversized_shape_names_parameter_before_reading(self, tmp_path):
+        path = str(tmp_path / "ckpt.bin")
+        save_params(path, [("w", np.ones((2, 2)))])
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        header = len(MAGIC) + 4 + 4 + 1  # magic, count, name length, name
+        dims = np.array([3, 2**32 - 1, 2**32 - 1, 2**32 - 1], dtype="<u4").tobytes()  # ndim, shape
+        with open(path, "wb") as fh:
+            fh.write(blob[:header] + dims + blob[header + 12:])
+        with pytest.raises(IOError, match=r"truncated checkpoint, parameter 'w' needs \d+ bytes"):
+            load_params(path)
 
     def test_missing_parameter_rejected(self, tmp_path):
         path = str(tmp_path / "ckpt.bin")
