@@ -8,6 +8,7 @@ import numpy as np
 
 from gib.batch import GraphBatch
 from gib.graphs import Graph
+from gib.nn import GcnEncoder
 from gib.subgraph import (
     SubgraphGenerator,
     connectivity_loss,
@@ -39,7 +40,8 @@ print("(0 = ideal partition, 1 = collapse, 2 = worst possible)")
 
 print("\n== a fresh generator produces soft, row-stochastic assignments ==")
 rng = np.random.default_rng(0)
-generator = SubgraphGenerator(feature_dim=1, hidden=8, rng=rng)
+encoder = GcnEncoder([1, 8, 8], rng)  # 1 input feature, two 8-wide GCN layers
+generator = SubgraphGenerator(encoder, embed_dim=8, rng=rng, hidden=16)
 batch = GraphBatch([graph])
 s, node_embeddings = generator.assignment(batch)
 print("assignment rows (p_in, p_out):\n", np.round(s.data, 3))

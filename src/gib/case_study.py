@@ -91,19 +91,21 @@ def mi_oracle(
 
 
 def dv_estimate(
-    statnet: Mlp, x: np.ndarray, y: np.ndarray, y_tensor: Optional[Tensor] = None
+    head: Mlp, x: np.ndarray, y: np.ndarray, y_tensor: Optional[Tensor] = None
 ) -> Tensor:
-    """``mi.dv_bound`` on rows [x_i, y_i] against mismatched rows [x_{i+1}, y_i].
+    """``mi.dv_bound`` of ``head`` on rows [x_i, y_i] against mismatched rows
+    [x_{i+1}, y_i].
 
     Pass ``y_tensor`` to keep the y side differentiable (the outer step on
     the noise scale needs it); otherwise both sides enter as constants. The
-    head's parameters always do: neither the logged estimate nor the outer
-    step reads a head gradient, so none is computed.
+    run passes the statistics network's frozen copy (:func:`gib.nn.frozen_copy`),
+    built once: neither the logged estimate nor the outer step reads a head
+    gradient, so none is computed.
     """
     y_col = y_tensor if y_tensor is not None else T.constant(y.reshape(-1, 1))
     joint_in = T.concat([T.constant(x[:, None]), y_col], axis=1)
     marginal_in = T.concat([T.constant(x[mi.cyclic_shift(len(x)), None]), y_col], axis=1)
-    return mi.dv_bound(frozen_copy(statnet, statnet.params()), joint_in, marginal_in).value
+    return mi.dv_bound(head, joint_in, marginal_in).value
 
 
 @dataclass
@@ -160,6 +162,7 @@ def run_case_study(config: CaseStudyConfig) -> list[CaseStudyTraceRow]:
     ss = np.random.SeedSequence(config.seed)
     init_rng, sample_rng, batch_rng = (np.random.default_rng(c) for c in ss.spawn(3))
     statnet = Mlp([2, config.hidden, 1], init_rng)
+    frozen_head = frozen_copy(statnet, statnet.params())
     sigma2 = config.sigma2_fixed if config.sigma2_fixed is not None else config.sigma2_init
     rho = Tensor(math.log(sigma2))
     outer_opt = Adam([rho], config.lr_outer)
@@ -177,7 +180,7 @@ def run_case_study(config: CaseStudyConfig) -> list[CaseStudyTraceRow]:
 
         _inner_ascend(statnet, x, y, config.inner_steps, config, batch_rng,
                       f"epoch {epoch} (sigma2={sigma2:.4g})")
-        estimate_value = float(dv_estimate(statnet, x, y).data)
+        estimate_value = float(dv_estimate(frozen_head, x, y).data)
 
         oracle = mi_oracle(sampler, samples=(x, y))
         trace.append(CaseStudyTraceRow(epoch, estimate_value, oracle.value, sigma2))
@@ -185,7 +188,7 @@ def run_case_study(config: CaseStudyConfig) -> list[CaseStudyTraceRow]:
         if config.sigma2_fixed is None:
             # outer step: reparameterize y through rho with this epoch's noise
             y_live = T.constant(x.reshape(-1, 1)) + T.exp(0.5 * rho) * T.constant(eps.reshape(-1, 1))
-            outer_opt.minimize(dv_estimate(statnet, x, y, y_tensor=y_live),
+            outer_opt.minimize(dv_estimate(frozen_head, x, y, y_tensor=y_live),
                                lambda: f"epoch {epoch} (sigma2={sigma2:.4g}): outer step diverged")
             with np.errstate(over="ignore", under="ignore"):
                 if not 0.0 < np.exp(rho.data) < math.inf:

@@ -62,7 +62,9 @@ def load_params(path: str) -> list[tuple[str, np.ndarray]]:
 
 
 def restore_into(named_params: list[tuple[str, "np.ndarray"]], loaded) -> None:
-    """Copy loaded arrays into live parameter tensors, matching by name."""
+    """Copy loaded arrays into live parameter tensors, matching by name. The
+    checkpoint must hold exactly the model's names and shapes; a mismatch
+    raises ``IOError`` before any value moves."""
     table = dict(loaded)
     for name, tensor in named_params:
         if name not in table:
@@ -72,4 +74,8 @@ def restore_into(named_params: list[tuple[str, "np.ndarray"]], loaded) -> None:
                 f"checkpoint shape mismatch for {name!r}: "
                 f"{table[name].shape} vs {tensor.data.shape}"
             )
+    extra = sorted(table.keys() - {name for name, _ in named_params})
+    if extra:
+        raise IOError(f"checkpoint holds parameters the model lacks: {', '.join(map(repr, extra))}")
+    for name, tensor in named_params:
         tensor.data[...] = table[name]

@@ -3,16 +3,18 @@
 Subcommands: ``train``, ``gen-noise``, ``gen-motif``, ``denoise``,
 ``interpret``, ``case-study``. Every run validates its configuration before
 it creates its output directory, then writes a manifest (resolved config,
-seed, dataset hash, code version) before any training starts, and all
-randomness flows from the one root seed, so identical (config, seed, data)
-invocations emit identical result files.
+seed, dataset hash, code version, numpy version and OpenBLAS kernel) before
+any training starts, and all randomness flows from the one root seed, so
+identical (config, seed, data) invocations emit identical result files.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import datetime
+import glob
 import json
 import os
 import sys
@@ -45,12 +47,31 @@ from .subgraph import SELECTION_THRESHOLD, dump_selections
 from .train import METRICS_COLUMNS, TrainConfig, evaluate_split, train
 
 
+def openblas_core() -> str:
+    """The kernel OpenBLAS chose for this CPU (or was given through
+    ``OPENBLAS_CORETYPE``), asked of the library the numpy wheel bundles.
+    Bitwise results hold for one kernel, so the manifest records it."""
+    libs_dir = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs_dir, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                       "openblas_get_corename"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return "unknown"
+
+
 def _write_manifest(out_dir: str, command: str, args: argparse.Namespace,
                     config: dict, dataset: Optional[Dataset], outputs: list[str]) -> None:
     manifest = {
         "command": command,
         "argv": sys.argv[1:],
         "version": __version__,
+        "numpy": np.__version__,
+        "openblas_core": openblas_core(),
         "seed": getattr(args, "seed", None),
         "config": flatten(config),
         "dataset": None,

@@ -41,11 +41,7 @@ class StatisticsNetwork:
     """
 
     def __init__(
-        self,
-        shared_encoder: GcnEncoder,
-        embed_dim: int,
-        rng: np.random.Generator,
-        hidden: int = 16,
+        self, shared_encoder: GcnEncoder, embed_dim: int, rng: np.random.Generator, hidden: int
     ):
         self.encoder = shared_encoder
         self.head = Mlp([2 * embed_dim, hidden, 1], rng)
@@ -65,9 +61,6 @@ class StatisticsNetwork:
         for w, b in zip(self.head.weights, self.head.biases):
             w.data[...] = glorot(rng, *w.shape)
             b.data[...] = 0.0
-
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        return self.head.named_params("statnet.head")
 
 
 @dataclass

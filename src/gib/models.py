@@ -1,16 +1,21 @@
 """Model assemblies: the subgraph-bottleneck model and the baselines.
 
-Parameter groups follow the roles in the bi-level scheme: the generator's
-encoder and assignment MLP plus the classifier are trained in the outer
-phase, the statistics-network head in the inner phase. The attention
-classifier is the self-attentive aggregation baseline whose node scores feed
-the top-k selections. Every model maps a :class:`GraphBatch` to one output
-row per graph and shares the label handling of :class:`Predictor`.
+Every model is one GCN encoder, a readout and an MLP classifier, built by
+:class:`Predictor`, which owns the encoder and the only copy of the model
+sizes; a subclass adds its readout and its forward passes. In GIB the one
+encoder serves three parameter groups of the bi-level scheme: the
+generator (encoder plus assignment MLP) and the classifier are trained in
+the outer phase, the statistics-network head in the inner phase. The
+attention classifier is the self-attentive aggregation baseline whose node
+scores feed the top-k selections. Every model maps a :class:`GraphBatch`
+to one output row per graph and shares the label handling of
+:class:`Predictor`.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,17 +29,45 @@ from .tensor import Tensor, constant
 
 
 class Predictor:
-    """Label handling shared by the models.
+    """The encoder -> readout -> classifier layout and the label handling the
+    models share.
+
+    ``__init__`` is the one model constructor and holds the only copy of the
+    model sizes. It builds the label scale, the GCN encoder, the subclass's
+    readout (``_build_readout``), the MLP classifier, then any part drawn
+    after the classifier (``_build_heads``), in that order of RNG draws.
+    ``PARTS`` names each parameterized part by its checkpoint prefix and its
+    attribute path, in checkpoint order.
 
     ``outputs`` maps a batch to B x C logits, or to B x 1 outputs in
     standardized label units for continuous labels. The label mean and std
     live in the named constant ``label_scale``, so checkpoints carry them.
     """
 
-    def __init__(self, num_classes: Optional[int]):
+    PARTS: tuple[tuple[str, str], ...]
+
+    def __init__(
+        self,
+        feature_dim: int,
+        num_classes: Optional[int],
+        rng: np.random.Generator,
+        hidden: int = 16,
+        gcn_layers: int = 2,
+        mlp_hidden: int = 16,
+    ):
         self.num_classes = num_classes
         self.out_width = num_classes if num_classes is not None else 1
         self.label_scale = constant([[0.0, 1.0]])
+        self.encoder = GcnEncoder([feature_dim] + [hidden] * gcn_layers, rng)
+        self._build_readout(hidden, mlp_hidden, rng)
+        self.classifier = Mlp([hidden, mlp_hidden, self.out_width], rng)
+        self._build_heads(hidden, mlp_hidden, rng)
+
+    def _build_readout(self, hidden: int, mlp_hidden: int, rng: np.random.Generator) -> None:
+        """The parts between the encoder and the classifier; none by default."""
+
+    def _build_heads(self, hidden: int, mlp_hidden: int, rng: np.random.Generator) -> None:
+        """The parts drawn after the classifier; none by default."""
 
     @property
     def label_mean(self) -> float:
@@ -54,7 +87,11 @@ class Predictor:
         raise NotImplementedError
 
     def named_params(self) -> list[tuple[str, Tensor]]:
-        raise NotImplementedError
+        """Every named tensor, the checkpoint's layout: ``PARTS`` in order, then
+        the label scale."""
+        named = [pair for prefix, path in self.PARTS
+                 for pair in attrgetter(path)(self).named_params(prefix)]
+        return named + [("label_scale", self.label_scale)]
 
     def params(self) -> list[Tensor]:
         """The trained parameters: every named one but the label scale."""
@@ -86,23 +123,16 @@ class Predictor:
 
 
 class GibModel(Predictor):
-    """Subgraph generator + classifier + statistics network."""
+    """Subgraph generator + classifier + statistics network, on one encoder."""
 
-    def __init__(
-        self,
-        feature_dim: int,
-        num_classes: Optional[int],
-        rng: np.random.Generator,
-        hidden: int = 16,
-        gcn_layers: int = 2,
-        mlp_hidden: int = 16,
-    ):
-        super().__init__(num_classes)
-        self.generator = SubgraphGenerator(
-            feature_dim, hidden, rng, gcn_layers=gcn_layers, mlp_hidden=mlp_hidden
-        )
-        self.classifier = Mlp([hidden, mlp_hidden, self.out_width], rng)
-        self.statnet = StatisticsNetwork(self.generator.encoder, hidden, rng, hidden=mlp_hidden)
+    PARTS = (("generator.encoder", "encoder"), ("generator.assign", "generator.assign_mlp"),
+             ("classifier", "classifier"), ("statnet.head", "statnet.head"))
+
+    def _build_readout(self, hidden: int, mlp_hidden: int, rng: np.random.Generator) -> None:
+        self.generator = SubgraphGenerator(self.encoder, hidden, rng, mlp_hidden)
+
+    def _build_heads(self, hidden: int, mlp_hidden: int, rng: np.random.Generator) -> None:
+        self.statnet = StatisticsNetwork(self.encoder, hidden, rng, mlp_hidden)
 
     # parameter groups ------------------------------------------------------
 
@@ -112,16 +142,7 @@ class GibModel(Predictor):
 
     def outer_params(self) -> list[Tensor]:
         """Generator (encoder + assignment MLP) and classifier parameters."""
-        generator = self.generator
-        return generator.encoder.params() + generator.assign_mlp.params() + self.classifier.params()
-
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        return (
-            self.generator.named_params()
-            + self.classifier.named_params("classifier")
-            + self.statnet.named_params()
-            + [("label_scale", self.label_scale)]
-        )
+        return self.encoder.params() + self.generator.assign_mlp.params() + self.classifier.params()
 
     # forward pieces ----------------------------------------------------------
 
@@ -153,20 +174,11 @@ class AttentionClassifier(Predictor):
     carved out of a trained model.
     """
 
-    def __init__(
-        self,
-        feature_dim: int,
-        num_classes: Optional[int],
-        rng: np.random.Generator,
-        hidden: int = 16,
-        gcn_layers: int = 2,
-        mlp_hidden: int = 16,
-    ):
-        super().__init__(num_classes)
-        widths = [feature_dim] + [hidden] * gcn_layers
-        self.encoder = GcnEncoder(widths, rng)
+    PARTS = (("att.encoder", "encoder"), ("att.head", "attention"),
+             ("att.classifier", "classifier"))
+
+    def _build_readout(self, hidden: int, mlp_hidden: int, rng: np.random.Generator) -> None:
         self.attention = AttentionHead(hidden, mlp_hidden, rng)
-        self.classifier = Mlp([hidden, mlp_hidden, self.out_width], rng)
 
     def forward(self, batch: GraphBatch) -> tuple[Tensor, Tensor]:
         """Returns (B output rows, attention scores 1 x N)."""
@@ -181,38 +193,11 @@ class AttentionClassifier(Predictor):
         _, scores = self.frozen.forward(graph.as_batch)
         return scores.data.reshape(-1)
 
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        return (
-            self.encoder.named_params("att.encoder")
-            + self.attention.named_params("att.head")
-            + self.classifier.named_params("att.classifier")
-            + [("label_scale", self.label_scale)]
-        )
-
 
 class MeanPoolClassifier(Predictor):
     """GCN encoder + mean readout + MLP classifier (plain aggregation)."""
 
-    def __init__(
-        self,
-        feature_dim: int,
-        num_classes: Optional[int],
-        rng: np.random.Generator,
-        hidden: int = 16,
-        gcn_layers: int = 2,
-        mlp_hidden: int = 16,
-    ):
-        super().__init__(num_classes)
-        widths = [feature_dim] + [hidden] * gcn_layers
-        self.encoder = GcnEncoder(widths, rng)
-        self.classifier = Mlp([hidden, mlp_hidden, self.out_width], rng)
+    PARTS = (("pool.encoder", "encoder"), ("pool.classifier", "classifier"))
 
     def outputs(self, batch: GraphBatch) -> Tensor:
         return self.classifier.forward(batch.mean(self.encoder.forward(batch)))
-
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        return (
-            self.encoder.named_params("pool.encoder")
-            + self.classifier.named_params("pool.classifier")
-            + [("label_scale", self.label_scale)]
-        )

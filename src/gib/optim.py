@@ -41,8 +41,8 @@ class Adam:
     operations are those of ``m = b1 m + (1 - b1) g``,
     ``v = b2 v + (1 - b2) g^2`` and ``p -= lr (m / b1t) / (sqrt(v / b2t) + eps)``
     in that order, elementwise, so the result is bitwise that of the
-    per-parameter expressions. A parameter without a gradient keeps its
-    value and its moments.
+    per-parameter expressions. Every parameter needs a gradient: one
+    without raises ``ValueError`` before any value, moment or ``t`` moves.
     """
 
     BETA1 = 0.9
@@ -63,17 +63,14 @@ class Adam:
         self._scratch = np.empty(bounds[-1])
 
     def step(self) -> None:
+        g, m, v, step, tmp = self._grad, self.m, self.v, self._step, self._scratch
+        for i, (p, (start, end)) in enumerate(zip(self.params, self._spans)):
+            if p.grad is None:
+                raise ValueError(f"Adam step: parameter {i} (shape {p.data.shape}) has no gradient")
+            g[start:end] = np.ravel(p.grad)
         self.t += 1
         b1t = 1.0 - self.BETA1**self.t
         b2t = 1.0 - self.BETA2**self.t
-        g, m, v, step, tmp = self._grad, self.m, self.v, self._step, self._scratch
-        skipped = []
-        for p, (start, end) in zip(self.params, self._spans):
-            if p.grad is None:
-                skipped.append((start, end, m[start:end].copy(), v[start:end].copy()))
-                g[start:end] = 0.0
-            else:
-                g[start:end] = np.ravel(p.grad)
         m *= self.BETA1
         np.multiply(g, 1.0 - self.BETA1, out=tmp)
         m += tmp
@@ -87,12 +84,8 @@ class Adam:
         np.sqrt(tmp, out=tmp)
         tmp += self.EPS
         step /= tmp
-        for start, end, m_kept, v_kept in skipped:
-            m[start:end] = m_kept
-            v[start:end] = v_kept
         for p, (start, end) in zip(self.params, self._spans):
-            if p.grad is not None:
-                p.data -= step[start:end].reshape(p.data.shape)
+            p.data -= step[start:end].reshape(p.data.shape)
 
     def minimize(self, loss: Tensor, diverged: Callable[[], str]) -> None:
         """One descent step on ``loss``; a non-finite loss raises

@@ -27,30 +27,20 @@ from .tensor import Tensor
 
 
 class SubgraphGenerator:
-    """GCN encoder (theta1) plus assignment MLP (theta2)."""
+    """A GCN encoder (theta1), shared with the model that built it, plus the
+    assignment MLP (theta2) over its ``embed_dim``-wide node embeddings."""
 
     def __init__(
-        self,
-        feature_dim: int,
-        hidden: int,
-        rng: np.random.Generator,
-        gcn_layers: int = 2,
-        mlp_hidden: int = 16,
+        self, encoder: GcnEncoder, embed_dim: int, rng: np.random.Generator, hidden: int
     ):
-        widths = [feature_dim] + [hidden] * gcn_layers
-        self.encoder = GcnEncoder(widths, rng)
-        self.assign_mlp = Mlp([hidden, mlp_hidden, 2], rng)
+        self.encoder = encoder
+        self.assign_mlp = Mlp([embed_dim, hidden, 2], rng)
 
     def assignment(self, batch: GraphBatch) -> tuple[Tensor, Tensor]:
         """Returns (S, node embeddings), stacked over the batch. Rows of S sum to 1."""
         x = self.encoder.forward(batch)
         s = T.row_softmax(self.assign_mlp.forward(x))
         return s, x
-
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        return self.encoder.named_params("generator.encoder") + self.assign_mlp.named_params(
-            "generator.assign"
-        )
 
 
 _IDENTITY = T.constant([[1.0, 0.0, 0.0, 1.0]])

@@ -19,13 +19,18 @@ from gib.case_study import (
 from gib.graphs import ConfigError
 from gib.metrics import write_csv
 from gib.mi import dv_bound
-from gib.nn import Mlp
+from gib.nn import Mlp, frozen_copy
 from gib.optim import Adam
 from gib.tensor import Tensor
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def frozen(net: Mlp) -> Mlp:
+    """The head as the run hands it to dv_estimate: a frozen copy."""
+    return frozen_copy(net, net.params())
 
 
 class TestSampler:
@@ -90,12 +95,12 @@ class TestDvEstimate:
         for p in net.params():
             p.data[...] = 0.0
         x, y, _ = sample_pairs(ToyPairSampler(1.0), 64, rng(12))
-        assert float(dv_estimate(net, x, y).data) == 0.0
+        assert float(dv_estimate(frozen(net), x, y).data) == 0.0
 
     def test_needs_two_pairs(self):
         net = Mlp([2, 4, 1], rng(13))
         with pytest.raises(ValueError):
-            dv_estimate(net, np.array([1.0]), np.array([1.0]))
+            dv_estimate(frozen(net), np.array([1.0]), np.array([1.0]))
 
     def test_is_the_shared_dv_bound(self):
         """The case study's estimate is mi.dv_bound on [x, y] against
@@ -104,14 +109,14 @@ class TestDvEstimate:
         x, y, _ = sample_pairs(ToyPairSampler(0.5), 257, rng(19))
         shared = dv_bound(net, T.constant(np.column_stack([x, y])),
                           T.constant(np.column_stack([np.roll(x, -1), y]))).value
-        assert dv_estimate(net, x, y).data.tobytes() == shared.data.tobytes()
+        assert dv_estimate(frozen(net), x, y).data.tobytes() == shared.data.tobytes()
 
     def test_head_enters_as_constants(self):
         """Neither call computes a head gradient; rho's gradient is bitwise
         the one a head with live weights gives."""
         net = Mlp([2, 8, 1], rng(24))
         x, y, eps = sample_pairs(ToyPairSampler(0.5), 1029, rng(25))  # three row blocks
-        assert not dv_estimate(net, x, y).requires_grad
+        assert not dv_estimate(frozen(net), x, y).requires_grad
 
         def rho_grad(estimate):
             rho = Tensor(math.log(0.5))
@@ -119,13 +124,13 @@ class TestDvEstimate:
             estimate(y_live).backward()
             return rho.grad
 
-        frozen = rho_grad(lambda y_live: dv_estimate(net, x, y, y_tensor=y_live))
+        from_frozen = rho_grad(lambda y_live: dv_estimate(frozen(net), x, y, y_tensor=y_live))
         assert all(p.grad is None for p in net.params())
         live = rho_grad(lambda y_live: dv_bound(
             net, T.concat([T.constant(x[:, None]), y_live], axis=1),
             T.concat([T.constant(np.roll(x, -1)[:, None]), y_live], axis=1)).value)
         assert all(p.grad is not None for p in net.params())
-        assert frozen.tobytes() == live.tobytes()
+        assert from_frozen.tobytes() == live.tobytes()
 
 
 class TestRunCaseStudy:
@@ -140,6 +145,26 @@ class TestRunCaseStudy:
         run_case_study(CaseStudyConfig(epochs=2, inner_steps=3, samples_per_epoch=600,
                                        inner_batch=256, warmup_steps=2, seed=23))
         assert all(p.grad is None for p in made[0].params())
+
+    def test_one_frozen_head_per_run(self, monkeypatch):
+        """The run freezes its head once, and both estimates of every epoch
+        read that copy."""
+        copies, heads = [], []
+
+        def recorded_copy(module, params):
+            copies.append(frozen_copy(module, params))
+            return copies[-1]
+
+        def recorded_estimate(head, x, y, y_tensor=None):
+            heads.append(head)
+            return dv_estimate(head, x, y, y_tensor)
+
+        monkeypatch.setattr("gib.case_study.frozen_copy", recorded_copy)
+        monkeypatch.setattr("gib.case_study.dv_estimate", recorded_estimate)
+        run_case_study(CaseStudyConfig(epochs=3, inner_steps=3, samples_per_epoch=600,
+                                       inner_batch=256, warmup_steps=2, seed=26))
+        assert len(copies) == 1 and len(heads) == 6
+        assert all(head is copies[0] for head in heads)
 
     def test_trace_shape_and_csv(self, tmp_path):
         cfg = CaseStudyConfig(epochs=3, inner_steps=10, samples_per_epoch=2000,

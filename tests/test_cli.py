@@ -557,6 +557,17 @@ class TestCaseStudyCommand:
         assert manifest["config"]["case_study.sigma2_fixed"] == 0.5
         assert manifest["config"]["case_study.inner_steps"] == 5
 
+    def test_manifest_records_the_numpy_kernel(self, tmp_path):
+        cfg = str(tmp_path / "cs.ini")
+        with open(cfg, "w") as fh:
+            fh.write("[case_study]\nepochs = 1\ninner_steps = 2\nsamples_per_epoch = 100\n"
+                     "warmup_steps = 0\n")
+        out = str(tmp_path / "kernel")
+        assert main(["case-study", "--config", cfg, "--seed", "2", "--out", out]) == 0
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        assert manifest["numpy"] == np.__version__
+        assert manifest["openblas_core"] == gib.cli.openblas_core()
+
 
 # sha256 of each CSV file of the tiny runs below, recorded before the four
 # CSV writers became one (gib.metrics.write_csv): every byte stayed the same

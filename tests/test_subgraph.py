@@ -9,6 +9,7 @@ import gib.tensor as T
 from gib.batch import GraphBatch
 from gib.gradcheck import assert_gradients_match
 from gib.graphs import Graph
+from gib.nn import GcnEncoder
 from gib.subgraph import (
     SubgraphGenerator,
     SubgraphSelection,
@@ -33,6 +34,11 @@ def random_graph(r, n, p=0.4, d=3) -> Graph:
     return Graph(upper + upper.T, r.normal(size=(n, d)), 0)
 
 
+def generator(r) -> SubgraphGenerator:
+    """A generator over its own 2-layer, 8-wide encoder of 3 input features."""
+    return SubgraphGenerator(GcnEncoder([3, 8, 8], r), 8, r, hidden=16)
+
+
 def node_batch(n) -> GraphBatch:
     """A batch of one edgeless n-node graph, to pool hand-made node rows."""
     return GraphBatch([Graph(np.zeros((n, n)), np.zeros((n, 1)), 0)])
@@ -55,7 +61,7 @@ def four_cycle() -> np.ndarray:
 class TestAssignment:
     def test_rows_sum_to_one(self):
         r = rng(1)
-        gen = SubgraphGenerator(3, 8, r)
+        gen = generator(r)
         for _ in range(10):
             s, _ = gen.assignment(GraphBatch([random_graph(r, int(r.integers(2, 9)))]))
             np.testing.assert_allclose(s.data.sum(axis=1), 1.0, atol=1e-9)
@@ -63,7 +69,7 @@ class TestAssignment:
 
     def test_saturated_bias_dominates(self):
         r = rng(2)
-        gen = SubgraphGenerator(3, 8, r)
+        gen = generator(r)
         final_w = gen.assign_mlp.weights[-1]
         final_b = gen.assign_mlp.biases[-1]
         final_w.data[...] = 0.0
@@ -73,7 +79,7 @@ class TestAssignment:
 
     def test_permutation_equivariance(self):
         r = rng(3)
-        gen = SubgraphGenerator(3, 8, r)
+        gen = generator(r)
         for _ in range(10):
             g = random_graph(r, 7)
             perm = r.permutation(7)
@@ -84,7 +90,7 @@ class TestAssignment:
 
     def test_discretized_assignment_permutes_with_nodes(self):
         r = rng(4)
-        gen = SubgraphGenerator(3, 8, r)
+        gen = generator(r)
         g = random_graph(r, 8)
         perm = r.permutation(8)
         pg = Graph(g.adjacency[np.ix_(perm, perm)], g.features[perm], 0)
@@ -235,7 +241,7 @@ class TestComponents:
 class TestSelectionRecords:
     def test_jsonl_round_trip(self, tmp_path):
         r = rng(8)
-        gen = SubgraphGenerator(3, 8, r)
+        gen = generator(r)
         records = []
         graphs = [random_graph(r, int(r.integers(3, 8))) for _ in range(4)]
         for i, g in enumerate(graphs):

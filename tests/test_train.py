@@ -25,7 +25,7 @@ from gib.graphs import (
 )
 from gib.metrics import write_csv
 from gib.mi import inner_maximize, mi_batch_loss
-from gib.models import AttentionClassifier, GibModel
+from gib.models import AttentionClassifier, GibModel, MeanPoolClassifier
 from gib.nn import Mlp
 from gib.optim import Adam
 from gib.subgraph import connectivity_loss
@@ -125,8 +125,6 @@ def _reference_adam(params, grads_per_step, lr, b1=0.9, b2=0.999, eps=1e-8):
     for t, grads in enumerate(grads_per_step, start=1):
         b1t, b2t = 1.0 - b1**t, 1.0 - b2**t
         for i, g in enumerate(grads):
-            if g is None:
-                continue
             m[i] = b1 * m[i] + (1.0 - b1) * g
             v[i] = b2 * v[i] + (1.0 - b2) * g**2
             values[i] = values[i] - lr * (m[i] / b1t) / (np.sqrt(v[i] / b2t) + eps)
@@ -137,13 +135,13 @@ class TestAdam:
     def test_flat_update_is_bitwise_the_per_parameter_one(self):
         r = rng(3)
         # a matrix, a row, a 0-d scalar (as the case study's rho) and a
-        # matrix whose gradient is sometimes missing or a transposed view
+        # matrix whose gradient is a transposed view
         shapes = [(4, 3), (1, 3), (), (3, 2)]
         start = [r.normal(size=shape) for shape in shapes]
         steps = []
-        for step in range(6):
+        for _ in range(6):
             grads = [r.normal(size=shape) for shape in shapes]
-            grads[3] = None if step % 3 == 1 else r.normal(size=(2, 3)).T
+            grads[3] = r.normal(size=(2, 3)).T
             steps.append(grads)
         params = [Tensor(a.copy()) for a in start]
         opt = Adam(params, 0.01)
@@ -155,15 +153,20 @@ class TestAdam:
             assert p.data.shape == expected.shape
             assert p.data.tobytes() == expected.tobytes()
 
-    def test_parameter_without_gradient_keeps_value_and_moments(self):
+    def test_parameter_without_gradient_raises_before_any_update(self):
         params = [Tensor(np.ones((2, 2))), Tensor(np.ones(3))]
         opt = Adam(params, 0.1)
-        params[0].grad, params[1].grad = np.ones((2, 2)), None
+        params[0].grad, params[1].grad = np.ones((2, 2)), np.ones(3)
         opt.step()
-        np.testing.assert_array_equal(params[1].data, np.ones(3))
-        np.testing.assert_array_equal(opt.m[4:], 0.0)
-        np.testing.assert_array_equal(opt.v[4:], 0.0)
-        assert np.all(params[0].data < 1.0)
+        before = ([p.data.copy() for p in params], opt.m.copy(), opt.v.copy(), opt.t)
+        params[1].grad = None
+        with pytest.raises(ValueError, match=r"^Adam step: parameter 1 \(shape \(3,\)\) has no gradient$"):
+            opt.step()
+        for p, value in zip(params, before[0]):
+            np.testing.assert_array_equal(p.data, value)
+        np.testing.assert_array_equal(opt.m, before[1])
+        np.testing.assert_array_equal(opt.v, before[2])
+        assert opt.t == before[3] == 1
 
     def test_minimize_rejects_a_non_finite_loss_before_any_update(self):
         p = Tensor(np.arange(3.0))
@@ -541,6 +544,47 @@ class TestTrain:
         ]
 
 
+class TestModelLayout:
+    def test_one_encoder_serves_generator_and_statnet(self):
+        model = GibModel(3, 2, rng(1))
+        for view in (model, model.frozen):
+            assert view.generator.encoder is view.encoder
+            assert view.statnet.encoder is view.encoder
+        assert model.frozen.encoder is not model.encoder
+
+    # the checkpoint layout at the default sizes, 3 input features and 2 classes
+    LAYOUTS = {
+        GibModel: [
+            ("generator.encoder.gcn0.weight", (3, 16)), ("generator.encoder.gcn1.weight", (16, 16)),
+            ("generator.assign.layer0.weight", (16, 16)), ("generator.assign.layer0.bias", (1, 16)),
+            ("generator.assign.layer1.weight", (16, 2)), ("generator.assign.layer1.bias", (1, 2)),
+            ("classifier.layer0.weight", (16, 16)), ("classifier.layer0.bias", (1, 16)),
+            ("classifier.layer1.weight", (16, 2)), ("classifier.layer1.bias", (1, 2)),
+            ("statnet.head.layer0.weight", (32, 16)), ("statnet.head.layer0.bias", (1, 16)),
+            ("statnet.head.layer1.weight", (16, 1)), ("statnet.head.layer1.bias", (1, 1)),
+            ("label_scale", (1, 2)),
+        ],
+        AttentionClassifier: [
+            ("att.encoder.gcn0.weight", (3, 16)), ("att.encoder.gcn1.weight", (16, 16)),
+            ("att.head.p1", (16, 16)), ("att.head.p2", (16, 1)),
+            ("att.classifier.layer0.weight", (16, 16)), ("att.classifier.layer0.bias", (1, 16)),
+            ("att.classifier.layer1.weight", (16, 2)), ("att.classifier.layer1.bias", (1, 2)),
+            ("label_scale", (1, 2)),
+        ],
+        MeanPoolClassifier: [
+            ("pool.encoder.gcn0.weight", (3, 16)), ("pool.encoder.gcn1.weight", (16, 16)),
+            ("pool.classifier.layer0.weight", (16, 16)), ("pool.classifier.layer0.bias", (1, 16)),
+            ("pool.classifier.layer1.weight", (16, 2)), ("pool.classifier.layer1.bias", (1, 2)),
+            ("label_scale", (1, 2)),
+        ],
+    }
+
+    @pytest.mark.parametrize("model_class", list(LAYOUTS), ids=lambda c: c.__name__)
+    def test_named_params_pin_the_checkpoint_layout(self, model_class):
+        model = model_class(3, 2, rng(1))
+        assert [(n, p.data.shape) for n, p in model.named_params()] == self.LAYOUTS[model_class]
+
+
 class TestCheckpoints:
     def test_round_trip_reproduces_validation_bitwise(self, tmp_path):
         ds = tiny_dataset()
@@ -592,3 +636,17 @@ class TestCheckpoints:
         model = GibModel(3, 2, rng(1))
         with pytest.raises(IOError, match="missing"):
             restore_into(model.named_params(), load_params(path))
+
+    def test_extra_parameter_rejected_before_any_value_moves(self, tmp_path):
+        """A deeper model's checkpoint matches a 2-layer model's names and
+        shapes but one; the restore names that one and loads nothing."""
+        path = str(tmp_path / "ckpt.bin")
+        deeper = GibModel(3, 2, rng(1), gcn_layers=3)
+        save_params(path, [(n, p.data) for n, p in deeper.named_params()])
+        model = GibModel(3, 2, rng(2))
+        before = [p.data.copy() for _, p in model.named_params()]
+        with pytest.raises(IOError, match=r"^checkpoint holds parameters the model lacks: "
+                                          r"'generator\.encoder\.gcn2\.weight'$"):
+            restore_into(model.named_params(), load_params(path))
+        for (_, p), value in zip(model.named_params(), before):
+            assert p.data.tobytes() == value.tobytes()
