@@ -108,7 +108,7 @@ def dv_estimate(
     return mi.dv_bound(head, joint_in, marginal_in).value
 
 
-@dataclass
+@dataclass(frozen=True)
 class CaseStudyConfig:
     epochs: int = bounded(30, low=1)
     inner_steps: int = bounded(150, low=1)
@@ -122,7 +122,7 @@ class CaseStudyConfig:
     inner_batch: int = bounded(4096, low=2)  # minibatch per inner step; logging uses all samples
     warmup_steps: int = bounded(300, low=0)  # estimator pre-training before the first epoch
 
-    validate = check_fields
+    __post_init__ = check_fields
 
 
 @dataclass
@@ -158,7 +158,6 @@ def run_case_study(config: CaseStudyConfig) -> list[CaseStudyTraceRow]:
     supremum; the per-epoch trace value is evaluated on the epoch's full
     sample set.
     """
-    config.validate()
     ss = np.random.SeedSequence(config.seed)
     init_rng, sample_rng, batch_rng = (np.random.default_rng(c) for c in ss.spawn(3))
     statnet = Mlp([2, config.hidden, 1], init_rng)

@@ -1,11 +1,11 @@
 """Command-line entry points for reproducible experiment runs.
 
 Subcommands: ``train``, ``gen-noise``, ``gen-motif``, ``denoise``,
-``interpret``, ``case-study``. Every run validates its configuration before
-it creates its output directory, then writes a manifest (resolved config,
-seed, dataset hash, code version, numpy version and OpenBLAS kernel) before
-any training starts, and all randomness flows from the one root seed, so
-identical (config, seed, data) invocations emit identical result files.
+``interpret``, ``case-study``. Every run builds (so checks) its configuration
+before it creates its output directory, then writes a manifest (resolved
+config, seed, dataset hash, code version, numpy version and OpenBLAS kernel)
+before any training starts, and all randomness flows from the one root seed,
+so identical (config, seed, data) invocations emit identical result files.
 """
 
 from __future__ import annotations
@@ -25,21 +25,18 @@ import numpy as np
 from . import __version__
 from .case_study import CaseStudyConfig, CaseStudyTraceRow, run_case_study
 from .checkpoint import save_params
-from .config import DataConfig, flatten, load_config, to_train_config
+from .config import DataConfig, flatten, load_config
 from .experiments import check_masks, run_denoising, run_interpretation
 from .graphs import (
     ConfigError,
     Dataset,
     MotifConfig,
     add_noise_edges,
-    check_fields,
     check_value,
     dataset_hash,
     gen_planted_motif_dataset,
-    kfold_splits,
     load_mask_sidecar,
     load_tu_dataset,
-    random_splits,
     save_tu_dataset,
 )
 from .metrics import format_table, mean_std, write_csv
@@ -90,25 +87,11 @@ def _write_manifest(out_dir: str, command: str, args: argparse.Namespace,
         fh.write("\n")
 
 
-def _splits(config: dict, n: int, seed: int) -> dict[str, list[int]]:
-    """Splits of n graphs from the [data] section: k-fold when ``folds`` > 0,
-    otherwise seeded train/val/test ratios."""
-    data = DataConfig(**config["data"])
-    check_fields(data)
-    if data.folds == 1:
-        raise ConfigError("[data] folds must be 0 (ratio split) or at least 2, got 1")
-    if data.folds:
-        return kfold_splits(n, data.fold_index, data.folds, seed)
-    if data.fold_index:
-        raise ConfigError(f"[data] fold_index must be 0 for a ratio split, got {data.fold_index}")
-    return random_splits(n, (data.split_train, data.split_val, data.split_test), seed)
-
-
-def _load_dataset(args: argparse.Namespace, config: dict, with_masks: bool = False) -> Dataset:
+def _load_dataset(args: argparse.Namespace, data: DataConfig, with_masks: bool = False) -> Dataset:
     dataset = load_tu_dataset(args.data, args.name)
     if with_masks:
         dataset.masks = load_mask_sidecar(args.data, args.name, len(dataset.graphs))
-    dataset.splits = _splits(config, len(dataset.graphs), args.seed)
+    dataset.splits = data.splits(len(dataset.graphs), args.seed)
     for split in ("train", "val", "test"):
         dataset.subset(split)  # an empty split fails before --out exists
     print(f"loaded {dataset.name}: {len(dataset.graphs)} graphs, "
@@ -121,8 +104,8 @@ def _load_dataset(args: argparse.Namespace, config: dict, with_masks: bool = Fal
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    train_cfg = to_train_config(config, args.seed)
-    dataset = _load_dataset(args, config)
+    train_cfg = TrainConfig(**config["train"], seed=args.seed)
+    dataset = _load_dataset(args, DataConfig(**config["data"]))
     os.makedirs(args.out, exist_ok=True)
     outputs = ["metrics.csv", "mi_trace.csv", "checkpoint.bin", "manifest.json"]
     _write_manifest(args.out, "train", args, config, dataset, outputs)
@@ -221,8 +204,9 @@ def _seed_sweep(args: argparse.Namespace, command: str,
     masks (of ``mask_kind``, see ``check_masks``) are checked first."""
     check_value("--seeds", args.seeds, low=1)
     config = load_config(args.config)
-    train_cfg = to_train_config(config, args.seed)
-    dataset = _load_dataset(args, config, with_masks=True)
+    train_cfg = TrainConfig(**config["train"], seed=args.seed)
+    data = DataConfig(**config["data"])
+    dataset = _load_dataset(args, data, with_masks=True)
     if continuous and not dataset.continuous:
         raise ConfigError(f"{command} needs a continuous-property dataset "
                           f"({dataset.name} has {dataset.num_classes} classes)")
@@ -235,7 +219,7 @@ def _seed_sweep(args: argparse.Namespace, command: str,
 
     rows_per_seed = []
     for seed in range(args.seed, args.seed + args.seeds):
-        dataset.splits = _splits(config, len(dataset.graphs), seed)
+        dataset.splits = data.splits(len(dataset.graphs), seed)
         rows_per_seed.append(drive(dataset, dataclasses.replace(train_cfg, seed=seed)))
         print(f"seed {seed}: " + "; ".join(
             r.method + "".join(f" {f}={getattr(r, f):.3f}" for f in fields
@@ -279,7 +263,6 @@ def cmd_case_study(args: argparse.Namespace) -> int:
     if args.epochs is not None:
         section["epochs"] = args.epochs
     cs_config = CaseStudyConfig(**section, seed=args.seed, sigma2_fixed=args.sigma2_fixed)
-    cs_config.validate()
     os.makedirs(args.out, exist_ok=True)
     # the manifest records the values the run uses, command-line overrides included
     config["case_study"] = {k: v for k, v in dataclasses.asdict(cs_config).items() if k != "seed"}

@@ -14,17 +14,32 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from .case_study import CaseStudyConfig
-from .graphs import ConfigError, bounded
+from .graphs import ConfigError, bounded, check_fields, kfold_splits, random_splits
 from .train import TrainConfig
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataConfig:
     split_train: float = bounded(0.7, low=0.0, high=1.0)
     split_val: float = bounded(0.05, low=0.0, high=1.0)
     split_test: float = bounded(0.25, low=0.0, high=1.0)
     folds: int = bounded(0, low=0)  # 0: ratio split; k >= 2: k-fold, fold_index held out
     fold_index: int = bounded(0, low=0)
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if self.folds == 1:
+            raise ConfigError("[data] folds must be 0 (ratio split) or at least 2, got 1")
+        if not self.folds and self.fold_index:
+            raise ConfigError(
+                f"[data] fold_index must be 0 for a ratio split, got {self.fold_index}")
+
+    def splits(self, n: int, seed: int) -> dict[str, list[int]]:
+        """Splits of n graphs: k-fold when ``folds`` > 0, otherwise seeded
+        train/val/test ratios."""
+        if self.folds:
+            return kfold_splits(n, self.fold_index, self.folds, seed)
+        return random_splits(n, (self.split_train, self.split_val, self.split_test), seed)
 
 
 def _fields(config_class: type, leave_out: tuple[str, ...] = ()) -> dict[str, tuple[type, Any]]:
@@ -74,9 +89,3 @@ def load_config(path: Optional[str] = None) -> dict[str, dict[str, Any]]:
 def flatten(config: dict[str, dict[str, Any]]) -> dict[str, Any]:
     return {f"{s}.{k}": v for s, keys in config.items() for k, v in keys.items()}
 
-
-def to_train_config(config: dict[str, dict[str, Any]], seed: int) -> TrainConfig:
-    """The [train] section as a validated :class:`TrainConfig`."""
-    train_config = TrainConfig(**config["train"], seed=seed)
-    train_config.validate()
-    return train_config

@@ -51,19 +51,18 @@ def train_baseline(dataset: Dataset, config: TrainConfig, kind: str) -> Baseline
     optimizer = Adam(model.params(), config.lr_outer)
     val_graphs = dataset.subset("val")
 
-    def step(epoch: int, batch_index: int, graphs: list[Graph]) -> None:
-        labels = [model.standardize_label(graph.label) for graph in graphs]
-        loss = output_loss(model.outputs(GraphBatch(graphs)), labels, dataset.num_classes)
-        optimizer.minimize(
-            loss, lambda: f"epoch {epoch}, batch {batch_index}: baseline {kind} diverged")
-
-    def validate(epoch: int) -> float:
+    def run_epoch(epoch: int, minibatches: list[list[Graph]]) -> float:
+        for batch_index, graphs in enumerate(minibatches):
+            labels = [model.standardize_label(graph.label) for graph in graphs]
+            loss = output_loss(model.outputs(GraphBatch(graphs)), labels, dataset.num_classes)
+            optimizer.minimize(
+                loss, lambda: f"epoch {epoch}, batch {batch_index}: baseline {kind} diverged")
         preds = model.predict_all(val_graphs)
         if dataset.continuous:
             return float(np.mean([(p - float(g.label)) ** 2 for p, g in zip(preds, val_graphs)]))
         return accuracy(preds, [int(g.label) for g in val_graphs])
 
-    best_epoch, best_val = fit(model, dataset, config, shuffle_rng, step, validate)
+    best_epoch, best_val = fit(model, dataset, config, shuffle_rng, run_epoch)
     return BaselineResult(model=model, best_epoch=best_epoch, best_val=best_val)
 
 

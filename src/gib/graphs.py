@@ -94,7 +94,8 @@ class Graph:
     """An undirected graph with node features and one label.
 
     adjacency is a symmetric 0/1 float matrix with zero diagonal; features
-    has one row per node; label is an int class index or a float property.
+    has one finite row per node; label is an int class index or a finite
+    float property.
 
     Both arrays are fixed after construction: the graph keeps read-only
     views of them (the caller's own arrays stay writable), because the GCN
@@ -121,6 +122,10 @@ class Graph:
             raise GraphFormatError(
                 f"features must have one row per node: {x.shape} vs n={a.shape[0]}"
             )
+        if not np.isfinite(x).all():
+            raise GraphFormatError("features must be finite")
+        if not math.isfinite(self.label):
+            raise GraphFormatError(f"label must be finite, got {self.label!r}")
         self.adjacency = _read_only(a)
         self.features = _read_only(x)
 
@@ -487,7 +492,7 @@ ATTACH_EDGES = 2  # random edges wiring each planted motif into its background
 MAX_DEGREE_FEATURE = 8  # node features one-hot encode min(degree, this)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MotifConfig:
     """Configuration for the planted-motif generator.
 
@@ -506,8 +511,11 @@ class MotifConfig:
     property_noise: float = bounded(0.0, low=0.0)
     seed: int = bounded(0, low=0)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_fields(self)
+        if len(self.background_nodes) != 2:
+            raise ConfigError("background_nodes must be a (min, max) pair, "
+                              f"got {self.background_nodes!r}")
         lo, hi = self.background_nodes
         if lo > hi:
             raise ConfigError(f"bad background node range {self.background_nodes}")
@@ -533,7 +541,6 @@ def gen_planted_motif_dataset(config: MotifConfig) -> Dataset:
     with a few attachment edges; the motif's node indices are recorded as the
     ground-truth mask. A pure function of the config (including its seed).
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     graphs: list[Graph] = []
     masks: list[list[int]] = []

@@ -38,7 +38,7 @@ from .subgraph import SELECTION_THRESHOLD, connectivity_loss, discretize
 from .tensor import Tensor
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     beta: float = bounded(0.1, low=0.0)
     con_weight: float = bounded(1.0, low=0.0)
@@ -50,7 +50,7 @@ class TrainConfig:
     seed: int = bounded(0, low=0)
     patience: int = bounded(20, low=1)
 
-    validate = check_fields
+    __post_init__ = check_fields
 
 
 @dataclass
@@ -134,18 +134,17 @@ def run_inner_phase(
     graphs: list[Graph],
     config: TrainConfig,
     phi2_rng: np.random.Generator,
-) -> float:
-    """Fresh head, T ascent steps on cached embeddings; returns the final estimate."""
+) -> list[float]:
+    """Fresh head, T ascent steps on cached embeddings; returns the per-step estimate trace."""
     model.statnet.reinitialize_head(phi2_rng)
     graph_embs, sub_embs = _cached_embeddings(model, graphs)
-    trace = inner_maximize(
+    return inner_maximize(
         model.statnet.head,
         graph_embs,
         sub_embs,
         steps=config.inner_steps,
         lr=config.lr_inner,
     )
-    return trace[-1]
 
 
 def outer_step(
@@ -221,15 +220,14 @@ def fit(
     dataset: Dataset,
     config: TrainConfig,
     shuffle_rng: np.random.Generator,
-    step: Callable[[int, int, list[Graph]], None],
-    validate: Callable[[int], float],
+    run_epoch: Callable[[int, list[list[Graph]]], float],
 ) -> tuple[int, float]:
-    """The epoch loop of every model: checks config and splits, standardizes
-    continuous labels, then each epoch calls ``step`` on each shuffled
-    minibatch and ``validate`` for a value (higher is better for classes,
-    lower for continuous labels). Stops after ``patience`` stale epochs and
-    restores the best-validation parameters; returns (best epoch, value)."""
-    config.validate()
+    """The epoch loop of every model: checks the splits, standardizes
+    continuous labels, then each epoch hands ``run_epoch(epoch, batches)``
+    the training split in shuffled minibatches and takes back a validation
+    value (higher is better for classes, lower for continuous labels). Stops
+    after ``patience`` stale epochs and restores the best-validation
+    parameters; returns (best epoch, value)."""
     dataset.validate_splits()
     train_graphs = dataset.subset("train")
     dataset.subset("val")  # an empty validation split fails before any epoch
@@ -241,9 +239,8 @@ def fit(
     stale = 0
     for epoch in range(1, config.outer_steps + 1):
         order = shuffle_rng.permutation(len(train_graphs)).tolist()
-        for batch_index, batch_ids in enumerate(_batches(order, config.batch_size)):
-            step(epoch, batch_index, [train_graphs[i] for i in batch_ids])
-        value = validate(epoch)
+        value = run_epoch(epoch, [[train_graphs[i] for i in batch_ids]
+                                  for batch_ids in _batches(order, config.batch_size)])
         if best_val is None or (value < best_val if dataset.continuous else value > best_val):
             best_val, best_epoch, stale = value, epoch, 0
             best_state = [p.data.copy() for _, p in model.named_params()]
@@ -274,45 +271,42 @@ def train(dataset: Dataset, config: TrainConfig) -> TrainResult:
     train_graphs = dataset.subset("train")
     history: list[EpochRecord] = []
     mi_trace: list[tuple[int, float]] = []
-    epoch_losses: list[LossBreakdown] = []
 
-    def step(epoch: int, batch_index: int, batch: list[Graph]) -> None:
-        # the inner phase draws only on phi2_rng, so running it after the
-        # epoch's shuffle leaves every draw unchanged
-        if config.beta > 0 and batch_index == 0:
+    def run_epoch(epoch: int, minibatches: list[list[Graph]]) -> float:
+        if config.beta > 0:
             try:
-                mi_trace.append((epoch, run_inner_phase(model, train_graphs, config, phi2_rng)))
+                trace = run_inner_phase(model, train_graphs, config, phi2_rng)
             except FloatingPointError as err:
                 raise FloatingPointError(
                     f"epoch {epoch}: {err}; statistics-head parameter norms "
                     f"{_param_norms(model, model.phi2_params())}"
                 ) from err
-        try:
-            epoch_losses.append(outer_step(model, outer_opt, batch, config))
-        except FloatingPointError as err:
-            raise FloatingPointError(
-                f"epoch {epoch}, batch {batch_index}: {err}; "
-                f"outer-parameter norms {_param_norms(model, model.outer_params())}"
-            ) from err
-
-    def validate(epoch: int) -> float:
+            mi_trace.append((epoch, trace[-1]))
+        losses: list[LossBreakdown] = []
+        for batch_index, batch in enumerate(minibatches):
+            try:
+                losses.append(outer_step(model, outer_opt, batch, config))
+            except FloatingPointError as err:
+                raise FloatingPointError(
+                    f"epoch {epoch}, batch {batch_index}: {err}; "
+                    f"outer-parameter norms {_param_norms(model, model.outer_params())}"
+                ) from err
         val_stats = evaluate_split(model, dataset, "val", SELECTION_THRESHOLD)
         # continuous labels: the property bias where motif masks exist, else the MSE
         val_value = val_stats["mse"] if dataset.continuous else val_stats["accuracy"]
         val_value = val_stats.get("property_bias", val_value)
         history.append(EpochRecord(
             epoch=epoch,
-            cls=float(np.mean([b.cls for b in epoch_losses])),
-            mi=float(np.mean([b.mi for b in epoch_losses])),
-            con=float(np.mean([b.con for b in epoch_losses])),
-            total=float(np.mean([b.total for b in epoch_losses])),
+            cls=float(np.mean([b.cls for b in losses])),
+            mi=float(np.mean([b.mi for b in losses])),
+            con=float(np.mean([b.con for b in losses])),
+            total=float(np.mean([b.total for b in losses])),
             val_metric=val_value,
             degenerate_rate=val_stats["degenerate_rate"],
         ))
-        epoch_losses.clear()
         return val_value
 
-    best_epoch, best_val = fit(model, dataset, config, shuffle_rng, step, validate)
+    best_epoch, best_val = fit(model, dataset, config, shuffle_rng, run_epoch)
     return TrainResult(
         model=model,
         history=history,

@@ -8,9 +8,24 @@ from gib.tensor import Tensor
 
 
 def pytest_report_header():
-    # the literal values of the *pinned* tests hold for one BLAS kernel
-    # (ROADMAP item 1): the header says which one this run used
+    # every *pinned* test holds one literal per BLAS kernel (kernel_pin): the
+    # header says which kernel this run used
     return f"numpy {np.__version__}, OpenBLAS core {openblas_core()}"
+
+
+@pytest.fixture
+def kernel_pin():
+    """Picks this run's record out of ``{OpenBLAS core: pinned value}``.
+    Kernels of other vector widths round products differently, so a bitwise
+    pin holds for the kernel it was recorded on; a kernel with no record
+    fails the test by name."""
+    def pick(pins: dict):
+        core = openblas_core()
+        if core not in pins:
+            pytest.fail(f"no pinned values for OpenBLAS core {core!r}; "
+                        f"recorded for {', '.join(sorted(pins))}")
+        return pins[core]
+    return pick
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ import pytest
 
 from gib.case_study import CaseStudyConfig
 from gib.cli import main
-from gib.config import SCHEMA, load_config, to_train_config
+from gib.config import SCHEMA, load_config
 import gib.cli
 from gib.graphs import (
     Graph,
@@ -570,16 +570,22 @@ class TestCaseStudyCommand:
 
 
 # sha256 of each CSV file of the tiny runs below, recorded before the four
-# CSV writers became one (gib.metrics.write_csv): every byte stayed the same
-CSV_PINS = {
+# CSV writers became one (gib.metrics.write_csv): every byte stayed the same.
+# One record per OpenBLAS kernel
+CSV_PINS = {"SkylakeX": {
     "train/metrics.csv": "e45e49f07ba42d7525ce7912ba9ef54c86467d1c28a32418ecdfe43a5fb29681",
     "train/mi_trace.csv": "d744e37693f8fb1b180279f1cf6258e17dabc38cce1abee4d7856f0515f6abe5",
     "denoise/denoise_table.csv": "be78c12aca4da0758f018ed87b8c1622be3ddbe52edf65aa55c5a474db5299e0",
     "case/case_study_trace.csv": "e2e9f3fcb21f9e61d84b9cd3c9128d72846f3e45cdc87514b4e5e39aff21980b",
-}
+}, "Haswell": {
+    "train/metrics.csv": "b3ad34fe78924019d9526d0cb17a665a1132801dd9f735cde59d65f8d9e3c4d1",
+    "train/mi_trace.csv": "b69889fa1b0abb6eb2aaa793397376d614edca36561a4153f4c3747f1ba44e8e",
+    "denoise/denoise_table.csv": "be78c12aca4da0758f018ed87b8c1622be3ddbe52edf65aa55c5a474db5299e0",
+    "case/case_study_trace.csv": "a3f8bb67256303fd27dac867ee6d80749e2fe31bc93215180beb5bda2eb231e6",
+}}
 
 
-def test_csv_outputs_pinned_bitwise(tmp_path, motif_dir, config_file):
+def test_csv_outputs_pinned_bitwise(tmp_path, motif_dir, config_file, kernel_pin):
     noisy_dir = str(tmp_path / "noisy")
     cs_config = str(tmp_path / "cs.ini")
     with open(cs_config, "w") as fh:
@@ -594,13 +600,14 @@ def test_csv_outputs_pinned_bitwise(tmp_path, motif_dir, config_file):
         ["case-study", "--config", cs_config, "--seed", "1", "--out", str(tmp_path / "case")],
     ):
         assert main(argv) == 0
-    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in CSV_PINS}
-    assert got == CSV_PINS
+    pins = kernel_pin(CSV_PINS)
+    got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in pins}
+    assert got == pins
 
 
 class TestConfigDefaults:
     def test_train_schema_defaults_match_train_config(self):
-        assert to_train_config(load_config(), seed=0) == TrainConfig(seed=0)
+        assert TrainConfig(**load_config()["train"], seed=0) == TrainConfig(seed=0)
 
     def test_case_study_schema_defaults_match_config(self):
         defaults = CaseStudyConfig()

@@ -1,5 +1,5 @@
 """The bounds table: every config field's allowed values, declared with the
-field and enforced by one checker."""
+field and enforced by one checker, which each config runs when it is built."""
 
 import dataclasses
 import math
@@ -18,6 +18,8 @@ from gib.graphs import (
     bound_text,
     check_fields,
     gen_planted_motif_dataset,
+    kfold_splits,
+    random_splits,
     save_tu_dataset,
 )
 from gib.train import TrainConfig
@@ -47,10 +49,14 @@ def _id(case) -> str:
     return f"{case[0].__name__}.{case[1].name}"
 
 
+def _changed(field, is_tuple, value) -> dict:
+    """``value`` for ``field``; a tuple field gets it in place of its
+    default's first item, so background_nodes stays a (min, max) pair."""
+    return {field.name: (value, *(field.default or ())[1:]) if is_tuple else value}
+
+
 def _with(cls, field, is_tuple, value):
-    config = cls(**CONFIGS[cls])
-    setattr(config, field.name, (value,) if is_tuple else value)
-    return config
+    return cls(**{**CONFIGS[cls], **_changed(field, is_tuple, value)})
 
 
 def _step(value, kind, up: bool):
@@ -61,12 +67,12 @@ def _step(value, kind, up: bool):
 
 
 def _rejected(cls, field, is_tuple, value):
-    config = _with(cls, field, is_tuple, value)
+    """Building the config with ``value`` fails by name, and so does
+    replacing the field of a built one (the only way to change a config)."""
     with pytest.raises(ConfigError, match=f"^{field.name} must be "):
-        check_fields(config)
-    if hasattr(cls, "validate"):  # the class's own validator runs the table too
-        with pytest.raises(ConfigError, match=f"^{field.name} must be "):
-            config.validate()
+        _with(cls, field, is_tuple, value)
+    with pytest.raises(ConfigError, match=f"^{field.name} must be "):
+        dataclasses.replace(cls(**CONFIGS[cls]), **_changed(field, is_tuple, value))
 
 
 def test_every_int_and_float_field_has_a_bound():
@@ -91,11 +97,9 @@ def test_each_end_or_the_value_next_to_it_is_accepted(case):
     cls, field, kind, is_tuple = case
     bounds = field.metadata
     low, high, strict = bounds["low"], bounds["high"], bounds["strict"]
-    check_fields(_with(cls, field, is_tuple,
-                       _step(kind(low), kind, up=True) if strict else kind(low)))
+    _with(cls, field, is_tuple, _step(kind(low), kind, up=True) if strict else kind(low))
     if high is not None:
-        check_fields(_with(cls, field, is_tuple,
-                           _step(kind(high), kind, up=False) if strict else kind(high)))
+        _with(cls, field, is_tuple, _step(kind(high), kind, up=False) if strict else kind(high))
 
 
 @pytest.mark.parametrize("case", [c for c in NUMERIC if c[2] is float], ids=_id)
@@ -110,7 +114,31 @@ def test_unknown_choice_is_rejected_by_name(case):
     cls, field, _, is_tuple = case
     _rejected(cls, field, is_tuple, "bogus")
     for choice in field.metadata["choices"]:
-        check_fields(_with(cls, field, is_tuple, choice))
+        _with(cls, field, is_tuple, choice)
+
+
+@pytest.mark.parametrize("cls", list(CONFIGS), ids=lambda cls: cls.__name__)
+def test_a_built_config_is_frozen(cls):
+    config = cls(**CONFIGS[cls])
+    for field in dataclasses.fields(cls):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, field.name, getattr(config, field.name))
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"folds": 1}, r"^\[data\] folds must be 0 \(ratio split\) or at least 2, got 1$"),
+    ({"fold_index": 3}, r"^\[data\] fold_index must be 0 for a ratio split, got 3$"),
+], ids=["folds", "fold_index"])
+def test_data_config_fold_rules_hold_without_the_cli(data, message):
+    with pytest.raises(ConfigError, match=message):
+        DataConfig(**data)
+    with pytest.raises(ConfigError, match=message):
+        dataclasses.replace(DataConfig(), **data)
+
+
+def test_data_config_builds_the_splits():
+    assert DataConfig().splits(20, 3) == random_splits(20, (0.7, 0.05, 0.25), 3)
+    assert DataConfig(folds=5, fold_index=1).splits(20, 3) == kfold_splits(20, 1, 5, 3)
 
 
 # -- the same values through the entry points that read them ---------------------
@@ -145,13 +173,12 @@ def test_values_outside_the_bounds_fail_by_name_before_the_run(case, toy_data, t
     """Every field, swept from its bounds: the CLI exits 1 naming the key
     (2, naming the flag, for a fractional --seed), with no traceback and no
     --out directory. MotifConfig, which the CLI fills from typed flags, is
-    swept through the generator."""
+    swept by building it for the generator."""
     cls, field, kind, is_tuple = case
     for value in _outside(field, kind):
         if cls is MotifConfig:
-            config = MotifConfig(**{**CONFIGS[cls], field.name: (value,) if is_tuple else value})
             with pytest.raises(ConfigError, match=f"^{field.name} must "):
-                gen_planted_motif_dataset(config)
+                gen_planted_motif_dataset(_with(cls, field, is_tuple, value))
             continue
         # a key the file cannot set would fail as unknown, not as out of bounds
         assert field.name in FLAGS or field.name in SCHEMA[SECTIONS[cls]]

@@ -100,9 +100,9 @@ def pin_dataset(continuous):
 
 
 # (best_epoch, best_val, sha256 of the parameter bytes, label_mean, label_std):
-# the baselines' outputs, bitwise. The class runs stop early (best epoch 1,
-# patience 2); the continuous ones run all 4 epochs.
-BASELINE_PINS = {
+# the baselines' outputs, bitwise, per OpenBLAS kernel. The class runs stop
+# early (best epoch 1, patience 2); the continuous ones run all 4 epochs.
+BASELINE_PINS = {"SkylakeX": {
     ("attention", False): (
         1, 0.5, "e5f2eba97a35c9d3d25782c5d57911c36efae4741e7c33e96e1e51a2a5be4194", 0.0, 1.0),
     ("meanpool", False): (
@@ -115,17 +115,30 @@ BASELINE_PINS = {
         4, 1.0517874821178934,
         "e6104de7d35cc4c1f90943a69fafdf6bd0a01663716e3953b7d3342ce2583a4d",
         5.0765440731080265, 0.6456759715830854),
-}
+}, "Haswell": {
+    ("attention", False): (
+        1, 0.5, "29d2fd57fbcf55b0c16b7cc1953e91d299e4a69fdb3be4a1d3f36626347dc1a5", 0.0, 1.0),
+    ("meanpool", False): (
+        1, 0.75, "8f57638b1e87e74fe2f1a6b01a4a1b82844328484722d50bc2cc2572bd419f0d", 0.0, 1.0),
+    ("attention", True): (
+        4, 1.0021250907191035,
+        "075ea199205a4fe82c4adc0e0f9b95f0ca1f928d83e80426fd73c303fdd9cb0e",
+        5.0765440731080265, 0.6456759715830854),
+    ("meanpool", True): (
+        4, 1.0517874821178934,
+        "8cf0b771c246865bcab24fa2e745159d1bd5bab22406ed215fc83768e6af5af5",
+        5.0765440731080265, 0.6456759715830854),
+}}
 
 
-@pytest.mark.parametrize("kind,continuous", list(BASELINE_PINS))
-def test_baseline_pinned_bitwise(kind, continuous):
+@pytest.mark.parametrize("kind,continuous", list(BASELINE_PINS["SkylakeX"]))
+def test_baseline_pinned_bitwise(kind, continuous, kernel_pin):
     config = TrainConfig(outer_steps=4, patience=2, batch_size=8, seed=3)
     result = train_baseline(pin_dataset(continuous), config, kind)
     digest = hashlib.sha256(b"".join(p.data.tobytes() for p in result.model.params()))
     got = (result.best_epoch, result.best_val, digest.hexdigest(),
            result.model.label_mean, result.model.label_std)
-    assert got == BASELINE_PINS[kind, continuous]
+    assert got == kernel_pin(BASELINE_PINS)[kind, continuous]
 
 
 class TestSharedLoop:
@@ -278,15 +291,20 @@ def pin_noisy_dataset():
 
 
 # sha256 of repr of each driver's astuple rows, recorded before the drivers
-# shared one selection step: the refactor left every row bitwise equal
-DRIVER_PINS = {
+# shared one selection step: the refactor left every row bitwise equal.
+# One record per OpenBLAS kernel
+DRIVER_PINS = {"SkylakeX": {
     "denoising": "659912f2d026a6c502e048396fc26a469172661e3a3bfcaa32baad282644e70b",
     "interpretation": "1ba14e116131344fa3c27a3eece320a9c23a119200d27f9365b37ad36469fb62",
     "motif_recovery": "573c49da654a7f7db443eb5d68e64cb7412490c2d33309f20940be4a1efd5452",
-}
+}, "Haswell": {
+    "denoising": "659912f2d026a6c502e048396fc26a469172661e3a3bfcaa32baad282644e70b",
+    "interpretation": "77e54e3a132658262d4cf76fef82c7787ad5d7e3a8bba200d72d37fbe689efbe",
+    "motif_recovery": "573c49da654a7f7db443eb5d68e64cb7412490c2d33309f20940be4a1efd5452",
+}}
 
 
-def test_drivers_pinned_bitwise():
+def test_drivers_pinned_bitwise(kernel_pin):
     config = small_config()
     rows = {
         "denoising": run_denoising(pin_noisy_dataset(), config),
@@ -297,7 +315,7 @@ def test_drivers_pinned_bitwise():
     }
     got = {name: hashlib.sha256(repr([astuple(r) for r in runs]).encode()).hexdigest()
            for name, runs in rows.items()}
-    assert got == DRIVER_PINS
+    assert got == kernel_pin(DRIVER_PINS)
 
 
 @pytest.fixture()

@@ -62,6 +62,18 @@ class TestGraphInvariants:
         with pytest.raises(GraphFormatError, match="row per node"):
             Graph(np.zeros((3, 3)), np.ones((2, 1)), 0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_features_rejected(self, value):
+        x = np.ones((3, 2))
+        x[1, 0] = value
+        with pytest.raises(GraphFormatError, match="^features must be finite$"):
+            Graph(triangle().adjacency, x, 0)
+
+    @pytest.mark.parametrize("label", [np.nan, np.inf, -np.inf])
+    def test_non_finite_label_rejected(self, label):
+        with pytest.raises(GraphFormatError, match="^label must be finite, got "):
+            Graph(triangle().adjacency, np.ones((3, 1)), label)
+
     def test_canonical_edge_order(self):
         g = triangle()
         assert g.edges() == [(0, 1), (0, 2), (1, 2)]
@@ -501,9 +513,9 @@ class TestMotifGenerator:
 
     @pytest.mark.parametrize("noise", [-0.5, float("nan"), float("inf")])
     def test_negative_or_non_finite_property_noise_rejected(self, noise):
-        config = MotifConfig(num_graphs=2, label_rule="size", property_noise=noise)
         with pytest.raises(ConfigError, match="property_noise"):
-            gen_planted_motif_dataset(config)
+            gen_planted_motif_dataset(
+                MotifConfig(num_graphs=2, label_rule="size", property_noise=noise))
 
     @pytest.mark.parametrize("key", ["seed"])
     def test_negative_count_or_seed_rejected_by_name(self, key):
@@ -514,6 +526,11 @@ class TestMotifGenerator:
     def test_empty_tuple_rejected_by_name(self, key):
         with pytest.raises(ConfigError, match=f"^{key} must not be empty, got \\(\\)$"):
             gen_planted_motif_dataset(MotifConfig(num_graphs=4, **{key: ()}))
+
+    @pytest.mark.parametrize("nodes", [(15,), (5, 10, 20)])
+    def test_background_nodes_must_be_a_pair(self, nodes):
+        with pytest.raises(ConfigError, match=r"^background_nodes must be a \(min, max\) pair"):
+            MotifConfig(background_nodes=nodes)
 
     def test_adjacency_invariants_hold(self):
         ds = gen_planted_motif_dataset(MotifConfig(num_graphs=30, seed=5))
