@@ -63,6 +63,7 @@ def openblas_core() -> str:
 
 def _write_manifest(out_dir: str, command: str, args: argparse.Namespace,
                     config: dict, dataset: Optional[Dataset], outputs: list[str]) -> None:
+    os.makedirs(out_dir, exist_ok=True)
     manifest = {
         "command": command,
         "argv": sys.argv[1:],
@@ -106,7 +107,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     train_cfg = TrainConfig(**config["train"], seed=args.seed)
     dataset = _load_dataset(args, DataConfig(**config["data"]))
-    os.makedirs(args.out, exist_ok=True)
     outputs = ["metrics.csv", "mi_trace.csv", "checkpoint.bin", "manifest.json"]
     _write_manifest(args.out, "train", args, config, dataset, outputs)
 
@@ -143,7 +143,7 @@ def cmd_gen_noise(args: argparse.Namespace) -> int:
         masks=masks, name=args.out_name,
     )
     os.makedirs(args.out, exist_ok=True)
-    save_tu_dataset(noisy_ds, args.out, args.out_name, masks=masks)
+    save_tu_dataset(noisy_ds, args.out, args.out_name)
     total_edges = sum(g.num_edges for g in noisy_graphs)
     real_edges = sum(len(m) for m in masks)
     print(f"wrote {args.out_name}: {len(noisy_graphs)} graphs, "
@@ -170,7 +170,7 @@ def cmd_gen_motif(args: argparse.Namespace) -> int:
     )
     dataset = gen_planted_motif_dataset(config)
     os.makedirs(args.out, exist_ok=True)
-    save_tu_dataset(dataset, args.out, args.name, masks=dataset.masks)
+    save_tu_dataset(dataset, args.out, args.name)
     kind = "continuous" if dataset.continuous else f"{dataset.num_classes}-class"
     print(f"wrote {args.name}: {len(dataset.graphs)} {kind} graphs")
     return 0
@@ -211,7 +211,6 @@ def _seed_sweep(args: argparse.Namespace, command: str,
         raise ConfigError(f"{command} needs a continuous-property dataset "
                           f"({dataset.name} has {dataset.num_classes} classes)")
     check_masks(dataset, mask_kind)
-    os.makedirs(args.out, exist_ok=True)
     stem = os.path.join(args.out, f"{command}_table")
     _write_manifest(args.out, command, args, config, dataset,
                     [f"{command}_table.csv", f"{command}_table.txt", *extra_outputs,
@@ -263,7 +262,6 @@ def cmd_case_study(args: argparse.Namespace) -> int:
     if args.epochs is not None:
         section["epochs"] = args.epochs
     cs_config = CaseStudyConfig(**section, seed=args.seed, sigma2_fixed=args.sigma2_fixed)
-    os.makedirs(args.out, exist_ok=True)
     # the manifest records the values the run uses, command-line overrides included
     config["case_study"] = {k: v for k, v in dataclasses.asdict(cs_config).items() if k != "seed"}
     _write_manifest(args.out, "case-study", args, config, None,

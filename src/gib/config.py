@@ -33,6 +33,11 @@ class DataConfig:
         if not self.folds and self.fold_index:
             raise ConfigError(
                 f"[data] fold_index must be 0 for a ratio split, got {self.fold_index}")
+        if self.folds and self.fold_index >= self.folds:
+            raise ConfigError(f"fold_index {self.fold_index} out of range for {self.folds} folds")
+        ratios = (self.split_train, self.split_val, self.split_test)
+        if not self.folds and abs(sum(ratios) - 1.0) > 1e-9:
+            raise ConfigError(f"split ratios must sum to 1, got {ratios}")
 
     def splits(self, n: int, seed: int) -> dict[str, list[int]]:
         """Splits of n graphs: k-fold when ``folds`` > 0, otherwise seeded

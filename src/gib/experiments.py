@@ -24,9 +24,9 @@ from .metrics import (
     node_recall,
 )
 from .models import AttentionClassifier, MeanPoolClassifier, Predictor
-from .nn import topk_subgraph_from_scores
 from .optim import Adam
-from .subgraph import SELECTION_THRESHOLD, SubgraphSelection, discretize, selection_record
+from .subgraph import (SELECTION_THRESHOLD, SubgraphSelection, discretize, selection_record,
+                       topk_subgraph_from_scores)
 from .train import TrainConfig, fit, output_loss, train
 
 
@@ -115,12 +115,10 @@ def select_and_score(
         if keep is not None:
             if attention is None:
                 attention = train_baseline(dataset, config, kind="attention").model
-            masks = [topk_subgraph_from_scores(g, attention.node_scores(g), keep)
-                     for g in test_graphs]
             rows.append(score(label, attention, [
-                SubgraphSelection(m, g.adjacency * np.outer(m, m), threshold=keep)
-                for m, g in zip(masks, test_graphs)
-            ], [None] * len(masks)))
+                topk_subgraph_from_scores(g, attention.node_scores(g), keep)
+                for g in test_graphs
+            ], [None] * len(test_graphs)))
         elif zeroed is not None:
             model = train(dataset, replace(config, **dict.fromkeys(zeroed, 0.0))).model
             soft = [model.assignment_matrix(g) for g in test_graphs]
@@ -238,11 +236,10 @@ def run_interpretation(
             if not sel.empty:
                 comp_counts.append(count_components(sel))
             records.append(selection_record(gi, graph, sel, soft=s))
-        degenerate = sum(1 for sel in selections if sel.empty or sel.node_mask.all())
         return InterpretationRun(
             label, *mean_std(biases),
             float(np.mean(comp_counts)) if comp_counts else float("nan"),
-            degenerate / len(selections), records,
+            sum(sel.degenerate for sel in selections) / len(selections), records,
         )
 
     return select_and_score(dataset, config, methods, "interpretation", score)

@@ -355,17 +355,13 @@ def load_tu_dataset(path: str, name: str) -> Dataset:
     return Dataset(graphs=graphs, num_classes=num_classes, name=name)
 
 
-def save_tu_dataset(
-    dataset: Dataset,
-    path: str,
-    name: Optional[str] = None,
-    masks: Optional[list[list[int]]] = None,
-) -> None:
-    """Write a dataset in the TU text format, plus an optional mask sidecar.
+def save_tu_dataset(dataset: Dataset, path: str, name: Optional[str] = None) -> None:
+    """Write a dataset in the TU text format, plus its masks as a sidecar.
 
     Features that are exact one-hot rows are stored as node labels; anything
     else (e.g. the all-ones default) omits the node-label file. The sidecar
-    ``<name>_mask.txt`` holds one comma-separated index list per graph.
+    ``<name>_mask.txt``, written when the dataset has masks, holds one
+    comma-separated index list per graph.
     """
     name = name or dataset.name
     os.makedirs(path, exist_ok=True)
@@ -400,10 +396,9 @@ def save_tu_dataset(
                 for r in range(g.n):
                     fn.write(f"{int(np.argmax(g.features[r]))}\n")
 
-    masks = masks if masks is not None else dataset.masks
-    if masks is not None:
+    if dataset.masks is not None:
         with open(prefix + "_mask.txt", "w") as fm:
-            for idx in masks:
+            for idx in dataset.masks:
                 fm.write(",".join(str(i) for i in idx) + "\n")
 
 

@@ -12,8 +12,8 @@ it. Mismatched pairs shift one side cyclically, pair(i) = i+1 mod N
 (``cyclic_shift``), a linear-cost realization of "any j != i".
 
 One DV bound (``dv_bound``) and one head-ascent loop (``inner_maximize``)
-serve two callers. GIB runs the loop once per epoch, with a fresh head, on
-its whole cached training set and mismatched rows [g_i, s_{i+1}]. The toy
+serve two callers. GIB runs the loop once per epoch, with a head freshly
+redrawn in place (``Mlp.redraw``), on its whole cached training set and mismatched rows [g_i, s_{i+1}]. The toy
 ``case_study`` draws a minibatch per step (``batch_size``, ``rng``) and uses
 rows [x_{i+1}, y_i] (``shift_left``: the left side is the shifted one).
 """
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import tensor as T
 from .graphs import Graph
-from .nn import GcnEncoder, Mlp, glorot
+from .nn import GcnEncoder, Mlp
 from .optim import Adam
 from .tensor import Tensor
 
@@ -54,13 +54,6 @@ class StatisticsNetwork:
         """
         batch = graph.as_batch
         return batch.mean(self.encoder.forward(batch))
-
-    def reinitialize_head(self, rng: np.random.Generator) -> None:
-        """Redraw the head in place, bitwise as ``Mlp.__init__`` draws it, before
-        each inner run; a frozen copy keeps sharing the head's tensors."""
-        for w, b in zip(self.head.weights, self.head.biases):
-            w.data[...] = glorot(rng, *w.shape)
-            b.data[...] = 0.0
 
 
 @dataclass

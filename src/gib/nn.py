@@ -7,8 +7,8 @@ node features, so it takes the propagated features each graph keeps; only
 later layers, whose input needs a gradient, propagate on the tape. The
 attention head scores nodes, normalizes the scores with a softmax within
 each graph, and aggregates node embeddings into one embedding per graph; its
-scores double as the node ranking behind the top-k baseline. Layers work on
-a :class:`GraphBatch`, one tape for all its graphs.
+scores double as the node ranking that ``gib.subgraph`` cuts for the top-k
+baseline. Layers work on a :class:`GraphBatch`, one tape for all its graphs.
 """
 
 from __future__ import annotations
@@ -92,11 +92,16 @@ class Mlp:
     def __init__(self, widths: Sequence[int], rng: np.random.Generator):
         if len(widths) < 2:
             raise ShapeMismatch("an Mlp needs at least an input and an output width")
-        self.weights: list[Tensor] = []
-        self.biases: list[Tensor] = []
-        for i in range(len(widths) - 1):
-            self.weights.append(Tensor(glorot(rng, widths[i], widths[i + 1])))
-            self.biases.append(Tensor(np.zeros((1, widths[i + 1]))))
+        self.weights = [Tensor(np.zeros(shape)) for shape in zip(widths, widths[1:])]
+        self.biases = [Tensor(np.zeros((1, width))) for width in widths[1:]]
+        self.redraw(rng)
+
+    def redraw(self, rng: np.random.Generator) -> None:
+        """Glorot weights and zero biases, in place, layer by layer; a frozen
+        copy keeps sharing the tensors."""
+        for w, b in zip(self.weights, self.biases):
+            w.data[...] = glorot(rng, *w.shape)
+            b.data[...] = 0.0
 
     def forward(self, x: Tensor) -> Tensor:
         return T.mlp(x, self.weights, self.biases)
@@ -132,24 +137,3 @@ class AttentionHead:
     def named_params(self, prefix: str) -> list[tuple[str, Tensor]]:
         return [(f"{prefix}.p1", self.p1), (f"{prefix}.p2", self.p2)]
 
-
-def topk_subgraph_from_scores(
-    graph: Graph, scores: np.ndarray, keep_fraction: float
-) -> np.ndarray:
-    """Boolean mask keeping the ceil(keep_fraction * n) highest-scoring nodes.
-
-    Ties break toward the lower node index so the selection is reproducible.
-    """
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
-    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if scores.shape[0] != graph.n:
-        raise ShapeMismatch(
-            f"scores length {scores.shape[0]} does not match {graph.n} nodes"
-        )
-    k = int(np.ceil(keep_fraction * graph.n))
-    # stable sort on (-score, index) implements the index tie-break
-    order = sorted(range(graph.n), key=lambda i: (-scores[i], i))
-    mask = np.zeros(graph.n, dtype=bool)
-    mask[order[:k]] = True
-    return mask

@@ -8,13 +8,18 @@ row of S^T X over its own nodes (the probability-weighted sum of node
 embeddings), and the connectivity loss || row_normalize(S^T A S) - I ||_F,
 also per graph, pushes assignments toward saturated 0/1 values with few
 edges cut between the two sides.
+
+This module also makes every hard selection, a :class:`SubgraphSelection`:
+``discretize`` cuts S at a subgraph probability, and
+``topk_subgraph_from_scores`` keeps an attention baseline's top-scoring
+share of nodes. Validation, the drivers and their metrics read these cuts.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,7 +28,7 @@ from . import tensor as T
 from .batch import GraphBatch
 from .graphs import Graph
 from .nn import GcnEncoder, Mlp
-from .tensor import Tensor
+from .tensor import ShapeMismatch, Tensor
 
 
 class SubgraphGenerator:
@@ -86,15 +91,22 @@ def connectivity_loss(assignment: Tensor, adjacency: np.ndarray | GraphBatch) ->
 
 @dataclass
 class SubgraphSelection:
-    """A hard node selection with the adjacency it induces."""
+    """A hard node selection: the selected nodes, the read-only adjacency of
+    the graph they come from, and the cut that selected them (a subgraph
+    probability, or a top-k keep fraction)."""
 
     node_mask: np.ndarray
-    induced_adjacency: np.ndarray
+    adjacency: np.ndarray
     threshold: float
 
     @property
     def empty(self) -> bool:
         return not bool(self.node_mask.any())
+
+    @property
+    def degenerate(self) -> bool:
+        """Nothing or everything selected: the cut tells no node apart."""
+        return self.empty or bool(self.node_mask.all())
 
     def node_indices(self) -> list[int]:
         return np.nonzero(self.node_mask)[0].tolist()
@@ -112,12 +124,35 @@ def discretize(
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     mask = np.asarray(assignment)[:, 0] >= threshold
-    induced = graph.adjacency * np.outer(mask, mask)
-    return SubgraphSelection(node_mask=mask, induced_adjacency=induced, threshold=threshold)
+    return SubgraphSelection(mask, graph.adjacency, threshold)
+
+
+def topk_subgraph_from_scores(
+    graph: Graph, scores: np.ndarray, keep_fraction: float
+) -> SubgraphSelection:
+    """Select the ceil(keep_fraction * n) highest-scoring nodes; the cut is
+    the keep fraction.
+
+    Ties break toward the lower node index so the selection is reproducible.
+    """
+    if not 0.0 < keep_fraction <= 1.0:
+        raise ValueError(f"keep_fraction must be in (0, 1], got {keep_fraction}")
+    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+    if scores.shape[0] != graph.n:
+        raise ShapeMismatch(
+            f"scores length {scores.shape[0]} does not match {graph.n} nodes"
+        )
+    k = int(np.ceil(keep_fraction * graph.n))
+    # stable sort on (-score, index) implements the index tie-break
+    order = sorted(range(graph.n), key=lambda i: (-scores[i], i))
+    mask = np.zeros(graph.n, dtype=bool)
+    mask[order[:k]] = True
+    return SubgraphSelection(mask, graph.adjacency, keep_fraction)
 
 
 def connected_components(selection: SubgraphSelection) -> list[list[int]]:
-    """Connected components of the induced subgraph, as sorted index lists."""
+    """Connected components of the selected nodes, as sorted index lists; the
+    walk steps only onto selected nodes."""
     nodes = selection.node_indices()
     remaining = set(nodes)
     components: list[list[int]] = []
@@ -128,7 +163,7 @@ def connected_components(selection: SubgraphSelection) -> list[list[int]]:
         remaining.discard(seed_node)
         while stack:
             u = stack.pop()
-            for v in np.nonzero(selection.induced_adjacency[u])[0]:
+            for v in np.nonzero(selection.adjacency[u])[0]:
                 v = int(v)
                 if v in remaining:
                     remaining.discard(v)
@@ -150,8 +185,7 @@ def largest_connected_part(selection: SubgraphSelection) -> SubgraphSelection:
     best = max(components, key=len)  # max is stable: first largest wins
     mask = np.zeros_like(selection.node_mask)
     mask[best] = True
-    induced = selection.induced_adjacency * np.outer(mask, mask)
-    return SubgraphSelection(node_mask=mask, induced_adjacency=induced, threshold=selection.threshold)
+    return replace(selection, node_mask=mask)
 
 
 # -- export -------------------------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 from . import tensor as T
 from .batch import GraphBatch, batches
 from .graphs import ConfigError, Dataset, Graph, bounded, check_fields
-from .metrics import motif_property_bias
+from .metrics import accuracy, motif_property_bias
 from .mi import inner_maximize, mi_batch_loss
 from .models import GibModel, Predictor
 from .nn import Mlp
@@ -136,7 +136,7 @@ def run_inner_phase(
     phi2_rng: np.random.Generator,
 ) -> list[float]:
     """Fresh head, T ascent steps on cached embeddings; returns the per-step estimate trace."""
-    model.statnet.reinitialize_head(phi2_rng)
+    model.statnet.head.redraw(phi2_rng)
     graph_embs, sub_embs = _cached_embeddings(model, graphs)
     return inner_maximize(
         model.statnet.head,
@@ -182,38 +182,28 @@ def _param_norms(model: GibModel, params: list[Tensor]) -> str:
 
 
 def evaluate_split(model: GibModel, dataset: Dataset, split: str, threshold: float) -> dict:
-    """Prediction quality plus assignment health on one split."""
+    """Prediction quality plus assignment health on one split. Each graph is
+    cut once (:func:`discretize`); the degenerate rate and, for continuous
+    labels with motif masks, the property bias read those cuts."""
     graphs = dataset.subset(split)
-    correct = 0
-    sq_err = 0.0
-    degenerate = 0
-    bias_terms: list[float] = []
     preds: list[float | int] = []
     assignments: list[np.ndarray] = []
     for batch in batches(graphs):
         s, _, sub_embs = model.frozen.forward(batch)
         preds += model.decode(model.frozen.logits(sub_embs).data)
         assignments += batch.split(s.data)
-    for gi, graph, pred, s_graph in zip(dataset.splits[split], graphs, preds, assignments):
-        if dataset.continuous:
-            sq_err += (pred - float(graph.label)) ** 2
-        elif pred == int(graph.label):
-            correct += 1
-        selected = s_graph[:, 0] >= threshold  # discretize's node mask
-        if not selected.any() or selected.all():
-            degenerate += 1
-        if dataset.masks is not None and dataset.continuous:
-            sel = discretize(s_graph, graph, threshold)
-            bias_terms.append(motif_property_bias(dataset.masks[gi], graph, sel))
-    out = {"degenerate_rate": degenerate / len(graphs)}
-    if dataset.continuous:
-        out["mse"] = sq_err / len(graphs)
-        if bias_terms:
-            out["property_bias"] = float(np.mean(bias_terms))
-    else:
-        out["accuracy"] = correct / len(graphs)
+    selections = [discretize(s, graph, threshold) for s, graph in zip(assignments, graphs)]
+    out = {"degenerate_rate": sum(sel.degenerate for sel in selections) / len(graphs)}
+    if not dataset.continuous:
+        out["accuracy"] = accuracy(preds, [int(graph.label) for graph in graphs])
+        return out
+    out["mse"] = sum((pred - float(graph.label)) ** 2
+                     for pred, graph in zip(preds, graphs)) / len(graphs)
+    if dataset.masks is not None:
+        out["property_bias"] = float(np.mean([
+            motif_property_bias(dataset.masks[gi], graph, sel)
+            for gi, graph, sel in zip(dataset.splits[split], graphs, selections)]))
     return out
-
 
 def fit(
     model: Predictor,

@@ -1,6 +1,7 @@
 """Command-line workflows: artifact emission, determinism, error paths."""
 
 import configparser
+import dataclasses
 import hashlib
 import json
 import os
@@ -248,7 +249,7 @@ class TestGenMotif:
         out, ref = tmp_path / "cli", tmp_path / "lib"
         assert main(["gen-motif", "--num-graphs", "12", "--seed", "3", "--out", str(out)]) == 0
         dataset = gen_planted_motif_dataset(MotifConfig(num_graphs=12, seed=3))
-        save_tu_dataset(dataset, str(ref), "MOTIF", masks=dataset.masks)
+        save_tu_dataset(dataset, str(ref), "MOTIF")
         names = sorted(os.listdir(ref))
         assert sorted(os.listdir(out)) == names
         for name in names:
@@ -348,7 +349,7 @@ class TestDenoiseCommand:
         dataset = _with_edgeless_graph(index)
         noisy_dir = str(tmp_path / "noisy")
         masks = [list(range(g.num_edges)) for g in dataset.graphs]
-        save_tu_dataset(dataset, noisy_dir, "TOY_NOISY", masks=masks)
+        save_tu_dataset(dataclasses.replace(dataset, masks=masks), noisy_dir, "TOY_NOISY")
         out = str(tmp_path / "x")
         code = main(["denoise", "--config", config_file, "--data", noisy_dir,
                      "--name", "TOY_NOISY", "--seed", "2", "--out", out])

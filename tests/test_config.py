@@ -55,8 +55,21 @@ def _changed(field, is_tuple, value) -> dict:
     return {field.name: (value, *(field.default or ())[1:]) if is_tuple else value}
 
 
+RATIOS = ("split_train", "split_val", "split_test")
+
+
+def _ratios_around(cls, field, value) -> dict:
+    """A DataConfig's split ratios must sum to 1: for a ratio inside [0, 1]
+    the first other ratio takes the rest and the second 0."""
+    if cls is not DataConfig or field.name not in RATIOS:
+        return {}
+    first, second = (name for name in RATIOS if name != field.name)
+    return {first: 1.0 - value if 0.0 <= value <= 1.0 else 0.0, second: 0.0}
+
+
 def _with(cls, field, is_tuple, value):
-    return cls(**{**CONFIGS[cls], **_changed(field, is_tuple, value)})
+    return cls(**{**CONFIGS[cls], **_ratios_around(cls, field, value),
+                  **_changed(field, is_tuple, value)})
 
 
 def _step(value, kind, up: bool):
@@ -128,7 +141,14 @@ def test_a_built_config_is_frozen(cls):
 @pytest.mark.parametrize("data, message", [
     ({"folds": 1}, r"^\[data\] folds must be 0 \(ratio split\) or at least 2, got 1$"),
     ({"fold_index": 3}, r"^\[data\] fold_index must be 0 for a ratio split, got 3$"),
-], ids=["folds", "fold_index"])
+    ({"folds": 5, "fold_index": 7}, r"^fold_index 7 out of range for 5 folds$"),
+    ({"folds": 5, "fold_index": 5}, r"^fold_index 5 out of range for 5 folds$"),
+    ({"split_train": 0.9, "split_val": 0.9, "split_test": 0.9},
+     r"^split ratios must sum to 1, got \(0\.9, 0\.9, 0\.9\)$"),
+    ({"split_train": 0.7, "split_val": 0.05, "split_test": 0.2},
+     r"^split ratios must sum to 1, got \(0\.7, 0\.05, 0\.2\)$"),
+], ids=["folds", "fold_index", "fold_index_past_folds", "fold_index_at_folds",
+        "ratios_over_1", "ratios_under_1"])
 def test_data_config_fold_rules_hold_without_the_cli(data, message):
     with pytest.raises(ConfigError, match=message):
         DataConfig(**data)

@@ -1,5 +1,6 @@
 """Dataset loading, generators, noise injection, and the line-graph transform."""
 
+import dataclasses
 import functools
 import os
 
@@ -219,7 +220,7 @@ class TestTuLoader:
 
     def test_roundtrip_through_save(self, tmp_path):
         ds = gen_planted_motif_dataset(MotifConfig(num_graphs=5, background_nodes=(6, 9), seed=4))
-        save_tu_dataset(ds, str(tmp_path), "RT", masks=ds.masks)
+        save_tu_dataset(ds, str(tmp_path), "RT")
         back = load_tu_dataset(str(tmp_path), "RT")
         masks = load_mask_sidecar(str(tmp_path), "RT", 5)
         assert len(back.graphs) == 5 and back.num_classes == 2
@@ -231,13 +232,13 @@ class TestTuLoader:
     def test_mask_sidecar_keeps_empty_masks(self, tmp_path):
         ds = gen_planted_motif_dataset(MotifConfig(num_graphs=3, background_nodes=(6, 9), seed=4))
         masks = [[], [0, 2], []]
-        save_tu_dataset(ds, str(tmp_path), "RT", masks=masks)
+        save_tu_dataset(dataclasses.replace(ds, masks=masks), str(tmp_path), "RT")
         assert load_mask_sidecar(str(tmp_path), "RT", 3) == masks
 
     @pytest.mark.parametrize("missing", [1, 4])
     def test_mask_sidecar_count_checked(self, tmp_path, missing):
         ds = gen_planted_motif_dataset(MotifConfig(num_graphs=6, background_nodes=(6, 9), seed=4))
-        save_tu_dataset(ds, str(tmp_path), "RT", masks=ds.masks[:-missing])
+        save_tu_dataset(dataclasses.replace(ds, masks=ds.masks[:-missing]), str(tmp_path), "RT")
         path = os.path.join(str(tmp_path), "RT_mask.txt")
         with pytest.raises(ConfigError,
                            match=re.escape(f"{path} has {6 - missing} mask lines for 6 graphs")):

@@ -21,7 +21,7 @@ from gib.subgraph import SubgraphSelection
 def selection(g: Graph, nodes) -> SubgraphSelection:
     mask = np.zeros(g.n, dtype=bool)
     mask[list(nodes)] = True
-    return SubgraphSelection(mask, g.adjacency * np.outer(mask, mask), 0.5)
+    return SubgraphSelection(mask, g.adjacency, 0.5)
 
 
 def chain_with_motif() -> tuple[Graph, list[int]]:

@@ -175,7 +175,7 @@ class TestInnerMaximize:
         params = statnet.head.params()
         before = [p.data.copy() for p in params]
         tensors_made.clear()
-        statnet.reinitialize_head(np.random.default_rng(99))
+        statnet.head.redraw(np.random.default_rng(99))
         assert not tensors_made
         after = statnet.head.params()
         assert all(a is p for a, p in zip(after, params)) and len(after) == len(params)

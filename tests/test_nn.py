@@ -1,4 +1,4 @@
-"""Graph convolution, attention readout, MLPs, and top-k selection."""
+"""Graph convolution, attention readout, MLPs, and the top-k selection over attention scores."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,8 @@ import gib.tensor as T
 from gib.batch import GraphBatch
 from gib.gradcheck import assert_gradients_match
 from gib.graphs import Graph
-from gib.nn import (
-    AttentionHead,
-    GcnEncoder,
-    GcnLayer,
-    Mlp,
-    topk_subgraph_from_scores,
-)
+from gib.nn import AttentionHead, GcnEncoder, GcnLayer, Mlp
+from gib.subgraph import topk_subgraph_from_scores
 from gib.tensor import ShapeMismatch, Tensor
 
 
@@ -186,16 +181,25 @@ class TestTopK:
         return Graph(np.zeros((4, 4)), np.ones((4, 1)), 0)
 
     def test_keep_half(self):
-        mask = topk_subgraph_from_scores(self.graph4(), [0.4, 0.3, 0.2, 0.1], 0.5)
-        np.testing.assert_array_equal(mask, [True, True, False, False])
+        g = self.graph4()
+        sel = topk_subgraph_from_scores(g, [0.4, 0.3, 0.2, 0.1], 0.5)
+        np.testing.assert_array_equal(sel.node_mask, [True, True, False, False])
+        assert sel.threshold == 0.5  # the cut is the keep fraction
+        assert sel.adjacency is g.adjacency
 
     def test_ties_break_by_index(self):
-        mask = topk_subgraph_from_scores(self.graph4(), [0.25] * 4, 0.5)
-        np.testing.assert_array_equal(mask, [True, True, False, False])
+        sel = topk_subgraph_from_scores(self.graph4(), [0.25] * 4, 0.5)
+        np.testing.assert_array_equal(sel.node_mask, [True, True, False, False])
 
     def test_keep_all(self):
-        mask = topk_subgraph_from_scores(self.graph4(), [0.1, 0.2, 0.3, 0.4], 1.0)
-        assert mask.all()
+        sel = topk_subgraph_from_scores(self.graph4(), [0.1, 0.2, 0.3, 0.4], 1.0)
+        assert sel.node_mask.all() and sel.degenerate
+        assert sel.threshold == 1.0
+
+    def test_keep_fraction_rounds_up(self):
+        sel = topk_subgraph_from_scores(self.graph4(), [0.1, 0.4, 0.3, 0.2], 0.7)
+        np.testing.assert_array_equal(sel.node_mask, [False, True, True, True])
+        assert sel.threshold == 0.7
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gib.tensor as T
 from gib.batch import GraphBatch
@@ -49,6 +51,24 @@ def two_triangles() -> Graph:
     for i, j in [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]:
         a[i, j] = a[j, i] = 1.0
     return Graph(a, np.ones((6, 1)), 0)
+
+
+def reference_components(adjacency: np.ndarray, mask: np.ndarray) -> list[list[int]]:
+    """Components of the masked nodes by label propagation over ``adjacency``:
+    every selected node takes the smallest label among its selected
+    neighbours until no label moves; ordered by smallest member."""
+    labels = {i: i for i in np.nonzero(mask)[0].tolist()}
+    moved = True
+    while moved:
+        moved = False
+        for u in labels:
+            for v in np.nonzero(adjacency[u])[0].tolist():
+                if v in labels and labels[v] < labels[u]:
+                    labels[u], moved = labels[v], True
+    groups: dict[int, list[int]] = {}
+    for u in sorted(labels):
+        groups.setdefault(labels[u], []).append(u)
+    return sorted(groups.values())
 
 
 def four_cycle() -> np.ndarray:
@@ -189,18 +209,26 @@ class TestDiscretize:
         sel = discretize(np.array([[0.4, 0.6]] * 6), g)
         assert sel.empty
 
-    def test_induced_adjacency_restricted(self):
+    def test_kept_edges_restricted_to_the_selection(self):
         g = two_triangles()
         sel = discretize(np.array([[0.9, 0.1]] * 3 + [[0.1, 0.9]] * 3), g)
-        assert sel.induced_adjacency[:3, :3].sum() == 6.0
-        assert sel.induced_adjacency[3:, :].sum() == 0.0
+        assert selection_record(0, g, sel)["kept_edges"] == [[0, 1], [0, 2], [1, 2]]
+        assert sel.adjacency is g.adjacency  # the graph's own, read-only
+
+    @pytest.mark.parametrize("nodes, degenerate", [
+        ([], True), ([0, 1, 2, 3, 4, 5], True), ([0, 1, 2], False), ([5], False),
+    ], ids=["empty", "full", "half", "one"])
+    def test_degenerate_when_nothing_or_everything_is_selected(self, nodes, degenerate):
+        g = two_triangles()
+        s = np.array([[0.9, 0.1] if i in nodes else [0.1, 0.9] for i in range(g.n)])
+        assert discretize(s, g).degenerate is degenerate
 
 
 class TestComponents:
     def selection(self, g, nodes):
         mask = np.zeros(g.n, dtype=bool)
         mask[nodes] = True
-        return SubgraphSelection(mask, g.adjacency * np.outer(mask, mask), 0.5)
+        return SubgraphSelection(mask, g.adjacency, 0.5)
 
     def test_connected_selection_unchanged(self):
         g = two_triangles()
@@ -236,6 +264,20 @@ class TestComponents:
         g = two_triangles()
         assert len(connected_components(self.selection(g, [0, 1, 2, 3, 4, 5]))) == 2
         assert len(connected_components(self.selection(g, [0, 3]))) == 2
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), p=st.floats(0.05, 0.9),
+           keep=st.floats(0.0, 1.0))
+    def test_walk_on_the_whole_graph_stays_inside_the_selection(self, seed, n, p, keep):
+        # the walk skips unselected neighbours, so the whole adjacency gives
+        # the components of the adjacency restricted to the selection
+        r = rng(seed)
+        g = random_graph(r, n, p)
+        mask = r.random(n) < keep
+        restricted = g.adjacency * np.outer(mask, mask)
+        expected = reference_components(restricted, mask)
+        assert connected_components(SubgraphSelection(mask, g.adjacency, 0.5)) == expected
+        assert connected_components(SubgraphSelection(mask, restricted, 0.5)) == expected
 
 
 class TestSelectionRecords:

@@ -23,12 +23,12 @@ from gib.graphs import (
     gen_planted_motif_dataset,
     random_splits,
 )
-from gib.metrics import write_csv
+from gib.metrics import motif_property_bias, write_csv
 from gib.mi import inner_maximize, mi_batch_loss
 from gib.models import AttentionClassifier, GibModel, MeanPoolClassifier
 from gib.nn import Mlp
 from gib.optim import Adam
-from gib.subgraph import connectivity_loss
+from gib.subgraph import connectivity_loss, discretize
 from gib.tensor import Tensor
 from gib.train import (
     METRICS_COLUMNS,
@@ -367,6 +367,28 @@ class TestEvaluateSplit:
             assert chunked.keys() == whole.keys()
             for key, value in whole.items():
                 assert chunked[key] == pytest.approx(value, abs=1e-12), key
+
+    @pytest.mark.parametrize("continuous", [False, True])
+    def test_threshold_outside_unit_interval_named(self, continuous):
+        # every graph is cut by discretize, which checks the threshold
+        ds = tiny_dataset(continuous=continuous)
+        model = GibModel(ds.graphs[0].features.shape[1], ds.num_classes, rng(3))
+        with pytest.raises(ValueError, match=r"^threshold must be in \(0, 1\), got 1.5$"):
+            evaluate_split(model, ds, "val", 1.5)
+
+    @pytest.mark.parametrize("threshold", [0.3, 0.5, 0.7])
+    def test_degenerate_rate_and_bias_read_each_graphs_cut(self, threshold):
+        ds = tiny_dataset(continuous=True)
+        ds.splits = random_splits(24, (0.3, 0.5, 0.2), seed=2)
+        model = GibModel(ds.graphs[0].features.shape[1], ds.num_classes, rng(3))
+        val = ds.splits["val"]
+        cuts = [discretize(model.assignment_matrix(ds.graphs[gi]), ds.graphs[gi], threshold)
+                for gi in val]
+        stats = evaluate_split(model, ds, "val", threshold)
+        assert stats["degenerate_rate"] == sum(cut.degenerate for cut in cuts) / len(val)
+        assert stats["property_bias"] == pytest.approx(np.mean([
+            motif_property_bias(ds.masks[gi], ds.graphs[gi], cut) for gi, cut in zip(val, cuts)
+        ]), abs=1e-12)
 
 
 class TestTrain:
