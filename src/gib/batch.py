@@ -10,11 +10,13 @@ the constant B x N matrices that the segments keep.
 The blocks and the first layer's input, each block times its graph's
 features, are built once per graph and kept on the ``Graph``; a batch holds
 references to them, and each block is its graph's own n x n matrix, so it
-fits its segment by construction. A single graph is a batch of one, which
-the graph keeps (``Graph.as_batch``) for the one-graph entry points of the
-model. A batch holds no reference to the graphs themselves: a graph and its
-kept batch would otherwise form a reference cycle, and every graph's arrays
-would outlive it until the cyclic garbage collector ran.
+fits its segment by construction. The connectivity loss's blocks are the
+graphs' bool adjacencies, which ``segment_matmul`` casts one at a time. A
+single graph is a batch of one, which the graph keeps (``Graph.as_batch``)
+for the one-graph entry points of the model. A batch holds no reference to
+the graphs themselves: a graph and its kept batch would otherwise form a
+reference cycle, and every graph's arrays would outlive it until the cyclic
+garbage collector ran.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ class GraphBatch:
     """The disjoint union of a list of graphs, with per-graph segments.
 
     Its segments, with their pooling matrices, live as long as the batch; its
-    propagation blocks, adjacency blocks and propagated features (N x F, the
-    first GCN layer's input) come from its graphs, which keep them.
+    propagation blocks, bool adjacency blocks and propagated features (N x F,
+    the first GCN layer's input) come from its graphs, which keep them.
     """
 
     def __init__(self, graphs: Sequence[Graph]):

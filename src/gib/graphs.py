@@ -8,7 +8,8 @@ generator that stands in for chemistry data in the interpretation experiment.
 A ``Graph`` is fixed once built, so it also keeps the GCN operators derived
 from it: its renormalized propagation block (``normalized_adjacency``) and
 that block times its features, built on first use and shared by every batch
-that holds the graph, and the one-graph batch of itself.
+that holds the graph, and the one-graph batch of itself. Its 0/1 adjacency
+is bool, one byte per entry against the propagation block's eight.
 
 Edges are always kept in canonical order: the sorted list of pairs (i, j)
 with i < j. Ground-truth edge masks index into that order.
@@ -93,13 +94,13 @@ def check_fields(config: Any) -> None:
 class Graph:
     """An undirected graph with node features and one label.
 
-    adjacency is a symmetric 0/1 float matrix with zero diagonal; features
-    has one finite row per node; label is an int class index or a finite
-    float property.
+    adjacency is a symmetric 0/1 bool matrix with zero diagonal (built from
+    any 0/1 input); features has one finite row per node; label is an int
+    class index or a finite float property.
 
     Both arrays are fixed after construction: the graph keeps read-only
-    views of them (the caller's own arrays stay writable), because the GCN
-    operators built from them on first use are kept with the graph.
+    ones (the caller's own arrays stay writable), because the GCN operators
+    built from them on first use are kept with the graph.
     """
 
     adjacency: np.ndarray
@@ -126,7 +127,7 @@ class Graph:
             raise GraphFormatError("features must be finite")
         if not math.isfinite(self.label):
             raise GraphFormatError(f"label must be finite, got {self.label!r}")
-        self.adjacency = _read_only(a)
+        self.adjacency = _read_only(a.astype(bool))
         self.features = _read_only(x)
 
     @property
@@ -310,7 +311,7 @@ def load_tu_dataset(path: str, name: str) -> Dataset:
         labels = [remap[int(v)] for v in raw_labels]
         num_classes = len(distinct)
 
-    adjacency = [np.zeros((m, m)) for m in sizes]
+    adjacency = [np.zeros((m, m), dtype=bool) for m in sizes]
     for lineno, text in _numbered_lines(prefix + "_A.txt"):
         try:
             u_str, v_str = text.split(",")
@@ -332,8 +333,7 @@ def load_tu_dataset(path: str, name: str) -> Dataset:
         lu = u - 1 - offsets[gu - 1]
         lv = v - 1 - offsets[gu - 1]
         if lu != lv:  # ignore accidental self-loops
-            adjacency[gu - 1][lu, lv] = 1.0
-            adjacency[gu - 1][lv, lu] = 1.0
+            adjacency[gu - 1][lu, lv] = adjacency[gu - 1][lv, lu] = True
 
     node_label_path = prefix + "_node_labels.txt"
     if os.path.exists(node_label_path):
@@ -442,7 +442,7 @@ def add_noise_edges(
     if n_new > 0:
         # free node pairs in row-major (i < j) order
         rows, cols = np.triu_indices(graph.n, k=1)
-        free = graph.adjacency[rows, cols] == 0.0
+        free = ~graph.adjacency[rows, cols]
         rows, cols = rows[free], cols[free]
         if len(rows) < n_new:
             raise GenerationError(
@@ -450,11 +450,10 @@ def add_noise_edges(
             )
         rng = np.random.default_rng(seed)
         chosen = rng.choice(len(rows), size=n_new, replace=False)
-        adjacency[rows[chosen], cols[chosen]] = 1.0
-        adjacency[cols[chosen], rows[chosen]] = 1.0
+        adjacency[rows[chosen], cols[chosen]] = adjacency[cols[chosen], rows[chosen]] = True
     noisy = Graph(adjacency, graph.features.copy(), graph.label)
     rows, cols = np.nonzero(np.triu(noisy.adjacency, k=1))
-    mask = graph.adjacency[rows, cols] == 1.0
+    mask = graph.adjacency[rows, cols]
     return noisy, mask
 
 
@@ -475,8 +474,8 @@ def to_line_graph(graph: Graph) -> Graph:
     m = len(edges)
     incidence = np.zeros((m, graph.n))
     incidence[np.arange(m)[:, None], ends] = 1.0
-    adjacency = (incidence @ incidence.T > 0.0).astype(np.float64)
-    np.fill_diagonal(adjacency, 0.0)
+    adjacency = incidence @ incidence.T > 0.0
+    np.fill_diagonal(adjacency, False)
     features = graph.features[ends[:, 0]] + graph.features[ends[:, 1]]
     return Graph(adjacency, features, graph.label)
 
@@ -520,13 +519,10 @@ class MotifConfig:
 
 
 def _motif_adjacency(kind: str, k: int) -> np.ndarray:
-    a = np.zeros((k, k))
     if kind == "clique":
-        a = np.ones((k, k)) - np.eye(k)
-    elif kind == "cycle":
-        for i in range(k):
-            a[i, (i + 1) % k] = a[(i + 1) % k, i] = 1.0
-    return a
+        return ~np.eye(k, dtype=bool)
+    step = np.roll(np.eye(k, dtype=bool), 1, axis=1)  # the cycle's i -> i + 1 (mod k)
+    return step | step.T
 
 
 def gen_planted_motif_dataset(config: MotifConfig) -> Dataset:
@@ -550,15 +546,15 @@ def gen_planted_motif_dataset(config: MotifConfig) -> Dataset:
         k = int(rng.choice(sizes))
         n_bg = int(rng.integers(config.background_nodes[0], config.background_nodes[1] + 1))
         n = n_bg + k
-        adjacency = np.zeros((n, n))
+        adjacency = np.zeros((n, n), dtype=bool)
         upper = rng.random((n_bg, n_bg)) < config.edge_prob
-        bg = np.triu(upper, k=1).astype(np.float64)
-        adjacency[:n_bg, :n_bg] = bg + bg.T
+        bg = np.triu(upper, k=1)
+        adjacency[:n_bg, :n_bg] = bg | bg.T
         adjacency[n_bg:, n_bg:] = _motif_adjacency(kind, k)
         for _ in range(ATTACH_EDGES):
             u = int(rng.integers(0, n_bg))
             v = n_bg + int(rng.integers(0, k))
-            adjacency[u, v] = adjacency[v, u] = 1.0
+            adjacency[u, v] = adjacency[v, u] = True
 
         if config.label_rule == "kind":
             label: float | int = config.motif_kinds.index(kind)

@@ -71,16 +71,16 @@ def _one_graph(n: int) -> T.Segments:
 def connectivity_loss(assignment: Tensor, adjacency: np.ndarray | GraphBatch) -> Tensor:
     """|| row_normalize(S^T A S) - I_2 ||_F, averaged over the graphs.
 
-    ``adjacency`` is one graph's adjacency matrix, or a batch whose stacked
-    nodes are the rows of ``assignment``. Row normalization divides by the
-    row sum; an all-zero row (one side has no incident edge mass at all)
-    stays zero, which puts it at distance 1 from the identity row and
-    penalizes collapsing every node to one side.
+    ``adjacency`` is one graph's 0/1 (bool or float) adjacency matrix, or a
+    batch whose stacked nodes are the rows of ``assignment``. Row
+    normalization divides by the row sum; an all-zero row (one side has no
+    incident edge mass at all) stays zero, which puts it at distance 1 from
+    the identity row and penalizes collapsing every node to one side.
     """
     if isinstance(adjacency, GraphBatch):
         blocks, segments = adjacency.adjacency, adjacency.segments
     else:
-        blocks = [np.asarray(adjacency, dtype=np.float64)]
+        blocks = [np.asarray(adjacency)]
         segments = _one_graph(blocks[0].shape[0])
     a_s = T.segment_matmul(blocks, assignment, segments)
     # row k of graph b's S^T A S is the pooled (S e_k) * (A S)
@@ -91,9 +91,9 @@ def connectivity_loss(assignment: Tensor, adjacency: np.ndarray | GraphBatch) ->
 
 @dataclass
 class SubgraphSelection:
-    """A hard node selection: the selected nodes, the read-only adjacency of
-    the graph they come from, and the cut that selected them (a subgraph
-    probability, or a top-k keep fraction)."""
+    """A hard node selection: the selected nodes, the read-only bool
+    adjacency of the graph they come from, and the cut that selected them
+    (a subgraph probability, or a top-k keep fraction)."""
 
     node_mask: np.ndarray
     adjacency: np.ndarray

@@ -730,7 +730,9 @@ def segment_matmul(blocks: Sequence[np.ndarray], a: Tensor, segments: Segments) 
     loop inside this one node, its product written straight into the output,
     so the block-diagonal matrix is never formed. Block shapes are not
     checked per call: a block that does not fit its segment makes numpy's
-    product raise.
+    product raise. A bool 0/1 block is cast to float64 where it is used, so
+    each product is the float BLAS call: numpy's mixed bool x float product
+    is not, and its transposed backward differs in the last bits.
     """
     if a.data.ndim != 2:
         raise ShapeMismatch(f"segment_matmul: expected a matrix, got {a.data.shape}")
@@ -741,12 +743,12 @@ def segment_matmul(blocks: Sequence[np.ndarray], a: Tensor, segments: Segments) 
     x = a.data
     y = np.empty(x.shape)
     for block, (start, end) in zip(blocks, spans):
-        np.matmul(block, x[start:end], out=y[start:end])
+        np.matmul(np.asarray(block, dtype=np.float64), x[start:end], out=y[start:end])
 
     def grad_fn(g: np.ndarray) -> None:
         buf = np.empty(x.shape)
         for block, (start, end) in zip(blocks, spans):
-            np.matmul(block.T, g[start:end], out=buf[start:end])
+            np.matmul(np.asarray(block, dtype=np.float64).T, g[start:end], out=buf[start:end])
         a._accumulate(buf)
 
     return Tensor(y, (a,), grad_fn, "segment_matmul")

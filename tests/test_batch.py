@@ -9,7 +9,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gib
@@ -124,6 +124,61 @@ class TestSegmentOpGradients:
             T.segment_softmax(Tensor(np.zeros((1, 3))), T.Segments(np.array(offsets)))
         with pytest.raises(ShapeMismatch, match="offsets"):
             T.segment_matmul([np.eye(3)], Tensor(np.zeros((3, 1))), T.Segments(np.array(offsets)))
+
+
+def random_bool_blocks(r, sizes):
+    blocks = []
+    for n in sizes:
+        upper = np.triu(r.random((n, n)) < 0.3, 1)
+        blocks.append(upper | upper.T)
+    return blocks
+
+
+class TestBoolBlocks:
+    """A graph keeps its adjacency as bool. ``segment_matmul`` casts each
+    0/1 block to float64 where it uses it, so its forward and backward are
+    bitwise those of float blocks. numpy's mixed bool x float product is not
+    bitwise the float one: into ``out=``, the transposed backward product of
+    a narrow gradient differs in the last bits."""
+
+    @staticmethod
+    def forward_backward(blocks, x, g, segs):
+        leaf = Tensor(x)
+        y = T.segment_matmul(blocks, leaf, segs)
+        T.tsum(y * Tensor(g, requires_grad=False)).backward()  # pushes g into the op
+        return y.data.tobytes(), leaf.grad.tobytes()
+
+    @PROPERTY
+    @given(sizes=st.lists(st.integers(1, 90), min_size=1, max_size=4),
+           width=st.integers(1, 3), seed=SEEDS)
+    # line-graph-sized blocks and a 2-wide gradient, the connectivity loss's
+    # backward: without the cast its bytes differ
+    @example(sizes=[77, 80, 64], width=2, seed=31)
+    def test_segment_matmul_matches_float_blocks(self, sizes, width, seed):
+        r = np.random.default_rng(seed)
+        blocks = random_bool_blocks(r, sizes)
+        x, g = r.normal(size=(2, sum(sizes), width))  # g signed
+        segs = segments(sizes)
+        assert self.forward_backward(blocks, x, g, segs) == \
+            self.forward_backward([b.astype(np.float64) for b in blocks], x, g, segs)
+
+    @PROPERTY
+    @given(sizes=st.lists(st.integers(1, 40), min_size=1, max_size=5), seed=SEEDS)
+    def test_connectivity_loss_matches_float_blocks(self, sizes, seed):
+        r = np.random.default_rng(seed)
+        graphs = [Graph(a, np.ones((a.shape[0], 1)), 0) for a in random_bool_blocks(r, sizes)]
+        batch = GraphBatch(graphs)
+        float_batch = GraphBatch(graphs)
+        float_batch.adjacency = [a.astype(np.float64) for a in batch.adjacency]
+        logits = r.normal(size=(sum(sizes), 2))
+        results = []
+        for b in (batch, float_batch):
+            s = Tensor(np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True))
+            loss = connectivity_loss(s, b)
+            loss.backward()
+            results.append((loss.data.tobytes(), s.grad.tobytes()))
+        assert all(a.dtype == bool for a in batch.adjacency)
+        assert results[0] == results[1]
 
 
 # -- the batch itself ----------------------------------------------------------

@@ -79,6 +79,24 @@ class TestGraphInvariants:
         g = triangle()
         assert g.edges() == [(0, 1), (0, 2), (1, 2)]
 
+    def test_adjacency_is_read_only_bool(self):
+        adjacency = triangle().adjacency
+        assert adjacency.dtype == bool and not adjacency.flags.writeable
+
+    def test_float_and_bool_inputs_build_the_same_graph(self):
+        """A 0/1 adjacency given as float or as bool builds the same bytes,
+        and the propagation block is the one built from the float matrix."""
+        r = np.random.default_rng(4)
+        upper = np.triu(r.random((9, 9)) < 0.4, 1)
+        a, x = (upper | upper.T).astype(np.float64), r.normal(size=(9, 3))
+        as_float, as_bool = Graph(a, x, 0), Graph(a.astype(bool), x, 0)
+        for name in ("adjacency", "propagation", "propagated_features"):
+            assert getattr(as_float, name).tobytes() == getattr(as_bool, name).tobytes(), name
+        d = 1.0 / np.sqrt(a.sum(axis=1) + 1.0)
+        float_propagation = a * d[:, None] * d[None, :]
+        np.fill_diagonal(float_propagation, d * d)
+        assert as_bool.propagation.tobytes() == float_propagation.tobytes()
+
     def test_arrays_are_read_only_views(self):
         a = triangle().adjacency.copy()
         x = np.ones((3, 2))
@@ -396,7 +414,7 @@ class TestAgainstLoops:
             return
         line = to_line_graph(g)
         adjacency, features = line_graph_loops(g)
-        assert line.adjacency.tobytes() == adjacency.tobytes()
+        assert line.adjacency.tobytes() == adjacency.astype(bool).tobytes()
         assert line.features.tobytes() == features.tobytes()
 
 
@@ -495,6 +513,14 @@ class TestMotifGenerator:
         h3 = dataset_hash(gen_planted_motif_dataset(MotifConfig(num_graphs=12, seed=10)))
         assert h1 != h3
 
+    def test_dataset_hash_matches_its_recorded_value(self):
+        """The hash manifest.json records, taken over each adjacency's
+        float64 bytes, so the dtype a graph stores it in does not move it."""
+        ds = gen_planted_motif_dataset(MotifConfig(num_graphs=6, seed=3))
+        assert ds.masks is not None
+        assert dataset_hash(ds) == \
+            "c5a1c96965d48b05deee7d2d7e89558008efaf3c987dfce94ddf0e27ee685ae8"
+
     def test_continuous_property_matches_mask_size_without_noise(self):
         ds = gen_planted_motif_dataset(
             MotifConfig(
@@ -556,6 +582,16 @@ class TestSplits:
             ds.validate_splits()
         with pytest.raises(ConfigError):
             kfold_splits(23, 5, 5, seed=3)
+
+    def test_kfold_validation_is_a_tenth_of_the_rest(self):
+        # 100 graphs in 5 folds leave 80 outside the test fold; 80 // 10 validate
+        splits = kfold_splits(100, 0, 5, seed=0)
+        assert [len(splits[k]) for k in ("train", "val", "test")] == [72, 8, 20]
+
+    def test_random_validation_never_rounds_to_empty(self):
+        # 0.04 of 10 graphs rounds to 0, but validation keeps one graph
+        splits = random_splits(10, (0.8, 0.04, 0.16), seed=0)
+        assert [len(splits[k]) for k in ("train", "val", "test")] == [8, 1, 1]
 
     def test_bad_ratios_rejected(self):
         with pytest.raises(ConfigError, match="sum to 1"):

@@ -158,6 +158,18 @@ class TestInnerMaximize:
         for w, before in zip(statnet.encoder.params(), encoder_before):
             assert np.array_equal(w.data, before)
 
+    def test_batch_of_the_whole_sample_is_the_full_batch(self):
+        """batch_size == n takes the full-batch path: the trace of
+        batch_size=None, bitwise, and no draw from the rng."""
+        r = rng(14)
+        g, s = r.normal(size=(6, D)), r.normal(size=(6, D))
+        traces, draws = [], np.random.default_rng(7)
+        for batch_size in (None, 6):
+            traces.append(inner_maximize(make_statnet(rng(15)).head, g, s, steps=3, lr=1e-2,
+                                         batch_size=batch_size, rng=draws))
+        assert traces[1] == traces[0]
+        assert draws.bit_generator.state == np.random.default_rng(7).bit_generator.state
+
     def test_independent_pairs_estimate_near_zero(self):
         """With sub embeddings independent of graphs, the trained estimate
         hovers at zero (small positive overfit bias allowed; a large sample

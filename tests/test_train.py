@@ -36,6 +36,7 @@ from gib.train import (
     _cached_embeddings,
     classification_loss,
     evaluate_split,
+    fit,
     output_loss,
     outer_step,
     train,
@@ -571,6 +572,24 @@ class TestTrain:
             (0.3627494243225656, -0.06769138720309872, 1.011517379552248,
              1.3674976651545039, 0.5, 1.0),
         ]})
+
+
+class TestFit:
+    @pytest.mark.parametrize("patience", [1, 3])
+    def test_stops_after_patience_stale_epochs(self, patience):
+        """A run whose validation never improves after its first epoch stops
+        after exactly 1 + patience epochs and keeps the first."""
+        ds = tiny_dataset()
+        model = MeanPoolClassifier(ds.graphs[0].features.shape[1], ds.num_classes, rng(0))
+        epochs = []
+
+        def run_epoch(epoch, batches):
+            epochs.append(epoch)
+            return 0.5
+
+        config = TrainConfig(outer_steps=10, patience=patience)
+        assert fit(model, ds, config, rng(1), run_epoch) == (1, 0.5)
+        assert epochs == list(range(1, 2 + patience))
 
 
 class TestModelLayout:
